@@ -1,0 +1,103 @@
+"""Golden CLI outputs: exit status and stdout of fast ops that cover every
+formula path (flagged, marked and modified determinants, skew expansions,
+coefficients, enumerations and the verify suites).
+
+The expected values were recorded from the CLI and must stay byte-identical
+under refactoring.  Outputs longer than a few lines are stored as a sha256
+digest of the text.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import warnings
+
+import pytest
+
+from grothpoly import cli
+
+GOLDEN = [
+    ('compute G --shape 2,1 --n 3 --deg 4',
+     0, 'sha256:bd14f228f5646776081389f41fa4a3e7290c1e23781c690c322ee8597d53ce21'),
+    ('compute g --shape 2,2 --n 3 --deg 5',
+     0, 'sha256:1d7f3c5cafb74c81828c44dffb536c662a07f57141a0000b79aadbf089f2ae1d'),
+    ('compute s --shape 2,1 --inner 1 --n 3',
+     0, '(x1^2+2*x1*x2+2*x1*x3+x2^2+2*x2*x3+x3^2)'),
+    ('compute G --shape 2,1 --inner 1 --n 3 --deg 4 --flags-r 1,2 --flags-s 2,3',
+     0, 'sha256:19fa847cf8fc75353445816996331b907d64343879b65b4d8c311fc03e3213af'),
+    ('compute G --shape 2,1 --inner 1 --n 2 --deg 4 --flags-r 1,4 --flags-s 5,6',
+     0, '0'),
+    ('compute G --shape 2,1 --inner 1,1 --n 2 --deg 4 --flags-r 1,4 --flags-s 3,5',
+     0, '(x1+x2) + a2*(x1^2+x1*x2+x2^2) - b1*x1*x2 - a2*b1*(x1^2*x2+x1*x2^2) + a2^2*(x1^3+x1^2*x2+x1*x2^2+x2^3) - a2^2*b1*(x1^3*x2+x1^2*x2^2+x1*x2^3) + a2^3*(x1^4+x1^3*x2+x1^2*x2^2+x1*x2^3+x2^4)'),
+    ('compute g --shape 2,1 --inner 1,1 --n 2 --deg 4 --flags-r 1,4 --flags-s 3,5 --orientation col',
+     0, '(x1+x2)'),
+    ('compute G --shape 2,2 --inner 1 --n 3 --deg 5 --flags-r 1,2 --flags-s 3,4 --orientation col',
+     0, 'sha256:0ddf569ddf4d747f962dfafca4d076594ba358db29de1b26ab7fe4796f048f69'),
+    ('compute g --shape 3,1 --inner 1 --n 3 --deg 4 --flags-r 1,2 --flags-s 2,3',
+     0, '(x1^2*x2+x1^2*x3+x1*x2^2+x1*x2*x3+x2^3+x2^2*x3) - a2*(x1*x2+x1*x3+x2^2+x2*x3)'),
+    ('compute g --shape 2,1 --inner 1 --n 2 --deg 4 --flags-r 2,4 --flags-s 3,5 --orientation col',
+     0, '0'),
+    ('compute g --shape 2,2 --inner 1 --n 3 --deg 4 --flags-s 2,inf --orientation col',
+     0, '(x1^2*x2+x1^2*x3+x1*x2^2+2*x1*x2*x3+x2^2*x3) - a1*x1*x2 + b1*(x1^2+x1*x2+x1*x3+x2^2+x2*x3) - a1*b1*(x1+x2)'),
+    ('compute g --shape 1,2 --n 2 --deg 4 --mark-set 1,2',
+     0, '-a2*x1*x2 + b1*x1*x2 + a1*a2*(x1+x2) - a1*b1*(x1+x2) - a2*b1*(x1+x2) + b1^2*(x1+x2) + a1*a2*b1 - a1*b1^2 - a1^2*a2 + a1^2*b1'),
+    ('compute g --shape 1,2 --inner 1 --n 3 --deg 4 --mark-set 1 --flags-r 1,2 --flags-s 2,3',
+     0, '(x2*x3+x3^2) - a1*x3 + b1*x2 - a1*b1'),
+    ('compute G --shape 2,1 --n 2 --deg 3 --spec b=0',
+     0, '(x1^2*x2+x1*x2^2)'),
+    ('expand G --shape 2,1 --n 2 --deg 2',
+     0, 's[2,1]: 1\ns[3,1]: a1 + a2\ns[2,2]: a1 - b1\ns[2,1,1]: -b1 - b2\ns[4,1]: a1*a2 + a1^2 + a2^2\ns[3,2]: a1*a2 - a1*b1 + a1^2 - a2*b1\ns[3,1,1]: -a1*b1 - a1*b2 - a2*b1 - a2*b2\ns[2,2,1]: -a1*b1 - a1*b2 + b1*b2 + b1^2\ns[2,1,1,1]: b1*b2 + b1^2 + b2^2'),
+    ('expand g --shape 2,2',
+     0, 's[1]: -a1*b1^2 + a1^2*b1\ns[1,1]: -a1*b1 + a1^2\ns[2]: -a1*b1 + b1^2\ns[2,1]: -a1 + b1\ns[2,2]: 1'),
+    ('expand G --shape 2,1 --inner 1 --deg 2',
+     0, 'sha256:7bcbaa8a2a44fa6a60a30733e0ace66fa8222b6c0cf71aa14d9ac6c95d6c210f'),
+    ('expand g --shape 3,2 --inner 1 --n 2',
+     0, 'sha256:983a2b87f366539e8f7bcfba8489b9da90fa6f4f36eb6b1007bd2fd4854b01b1'),
+    ('expand s --shape 2,1 --deg 2',
+     0, 'sha256:2180324a48803a65cee854429a3ed7dbe7e5c894acc41d9cac274d111c325530'),
+    ('coeff C --shape 1 --inner 2,1',
+     0, '-a1*b1'),
+    ('coeff c --shape 3,1 --inner 1',
+     0, 'a1*a2*b1'),
+    ('coeff hall --shape 2,1 --inner 2,1',
+     0, '1'),
+    ('enumerate G --shape 2,1 --n 2',
+     0, 'sha256:408ff06a4ea09c50b66fb6d04273ff95b5efa094469fa8a0bcd4d6d2167a7bc7'),
+    ('enumerate G --shape 2,1 --n 3 --flags-r 1,2 --flags-s 2,3',
+     0, 'sha256:413f2aeff76ed4803ff2924c6a7b65c50afa20cf42740248e983e62a91cc57d7'),
+    ('enumerate g --shape 2,2 --n 2',
+     0, '1 1\n1 1\n\n1*  1\n 1  1\n\n 1  1\n1*  1\n\n1*  1\n1*  1\n\n1 1\n1 2\n\n1*  1\n 1  2\n\n1 1\n2 2\n\n1*  1\n 2  2\n\n 1  1\n2*  2\n\n1*  1\n2*  2\n\n1 2\n1 2\n\n1 2\n2 2\n\n 1  2\n2*  2\n\n2 2\n2 2\n\n2*  2\n 2  2\n\n 2  2\n2*  2\n\n2*  2\n2*  2\n\ntotal: 17'),
+    ('enumerate g --shape 1,2 --n 2 --mark-set 1,2',
+     2, 'error: not weakly decreasing: (1, 2)'),
+    ('enumerate g --shape 2,1 --n 2 --mark-set 1',
+     0, '1 1\n1\n\n1*  1\n 1\n\n1 1\n2\n\n1*  1\n 2\n\n1 2\n1\n\n 1 2*\n 1\n\n1 2\n2\n\n 1 2*\n 2\n\n2 2\n2\n\n2*  2\n 2\n\n 2 2*\n 2\n\n2* 2*\n 2\n\ntotal: 12'),
+    ('enumerate matsumura --shape 2,1 --n 3 --flags-s 2,3 --flags-r 1,2',
+     0, '1 1\n2\n\n 1  1\n23\n\n1 1\n3\n\n 1 12\n 2\n\n 1 12\n23\n\n 1 12\n 3\n\n1 2\n2\n\n 1  2\n23\n\n1 2\n3\n\n12  2\n 3\n\n2 2\n3\n\ntotal: 11'),
+    ('verify G --max-size 2 --deg 3',
+     0, 'G concordance: 11 shapes agree five ways'),
+    ('verify g --max-size 3',
+     0, 'g concordance: 17 shapes agree five ways'),
+    ('verify C --max-size 3',
+     0, 'C: 22 pairs agree three ways and the sign-adjusted values are nonnegative'),
+    ('verify flagged --max-size 2',
+     0, 'sha256:aadde0e93672f66a15ae74d1804258f26d3598b8b6bbe7e20792eddb2901d27e'),
+    ('verify omega --max-size 3',
+     0, 'omega: 38 expansion-level involution checks pass'),
+    ('verify cauchy --budget 2',
+     0, 'cauchy: kernel matches the G*g sum to bidegree 2'),
+]
+
+
+def _digest(text):
+    if len(text) <= 240:
+        return text
+    return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("op, status, expected", GOLDEN,
+                         ids=[op for op, _, _ in GOLDEN])
+def test_golden_cli_output(op, status, expected):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        got_status, out = cli.run(op.split())
+    assert (got_status, _digest(out)) == (status, expected)
