@@ -17,20 +17,50 @@ Conventions shared by all functions:
 import warnings
 from math import comb
 
-from .ring import (ALPHA, BETA, X, InternalCheckError, TruncPoly, det,
-                   exact_divide)
+from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det, pvar
 from .shapes import (ShapeError, contains, dent_index, minimal_cell, part,
-                     partition, partitions_between, partitions_of, size)
-from .symfunc import (a_prefix, b_prefix, cat, e_ominus, e_pleth, h_ominus,
-                      h_pleth, neg, single, vandermonde, x_interval)
+                     partition, partitions_above, partitions_between,
+                     partitions_of, size)
+from .symfunc import (a_prefix, alternant_quotient, b_prefix, cat, e_ominus,
+                      e_pleth, h_ominus, h_pleth, neg, single, x_interval)
 
 
 def _one(n, deg):
     return TruncPoly.const(n, deg, 1)
 
 
-def _pvar(n, deg, fam, idx):
-    return TruncPoly.var(n, deg, fam, idx)
+def _fit(lam, n):
+    """lam as a partition; it must fit in n rows."""
+    lam = partition(lam)
+    if len(lam) > n:
+        raise ShapeError(f"shape {lam} does not fit in {n} rows")
+    return lam
+
+
+def _prefactor(rows, n, deg, top=1):
+    """prod over (c, lo, hi) of prod_{l=lo}^{min(hi, n)} sum_{k=0}^{top}
+    (c x_l)^k.  top = 1 and c = -b_i give the factors (1 - b_i x_l);
+    top = deg and c = a_i give the truncated series 1/(1 - a_i x_l)."""
+    out = _one(n, deg)
+    for c, lo, hi in rows:
+        for l in range(lo, min(hi, n) + 1):
+            t = c * pvar(n, deg, X, l)
+            power = series = _one(n, deg)
+            for _ in range(top):
+                power = power * t
+                series = series + power
+            out = out * series
+    return out
+
+
+def _G_prefactor(orientation, rows, n, deg):
+    """The G prefactor over rows (i, lo, hi): prod_{l=lo}^{hi}(1 - b_i x_l)
+    for row flags, prod_{l=lo}^{hi} 1/(1 - a_i x_l) for column flags."""
+    if orientation == "row":
+        return _prefactor([(-pvar(n, deg, BETA, i), lo, hi)
+                           for i, lo, hi in rows], n, deg)
+    return _prefactor([(pvar(n, deg, ALPHA, i), lo, hi)
+                       for i, lo, hi in rows], n, deg, top=deg)
 
 
 def _strip(seq):
@@ -53,39 +83,28 @@ def _dual_shift(k, i):
 def G_bialternant(lam, n, deg):
     """det(h_{lam_i+n-i}[x_j (-) (A_{lam_i} - B_{i-1})]) over the Vandermonde
     determinant, with an n(n-1)/2 degree guard on the numerator."""
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ShapeError(f"shape {lam} does not fit in {n} rows")
-    guard = n * (n - 1) // 2
-    work = deg + guard
-    matrix = [[h_ominus(part(lam, i) + n - i, single(X, j),
-                        _g_right(part(lam, i), i), n, work)
-               for j in range(1, n + 1)] for i in range(1, n + 1)]
-    num = det(matrix, n=n, deg=work)
-    return exact_divide(num, vandermonde(n, work), guard)
+    lam = _fit(lam, n)
+    return alternant_quotient(
+        lambda i, j, work: h_ominus(part(lam, i) + n - i, single(X, j),
+                                    _g_right(part(lam, i), i), n, work),
+        n, deg)
 
 
 def g_bialternant(lam, n, deg):
     """det(h_{lam_i+n-i}[x_j - A_{lam_i-1} + B_{i-1}]) over the Vandermonde
     determinant."""
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ShapeError(f"shape {lam} does not fit in {n} rows")
-    guard = n * (n - 1) // 2
-    work = deg + guard
-    matrix = [[h_pleth(part(lam, i) + n - i,
-                       cat(single(X, j), _dual_shift(part(lam, i), i)),
-                       n, work)
-               for j in range(1, n + 1)] for i in range(1, n + 1)]
-    num = det(matrix, n=n, deg=work)
-    return exact_divide(num, vandermonde(n, work), guard)
+    lam = _fit(lam, n)
+    return alternant_quotient(
+        lambda i, j, work: h_pleth(part(lam, i) + n - i,
+                                   cat(single(X, j),
+                                       _dual_shift(part(lam, i), i)),
+                                   n, work),
+        n, deg)
 
 
 def G_jt(lam, n, deg):
     """det(h_{lam_i-i+j}[X_n (-) (A_{lam_i} - B_{i-1})]) of size n."""
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ShapeError(f"shape {lam} does not fit in {n} rows")
+    lam = _fit(lam, n)
     xs = x_interval(1, n)
     matrix = [[h_ominus(part(lam, i) - i + j, xs,
                         _g_right(part(lam, i), i), n, deg)
@@ -95,9 +114,7 @@ def G_jt(lam, n, deg):
 
 def g_jt(lam, n, deg):
     """det(h_{lam_i-i+j}[X_n - A_{lam_i-1} + B_{i-1}]) of size n."""
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ShapeError(f"shape {lam} does not fit in {n} rows")
+    lam = _fit(lam, n)
     xs = x_interval(1, n)
     matrix = [[h_pleth(part(lam, i) - i + j,
                        cat(xs, _dual_shift(part(lam, i), i)), n, deg)
@@ -108,15 +125,10 @@ def g_jt(lam, n, deg):
 def G_jt_modified(lam, n, deg):
     """prod_{i,j<=n}(1 - b_i x_j) times the determinant with column-shifted
     entries h_{lam_i-i+j}[X_n (-) (A_{lam_i} - B_{i-1} + B_j)]."""
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ShapeError(f"shape {lam} does not fit in {n} rows")
+    lam = _fit(lam, n)
     xs = x_interval(1, n)
-    pref = _one(n, deg)
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            pref = pref * (_one(n, deg)
-                           - _pvar(n, deg, BETA, i) * _pvar(n, deg, X, j))
+    pref = _G_prefactor("row", [(i, 1, n) for i in range(1, n + 1)],
+                           n, deg)
     matrix = [[h_ominus(part(lam, i) - i + j, xs,
                         cat(_g_right(part(lam, i), i), b_prefix(j)), n, deg)
                for j in range(1, n + 1)] for i in range(1, n + 1)]
@@ -126,9 +138,7 @@ def G_jt_modified(lam, n, deg):
 def g_jt_modified(lam, n, deg):
     """det(h_{lam_i-i+j}[X_n - A_{lam_i-1} + B_{i-1} - B_{j-1}]); the column
     shift removes the need for any prefactor."""
-    lam = partition(lam)
-    if len(lam) > n:
-        raise ShapeError(f"shape {lam} does not fit in {n} rows")
+    lam = _fit(lam, n)
     xs = x_interval(1, n)
     matrix = [[h_pleth(part(lam, i) - i + j,
                        cat(xs, _dual_shift(part(lam, i), i),
@@ -140,23 +150,13 @@ def g_jt_modified(lam, n, deg):
 def C_coeff(lam, mu, n, deg):
     """Coefficient of s_mu in the Schur expansion of G_lam:
     det(h_{mu_i-lam_j-i+j}[A_{lam_j} - B_{j-1}]); zero unless lam <= mu."""
-    lam, mu = partition(lam), partition(mu)
-    m = max(len(lam), len(mu))
-    matrix = [[h_pleth(part(mu, i) - part(lam, j) - i + j,
-                       _g_right(part(lam, j), j), n, deg)
-               for j in range(1, m + 1)] for i in range(1, m + 1)]
-    return det(matrix, n=n, deg=deg)
+    return _coeff_det("C", partition(lam), partition(mu), n, deg)
 
 
 def c_coeff(lam, mu, n, deg):
     """Coefficient of s_mu in the Schur expansion of g_lam:
     det(h_{lam_i-mu_j-i+j}[-A_{lam_i-1} + B_{i-1}]); zero unless mu <= lam."""
-    lam, mu = partition(lam), partition(mu)
-    m = max(len(lam), len(mu))
-    matrix = [[h_pleth(part(lam, i) - part(mu, j) - i + j,
-                       _dual_shift(part(lam, i), i), n, deg)
-               for j in range(1, m + 1)] for i in range(1, m + 1)]
-    return det(matrix, n=n, deg=deg)
+    return _coeff_det("c", partition(lam), partition(mu), n, deg)
 
 
 def hall_pairing(lam, mu, n, deg):
@@ -203,14 +203,8 @@ def cauchy_check(n_x, n_y, bound):
     (d_x, d_y) with d_x, d_y <= bound."""
     n = n_x + n_y
     deg = 2 * bound
-    lhs = _one(n, deg)
-    for i in range(1, n_x + 1):
-        for j in range(1, n_y + 1):
-            t = _pvar(n, deg, X, i) * _pvar(n, deg, X, n_x + j)
-            geom = _one(n, deg)
-            for k in range(1, bound + 1):
-                geom = geom + t ** k
-            lhs = lhs * geom
+    lhs = _prefactor([(pvar(n, deg, X, i), n_x + 1, n)
+                      for i in range(1, n_x + 1)], n, deg, top=bound)
     rhs = TruncPoly.zero(n, deg)
     for k in range(bound + 1):
         for lam in partitions_of(k, max_len=n_x):
@@ -228,13 +222,10 @@ def schur_in_grothendieck(lam, basis, budget, n, deg):
     lam = partition(lam)
     out = {}
     if basis == "G":
-        for k in range(size(lam), budget + 1):
-            for mu in partitions_of(k):
-                if not contains(lam, mu):
-                    continue
-                coef = c_coeff(mu, lam, n, deg)
-                if not coef.is_zero():
-                    out[mu] = coef
+        for mu in partitions_above(lam, budget):
+            coef = c_coeff(mu, lam, n, deg)
+            if not coef.is_zero():
+                out[mu] = coef
     elif basis == "g":
         for mu in partitions_between((), lam):
             coef = C_coeff(mu, lam, n, deg)
@@ -256,23 +247,92 @@ def _flag_vectors(r, s, low):
     return r, s
 
 
-def _warn_hypotheses(ok, label):
+def row_monotone(lam, mu, r, s):
+    """Row-flag hypothesis: r_i <= r_{i+1} and s_i <= s_{i+1} wherever
+    mu_i < lam_{i+1}."""
+    for i in range(1, len(r)):
+        if part(mu, i) < part(lam, i + 1):
+            if r[i - 1] > r[i] or s[i - 1] > s[i]:
+                return False
+    return True
+
+
+def col_monotone(lam, mu, r, s, slack=0):
+    """Column-flag hypothesis for G: r_i - mu_i <= r_{i+1} - mu_{i+1} and
+    s_i - lam_i <= s_{i+1} - lam_{i+1} + 1 wherever mu_i < lam_{i+1}.  slack
+    loosens the lower-flag condition for the weakened variant."""
+    for i in range(1, len(r)):
+        if part(mu, i) < part(lam, i + 1):
+            if r[i - 1] - part(mu, i) > r[i] - part(mu, i + 1) + slack:
+                return False
+            if s[i - 1] - part(lam, i) > s[i] - part(lam, i + 1) + 1:
+                return False
+    return True
+
+
+def _warn_hypotheses(ok, label, stacklevel=3):
     if not ok:
         warnings.warn(f"{label} flag hypotheses violated; "
-                      "evaluating the determinant anyway", stacklevel=3)
+                      "evaluating the determinant anyway",
+                      stacklevel=stacklevel)
 
 
-def _geom_prefactor(pairs, n, deg):
-    """prod over (idx, lo, hi) of prod_{l=lo}^{hi} sum_k (alpha_idx x_l)^k."""
-    pref = _one(n, deg)
-    for idx, lo, hi in pairs:
-        for l in range(lo, min(hi, n) + 1):
-            t = _pvar(n, deg, ALPHA, idx) * _pvar(n, deg, X, l)
-            geom = _one(n, deg)
-            for k in range(1, deg + 1):
-                geom = geom + t ** k
-            pref = pref * geom
-    return pref
+# Flagged entry (i, j) is f_{lam_i-mu_j-i+j}, with f = h for row flags and
+# f = e for column flags, of X_[r_j,s_i] (-) P for G and of X_[r_j,s_i] + P
+# for g.  The parameter alphabet P is given by (lam_i, mu_j, i, j).
+
+_FLAG_ENTRY = {
+    ("G", "row"): lambda li, mj, i, j: cat(a_prefix(li), neg(a_prefix(mj)),
+                                           neg(b_prefix(i - 1)),
+                                           b_prefix(j)),
+    ("G", "col"): lambda li, mj, i, j: cat(a_prefix(i - 1),
+                                           neg(a_prefix(j)),
+                                           neg(b_prefix(li)), b_prefix(mj)),
+    ("g", "row"): lambda li, mj, i, j: cat(neg(a_prefix(li - 1)),
+                                           a_prefix(mj), b_prefix(i - 1),
+                                           neg(b_prefix(j - 1))),
+    ("g", "col"): lambda li, mj, i, j: cat(neg(a_prefix(i - 1)),
+                                           a_prefix(j - 1),
+                                           b_prefix(li - 1),
+                                           neg(b_prefix(mj))),
+}
+
+
+def _flag_entry(kind, orientation, lam, mu, i, j, rj, si, n, deg, shift=0):
+    """Entry (i, j) of the flagged determinant; shift is added to the lam_i
+    that P sees (the marked determinant's [i in I])."""
+    m = part(lam, i) - part(mu, j) - i + j
+    params = _FLAG_ENTRY[kind, orientation](part(lam, i) + shift,
+                                            part(mu, j), i, j)
+    xs = x_interval(rj, si)
+    if kind == "G":
+        ominus = h_ominus if orientation == "row" else e_ominus
+        return ominus(m, xs, params, n, deg)
+    pleth = h_pleth if orientation == "row" else e_pleth
+    return pleth(m, cat(xs, params), n, deg)
+
+
+def _flagged_det(kind, outer, inner, r, s, orientation, n, deg):
+    if orientation not in ("row", "col"):
+        raise ShapeError(f"unknown orientation {orientation!r}")
+    lam, mu = partition(outer), partition(inner)
+    r, s = _flag_vectors(r, s, max(len(lam), len(mu)))
+    if kind == "g":
+        ok = row_monotone(lam, mu, r, s)
+    elif orientation == "row":
+        ok = contains(mu, lam) and row_monotone(lam, mu, r, s)
+    else:
+        ok = contains(mu, lam) and col_monotone(lam, mu, r, s)
+    _warn_hypotheses(ok, f"{orientation} {kind}", stacklevel=4)
+    m = len(r)
+    matrix = [[_flag_entry(kind, orientation, lam, mu, i, j, r[j - 1],
+                           s[i - 1], n, deg)
+               for j in range(1, m + 1)] for i in range(1, m + 1)]
+    if kind == "g":
+        return det(matrix, n=n, deg=deg)
+    pref = _G_prefactor(orientation, [(i, r[i - 1], s[i - 1])
+                                         for i in range(1, m + 1)], n, deg)
+    return pref * det(matrix, n=n, deg=deg)
 
 
 def G_flagged_det(outer, inner, r, s, orientation, n, deg):
@@ -284,44 +344,7 @@ def G_flagged_det(outer, inner, r, s, orientation, n, deg):
          prod_i prod_l geom(a_i x_l) times
          det(e_{lam_i-mu_j-i+j}[X_[r_j,s_i] (-) (A_{i-1} - A_j - B_lam_i + B_mu_j)]).
     """
-    lam, mu = partition(outer), partition(inner)
-    r, s = _flag_vectors(r, s, max(len(lam), len(mu)))
-    m = len(r)
-    ok = contains(mu, lam)
-    for i in range(1, m):
-        if part(mu, i) < part(lam, i + 1):
-            if orientation == "row":
-                ok = ok and r[i - 1] <= r[i] and s[i - 1] <= s[i]
-            else:
-                ok = ok and (r[i - 1] - part(mu, i)
-                             <= r[i] - part(mu, i + 1))
-                ok = ok and (s[i - 1] - part(lam, i)
-                             <= s[i] - part(lam, i + 1) + 1)
-    _warn_hypotheses(ok, f"{orientation} G")
-    if orientation == "row":
-        pref = _one(n, deg)
-        for i in range(1, m + 1):
-            for l in range(r[i - 1], min(s[i - 1], n) + 1):
-                pref = pref * (_one(n, deg)
-                               - _pvar(n, deg, BETA, i) * _pvar(n, deg, X, l))
-        matrix = [[h_ominus(part(lam, i) - part(mu, j) - i + j,
-                            x_interval(r[j - 1], s[i - 1]),
-                            cat(a_prefix(part(lam, i)),
-                                neg(a_prefix(part(mu, j))),
-                                neg(b_prefix(i - 1)), b_prefix(j)), n, deg)
-                   for j in range(1, m + 1)] for i in range(1, m + 1)]
-    elif orientation == "col":
-        pref = _geom_prefactor(
-            [(i, r[i - 1], s[i - 1]) for i in range(1, m + 1)], n, deg)
-        matrix = [[e_ominus(part(lam, i) - part(mu, j) - i + j,
-                            x_interval(r[j - 1], s[i - 1]),
-                            cat(a_prefix(i - 1), neg(a_prefix(j)),
-                                neg(b_prefix(part(lam, i))),
-                                b_prefix(part(mu, j))), n, deg)
-                   for j in range(1, m + 1)] for i in range(1, m + 1)]
-    else:
-        raise ShapeError(f"unknown orientation {orientation!r}")
-    return pref * det(matrix, n=n, deg=deg)
+    return _flagged_det("G", outer, inner, r, s, orientation, n, deg)
 
 
 def g_flagged_det(outer, inner, r, s, orientation, n, deg):
@@ -333,31 +356,7 @@ def g_flagged_det(outer, inner, r, s, orientation, n, deg):
 
     Unlike the G version there is no containment hypothesis.
     """
-    lam, mu = partition(outer), partition(inner)
-    r, s = _flag_vectors(r, s, max(len(lam), len(mu)))
-    m = len(r)
-    ok = True
-    for i in range(1, m):
-        if part(mu, i) < part(lam, i + 1):
-            ok = ok and r[i - 1] <= r[i] and s[i - 1] <= s[i]
-    _warn_hypotheses(ok, f"{orientation} g")
-    if orientation == "row":
-        matrix = [[h_pleth(part(lam, i) - part(mu, j) - i + j,
-                           cat(x_interval(r[j - 1], s[i - 1]),
-                               neg(a_prefix(part(lam, i) - 1)),
-                               a_prefix(part(mu, j)),
-                               b_prefix(i - 1), neg(b_prefix(j - 1))), n, deg)
-                   for j in range(1, m + 1)] for i in range(1, m + 1)]
-    elif orientation == "col":
-        matrix = [[e_pleth(part(lam, i) - part(mu, j) - i + j,
-                           cat(x_interval(r[j - 1], s[i - 1]),
-                               neg(a_prefix(i - 1)), a_prefix(j - 1),
-                               b_prefix(part(lam, i) - 1),
-                               neg(b_prefix(part(mu, j)))), n, deg)
-                   for j in range(1, m + 1)] for i in range(1, m + 1)]
-    else:
-        raise ShapeError(f"unknown orientation {orientation!r}")
-    return det(matrix, n=n, deg=deg)
+    return _flagged_det("g", outer, inner, r, s, orientation, n, deg)
 
 
 class FlagSweep:
@@ -387,30 +386,10 @@ class FlagSweep:
     def _entry(self, i, j, rj, si):
         key = (i, j, rj, si)
         val = self._entries.get(key)
-        if val is not None:
-            return val
-        lam, mu, n, deg = self.lam, self.mu, self.n, self.deg
-        m = part(lam, i) - part(mu, j) - i + j
-        xs = x_interval(rj, si)
-        if self.kind == "G" and self.orientation == "row":
-            val = h_ominus(m, xs, cat(a_prefix(part(lam, i)),
-                                      neg(a_prefix(part(mu, j))),
-                                      neg(b_prefix(i - 1)), b_prefix(j)),
-                           n, deg)
-        elif self.kind == "G":
-            val = e_ominus(m, xs, cat(a_prefix(i - 1), neg(a_prefix(j)),
-                                      neg(b_prefix(part(lam, i))),
-                                      b_prefix(part(mu, j))), n, deg)
-        elif self.orientation == "row":
-            val = h_pleth(m, cat(xs, neg(a_prefix(part(lam, i) - 1)),
-                                 a_prefix(part(mu, j)),
-                                 b_prefix(i - 1), neg(b_prefix(j - 1))),
-                          n, deg)
-        else:
-            val = e_pleth(m, cat(xs, neg(a_prefix(i - 1)), a_prefix(j - 1),
-                                 b_prefix(part(lam, i) - 1),
-                                 neg(b_prefix(part(mu, j)))), n, deg)
-        self._entries[key] = val
+        if val is None:
+            val = self._entries[key] = _flag_entry(
+                self.kind, self.orientation, self.lam, self.mu, i, j, rj, si,
+                self.n, self.deg)
         return val
 
     def _minor(self, rows, r, s):
@@ -441,17 +420,9 @@ class FlagSweep:
     def _row_factor(self, i, ri, si):
         key = (i, ri, si)
         val = self._rowpref.get(key)
-        if val is not None:
-            return val
-        n, deg = self.n, self.deg
-        if self.orientation == "row":
-            val = _one(n, deg)
-            for l in range(ri, min(si, n) + 1):
-                val = val * (_one(n, deg)
-                             - _pvar(n, deg, BETA, i) * _pvar(n, deg, X, l))
-        else:
-            val = _geom_prefactor([(i, ri, si)], n, deg)
-        self._rowpref[key] = val
+        if val is None:
+            val = self._rowpref[key] = _G_prefactor(
+                self.orientation, [key], self.n, self.deg)
         return val
 
     def value(self, r, s):
@@ -506,19 +477,12 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     mark_set = frozenset(mark_set)
     if not all(isinstance(i, int) and 1 <= i <= m for i in mark_set):
         raise ShapeError(f"mark set out of range: {sorted(mark_set)}")
-    ok = mark_set in valid_mark_sets(lam)
-    for i in range(1, m):
-        if part(mu, i) < part(lam, i + 1):
-            ok = ok and r[i - 1] <= r[i] and s[i - 1] <= s[i]
-    _warn_hypotheses(ok, "marked g")
+    _warn_hypotheses(mark_set in valid_mark_sets(lam)
+                     and row_monotone(lam, mu, r, s), "marked g")
     zero = TruncPoly.zero(n, deg)
     matrix = [[zero if r[j - 1] > s[i - 1] else
-               h_pleth(part(lam, i) - part(mu, j) - i + j,
-                       cat(x_interval(r[j - 1], s[i - 1]),
-                           neg(a_prefix(part(lam, i) - 1
-                                        + (i in mark_set))),
-                           a_prefix(part(mu, j)),
-                           b_prefix(i - 1), neg(b_prefix(j - 1))), n, deg)
+               _flag_entry("g", "row", lam, mu, i, j, r[j - 1], s[i - 1],
+                           n, deg, shift=i in mark_set)
                for j in range(1, m + 1)] for i in range(1, m + 1)]
     return det(matrix, n=n, deg=deg)
 
@@ -526,10 +490,8 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
 def matsumura_Gpq(m, p, q, n, deg):
     """One-row flagged Grothendieck series in the collapsed parameter b_1:
     prod_{l=q}^p (1 + b_1 x_l) * sum_{k>=0} (-b_1)^k h_{m+k}[X_[q,p]]."""
-    beta = _pvar(n, deg, BETA, 1)
-    pref = _one(n, deg)
-    for l in range(q, min(p, n) + 1):
-        pref = pref * (_one(n, deg) + beta * _pvar(n, deg, X, l))
+    beta = pvar(n, deg, BETA, 1)
+    pref = _prefactor([(beta, q, p)], n, deg)
     xs = x_interval(q, p)
     acc = TruncPoly.zero(n, deg)
     for k in range(0, max(0, deg - m) + 1):
@@ -558,11 +520,9 @@ def matsumura_det(lam, mu, f, g, n, deg):
     f, g = tuple(f), tuple(g)
     if len(f) < ell or len(g) < ell:
         raise ShapeError("flag vectors shorter than the shape")
-    beta = _pvar(n, deg, BETA, 1)
-    pref = _one(n, deg)
-    for i in range(1, ell + 1):
-        for l in range(g[i - 1], min(f[i - 1], n) + 1):
-            pref = pref * (_one(n, deg) + beta * _pvar(n, deg, X, l))
+    beta = pvar(n, deg, BETA, 1)
+    pref = _prefactor([(beta, g[i - 1], f[i - 1]) for i in range(1, ell + 1)],
+                      n, deg)
     matrix = []
     for i in range(1, ell + 1):
         row = []
@@ -615,6 +575,10 @@ def skew_coeff(rule, first, second, n, deg, rows=None):
     rules by the first (c gives h_{lam_i - nu_j - i + j})."""
     if rule not in _SKEW_COEFF:
         raise ShapeError(f"unknown coefficient rule {rule!r}")
+    return _coeff_det(rule, first, second, n, deg, rows)
+
+
+def _coeff_det(rule, first, second, n, deg, rows=None):
     basis, alphabet = _SKEW_COEFF[rule]
     if rows is None:
         rows = max(len(first), len(second), 1)
@@ -663,15 +627,6 @@ class SchurExpansion:
         return self.prefactor * acc
 
 
-def _gen_nu_above(lam, budget, rows):
-    out = []
-    for extra in range(budget + 1):
-        for nu in partitions_of(size(lam) + extra, max_len=rows):
-            if contains(lam, nu):
-                out.append(nu)
-    return out
-
-
 def _gen_rho_below(mu, budget, rows):
     """Weakly decreasing integer tuples of length rows, componentwise <= mu
     (zero padded) with total deficiency <= budget."""
@@ -717,21 +672,16 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg):
                                      rows=rows))
                     for rho in _gen_rho_below(mu, budget, rows)]
             rhos = [(rho, coef) for rho, coef in rhos if not coef.is_zero()]
-            for nu in _gen_nu_above(lam, budget, rows):
+            for nu in partitions_above(lam, size(lam) + budget,
+                                       max_len=rows):
                 left = skew_coeff(left_rule, lam, nu, n, deg, rows=rows)
                 if left.is_zero():
                     continue
                 for rho, right in rhos:
                     entries[(nu, _strip(rho))] = left * right
-        if kind == "G_h":
-            pref = _one(n, deg)
-            for i in range(1, rows + 1):
-                for l in range(1, n + 1):
-                    pref = pref * (_one(n, deg) - _pvar(n, deg, BETA, i)
-                                   * _pvar(n, deg, X, l))
-        else:
-            pref = _geom_prefactor([(i, 1, n) for i in range(1, rows + 1)],
-                                   n, deg)
+        pref = _G_prefactor("row" if kind == "G_h" else "col",
+                               [(i, 1, n) for i in range(1, rows + 1)],
+                               n, deg)
         return SchurExpansion(kind, n, deg, rows, entries, pref)
     if kind in ("g_h", "g_e"):
         rows = max(len(lam), len(mu), 1)
@@ -753,16 +703,9 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg):
 
 def dual_parameters(p):
     """Substitute alpha_i -> -beta_i and beta_i -> -alpha_i."""
-    assignment = {}
-    for mono in p.terms:
-        for (fam, idx), _ in mono:
-            if fam == ALPHA:
-                assignment[(ALPHA, idx)] = -TruncPoly.var(p.n, p.deg,
-                                                          BETA, idx)
-            elif fam == BETA:
-                assignment[(BETA, idx)] = -TruncPoly.var(p.n, p.deg,
-                                                         ALPHA, idx)
-    return p.specialize(assignment)
+    swap = {ALPHA: BETA, BETA: ALPHA}
+    return p.specialize({(fam, idx): -TruncPoly.var(p.n, p.deg, swap[fam], idx)
+                         for fam, idx in p.variables() if fam in swap})
 
 
 def omega_check(outer, inner, kind, budget, n, deg):
@@ -793,6 +736,6 @@ def omega_check(outer, inner, kind, budget, n, deg):
             term = h_pleth(m, xs, n, deg)
             if term.is_zero():
                 break
-            series = series + ((-_pvar(n, deg, BETA, i)) ** m) * term
+            series = series + ((-pvar(n, deg, BETA, i)) ** m) * term
         omega_pref = omega_pref * series
     return omega_pref == dual_parameters(right.prefactor)

@@ -12,15 +12,8 @@ integer-entry tableau.
 
 import itertools
 
-from .ring import ALPHA, BETA, TruncPoly
+from .ring import ALPHA, BETA, TruncPoly, pvar
 from .shapes import ShapeError, part, partition
-
-
-def _pvar(n, deg, fam, idx):
-    """alpha_idx or beta_idx as a polynomial; zero for indices <= 0."""
-    if idx <= 0:
-        return TruncPoly.zero(n, deg)
-    return TruncPoly.var(n, deg, fam, idx)
 
 
 class WeightedLatticeGraph:
@@ -38,8 +31,8 @@ class WeightedLatticeGraph:
     def horizontal_weight(self, n, deg, a, b):
         """Weight of the horizontal step leaving (a, b)."""
         if self.kind == "west-north":
-            return _pvar(n, deg, ALPHA, b) - _pvar(n, deg, BETA, b - a)
-        return _pvar(n, deg, BETA, b) - _pvar(n, deg, ALPHA, a + b + 1)
+            return pvar(n, deg, ALPHA, b) - pvar(n, deg, BETA, b - a)
+        return pvar(n, deg, BETA, b) - pvar(n, deg, ALPHA, a + b + 1)
 
 
 def path_weight_sum(graph, u, v, n, deg):

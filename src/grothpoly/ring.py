@@ -239,10 +239,9 @@ class TruncPoly:
 
     def with_n(self, new_n):
         """Embed into a wider context (x-indices must already fit)."""
-        for mono in self.terms:
-            for (fam, idx), _ in mono:
-                if fam == X and idx > new_n:
-                    raise ContextMismatch(f"x{idx} exceeds n={new_n}")
+        for fam, idx in self.variables():
+            if fam == X and idx > new_n:
+                raise ContextMismatch(f"x{idx} exceeds n={new_n}")
         return TruncPoly(new_n, self.deg, dict(self.terms))
 
     def restrict_n(self, new_n):
@@ -253,35 +252,28 @@ class TruncPoly:
                 terms[mono] = c
         return TruncPoly(new_n, self.deg, terms)
 
-    def shift_x(self, offset, new_n):
-        """Rename x_i -> x_{i+offset}."""
+    def _rename_x(self, rename, new_n):
         terms = {}
         for mono, c in self.terms.items():
-            new = []
-            for (fam, idx), e in mono:
-                if fam == X:
-                    if idx + offset > new_n:
-                        raise ContextMismatch("shifted index out of range")
-                    new.append(((fam, idx + offset), e))
-                else:
-                    new.append(((fam, idx), e))
+            new = [((fam, rename(idx) if fam == X else idx), e)
+                   for (fam, idx), e in mono]
             terms[tuple(sorted(new))] = c
         return TruncPoly(new_n, self.deg, terms)
 
+    def shift_x(self, offset, new_n):
+        """Rename x_i -> x_{i+offset}."""
+        if any(fam == X and idx + offset > new_n
+               for (fam, idx) in self.variables()):
+            raise ContextMismatch("shifted index out of range")
+        return self._rename_x(lambda idx: idx + offset, new_n)
+
     def swap_x(self, i, j):
         """Exchange x_i and x_j."""
-        terms = {}
-        for mono, c in self.terms.items():
-            new = []
-            for (fam, idx), e in mono:
-                if fam == X and idx == i:
-                    new.append(((fam, j), e))
-                elif fam == X and idx == j:
-                    new.append(((fam, i), e))
-                else:
-                    new.append(((fam, idx), e))
-            terms[tuple(sorted(new))] = c
-        return TruncPoly(self.n, self.deg, terms)
+        return self._rename_x(lambda idx: {i: j, j: i}.get(idx, idx), self.n)
+
+    def variables(self):
+        """The set of (family, index) variables occurring in some term."""
+        return {var for mono in self.terms for var, _ in mono}
 
     def specialize(self, assignment):
         """Substitute alpha/beta variables.  Values may be integers, (family,
@@ -315,9 +307,6 @@ class TruncPoly:
     def max_xdeg(self):
         return max((mono_xdeg(m) for m in self.terms), default=0)
 
-    def has_x(self):
-        return any(fam == X for m in self.terms for (fam, _), _ in m)
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -336,6 +325,14 @@ class TruncPoly:
             else:
                 parts.append(f"{c}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def pvar(n, deg, fam, idx):
+    """The variable (fam, idx) as a polynomial; zero for idx <= 0, matching
+    the convention alpha_m = beta_m = 0 for m <= 0."""
+    if idx <= 0:
+        return TruncPoly.zero(n, deg)
+    return TruncPoly.var(n, deg, fam, idx)
 
 
 def det(matrix, n=None, deg=None):

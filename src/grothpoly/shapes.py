@@ -1,4 +1,4 @@
-"""Partitions, skew shapes, generalized and dented partitions, flag vectors.
+"""Partitions, skew shapes, generalized and dented partitions.
 
 Partitions are tuples of positive integers without trailing zeros; any
 operation needing a fixed length takes n explicitly.  Generalized partitions
@@ -72,11 +72,6 @@ def cells(outer, inner=()):
     return out
 
 
-def cells_and_contents(outer, inner=()):
-    """Row-major (i, j, c) with content c = j - i."""
-    return [(i, j, j - i) for i, j in cells(outer, inner)]
-
-
 def gen_cells(outer, inner):
     """Cells of a generalized skew shape: (i, j) with inner_i < j <= outer_i.
     Column indices may be nonpositive."""
@@ -126,52 +121,6 @@ def minimal_cell(seq):
     return k, tuple(seq)[k - 1]
 
 
-def flag_pair(r, s, n=None):
-    """Validate flag vectors; s entries may be INF."""
-    r, s = tuple(r), tuple(s)
-    if len(r) != len(s):
-        raise ShapeError("flag vectors must have equal length")
-    if n is not None and len(r) != n:
-        raise ShapeError(f"flag vectors must have length {n}")
-    if any((not isinstance(v, int)) or v < 1 for v in r):
-        raise ShapeError(f"r entries must be positive integers: {r}")
-    if any(v != INF and ((not isinstance(v, int)) or v < 1) for v in s):
-        raise ShapeError(f"s entries must be positive integers or inf: {s}")
-    return r, s
-
-
-def resolve_flags(r, s, n):
-    """Replace INF upper flags by the ambient variable count n."""
-    return tuple(r), tuple(n if v == INF else v for v in s)
-
-
-def parse_partition(text):
-    text = text.strip()
-    if text in ("", "0"):
-        return ()
-    try:
-        parts = tuple(int(p) for p in text.split(","))
-    except ValueError as exc:
-        raise ShapeError(f"cannot parse partition {text!r}") from exc
-    return partition(parts)
-
-
-def parse_flags(text):
-    """Parse 'r=1,1,2 s=3,3,inf' into a flag pair."""
-    rv = sv = None
-    for chunk in text.split():
-        if chunk.startswith("r="):
-            rv = tuple(int(p) for p in chunk[2:].split(","))
-        elif chunk.startswith("s="):
-            sv = tuple(INF if p == "inf" else int(p)
-                       for p in chunk[2:].split(","))
-        else:
-            raise ShapeError(f"cannot parse flag chunk {chunk!r}")
-    if rv is None or sv is None:
-        raise ShapeError(f"flags need both r= and s=: {text!r}")
-    return flag_pair(rv, sv)
-
-
 def partitions_of(k, max_len=None, max_part=None):
     """All partitions of k, largest part first."""
     if max_part is None:
@@ -201,6 +150,12 @@ def partitions_up_to(k, max_len=None, max_part=None):
     for m in range(k + 1):
         out.extend(partitions_of(m, max_len=max_len, max_part=max_part))
     return out
+
+
+def partitions_above(lam, max_size, max_len=None):
+    """Partitions containing lam with at most max_size cells, by size."""
+    return [nu for k in range(size(lam), max_size + 1)
+            for nu in partitions_of(k, max_len=max_len) if contains(lam, nu)]
 
 
 def partitions_between(lo, hi):

@@ -6,13 +6,8 @@ An alphabet is a tuple of (sign, block) atoms.  Blocks:
     ("x", r, s)        x_r + ... + x_s
     ("ap", k)          alpha_1 + ... + alpha_k   (empty for k <= 0)
     ("bp", k)          beta_1 + ... + beta_k
-    ("ai", p, q)       alpha_p + ... + alpha_q
-    ("bi", p, q)       beta_p + ... + beta_q
     ("v", fam, idx)    a single variable
-    ("m", mult, fam, idx)  mult >= 0 copies of a single variable
 """
-
-import math
 
 from .ring import ALPHA, BETA, X, TruncPoly
 from .shapes import part
@@ -42,14 +37,6 @@ def single(fam, idx):
     return ((1, ("v", fam, idx)),)
 
 
-def const_multiple(mult, fam, idx):
-    if mult == 0:
-        return ()
-    if mult < 0:
-        return ((-1, ("m", -mult, fam, idx)),)
-    return ((1, ("m", mult, fam, idx)),)
-
-
 def neg(alphabet):
     return tuple((-sign, block) for sign, block in alphabet)
 
@@ -72,12 +59,6 @@ def _block_vars(block, n, deg):
         return [TruncPoly.var(n, deg, ALPHA, i) for i in range(1, block[1] + 1)]
     if kind == "bp":
         return [TruncPoly.var(n, deg, BETA, i) for i in range(1, block[1] + 1)]
-    if kind == "ai":
-        _, p, q = block
-        return [TruncPoly.var(n, deg, ALPHA, i) for i in range(p, q + 1)]
-    if kind == "bi":
-        _, p, q = block
-        return [TruncPoly.var(n, deg, BETA, i) for i in range(p, q + 1)]
     if kind == "v":
         return [TruncPoly.var(n, deg, block[1], block[2])]
     raise ValueError(f"unknown block {block!r}")
@@ -90,12 +71,8 @@ def block_size(block):
         return max(block[2] - block[1] + 1, 0)
     if kind in ("ap", "bp"):
         return max(block[1], 0)
-    if kind in ("ai", "bi"):
-        return max(block[2] - block[1] + 1, 0)
     if kind == "v":
         return 1
-    if kind == "m":
-        return block[1]
     raise ValueError(f"unknown block {block!r}")
 
 
@@ -109,65 +86,38 @@ def is_x_only(alphabet):
 
 
 def is_param_only(alphabet):
-    return all(b[0] in ("ap", "bp", "ai", "bi")
-               or (b[0] == "v" and b[1] != X)
-               or (b[0] == "m" and b[2] != X)
+    return all(b[0] in ("ap", "bp") or (b[0] == "v" and b[1] != X)
                for _, b in alphabet)
 
+
+_DUAL = {"h": "e", "e": "h"}
 
 _BLOCK_CACHE = {}
 
 
-def h_block(m, block, n, deg):
-    """h_m of a single positive block."""
+def _block(kind, m, block, n, deg):
+    """h_m (kind "h") or e_m (kind "e") of a single positive block."""
     if m < 0:
         return TruncPoly.zero(n, deg)
     if m == 0:
         return TruncPoly.const(n, deg, 1)
-    key = ("h", m, block, n, deg)
+    if kind == "e" and m > block_size(block):
+        return TruncPoly.zero(n, deg)
+    key = (kind, m, block, n, deg)
     got = _BLOCK_CACHE.get(key)
     if got is not None:
         return got
-    if block[0] == "x" and m > deg:
+    if kind == "h" and block[0] == "x" and m > deg:
         out = TruncPoly.zero(n, deg)
-    elif block[0] == "m":
-        _, mult, fam, idx = block
-        c = math.comb(mult + m - 1, m)
-        out = c * TruncPoly.var(n, deg, fam, idx) ** m
     else:
         variables = _block_vars(block, n, deg)
+        # h adds each letter with repetition (ascending d), e without
+        degrees = range(1, m + 1) if kind == "h" else \
+            range(min(m, len(variables)), 0, -1)
         table = [TruncPoly.const(n, deg, 1)] + \
             [TruncPoly.zero(n, deg) for _ in range(m)]
         for v in variables:
-            for d in range(1, m + 1):
-                table[d] = table[d] + v * table[d - 1]
-        out = table[m]
-    _BLOCK_CACHE[key] = out
-    return out
-
-
-def e_block(m, block, n, deg):
-    """e_m of a single positive block."""
-    if m < 0:
-        return TruncPoly.zero(n, deg)
-    if m == 0:
-        return TruncPoly.const(n, deg, 1)
-    if m > block_size(block):
-        return TruncPoly.zero(n, deg)
-    key = ("e", m, block, n, deg)
-    got = _BLOCK_CACHE.get(key)
-    if got is not None:
-        return got
-    if block[0] == "m":
-        _, mult, fam, idx = block
-        c = math.comb(mult, m)
-        out = c * TruncPoly.var(n, deg, fam, idx) ** m
-    else:
-        variables = _block_vars(block, n, deg)
-        table = [TruncPoly.const(n, deg, 1)] + \
-            [TruncPoly.zero(n, deg) for _ in range(m)]
-        for v in variables:
-            for d in range(min(m, len(variables)), 0, -1):
+            for d in degrees:
                 table[d] = table[d] + v * table[d - 1]
         out = table[m]
     _BLOCK_CACHE[key] = out
@@ -177,11 +127,12 @@ def e_block(m, block, n, deg):
 _ALPHABET_CACHE = {}
 
 
-def h_pleth(m, alphabet, n, deg):
-    """h_m[Z] for a signed alphabet Z; h_m[-Z] = (-1)^m e_m[Z] per block."""
+def _pleth(kind, m, alphabet, n, deg):
+    """h_m[Z] or e_m[Z] for a signed alphabet Z, block by block; a negated
+    block swaps the kind, h_m[-Z] = (-1)^m e_m[Z]."""
     if m < 0:
         return TruncPoly.zero(n, deg)
-    key = ("h", m, alphabet, n, deg)
+    key = (kind, m, alphabet, n, deg)
     got = _ALPHABET_CACHE.get(key)
     if got is not None:
         return got
@@ -189,9 +140,9 @@ def h_pleth(m, alphabet, n, deg):
         [TruncPoly.zero(n, deg) for _ in range(m)]
     for sign, block in alphabet:
         if sign > 0:
-            bvals = [h_block(k, block, n, deg) for k in range(m + 1)]
+            bvals = [_block(kind, k, block, n, deg) for k in range(m + 1)]
         else:
-            bvals = [(-1) ** k * e_block(k, block, n, deg)
+            bvals = [(-1) ** k * _block(_DUAL[kind], k, block, n, deg)
                      for k in range(m + 1)]
         nxt = []
         for d in range(m + 1):
@@ -203,77 +154,46 @@ def h_pleth(m, alphabet, n, deg):
         cur = nxt
     _ALPHABET_CACHE[key] = cur[m]
     return cur[m]
+
+
+def h_pleth(m, alphabet, n, deg):
+    return _pleth("h", m, alphabet, n, deg)
 
 
 def e_pleth(m, alphabet, n, deg):
-    """e_m[Z] for a signed alphabet Z; e_m[-Z] = (-1)^m h_m[Z] per block."""
-    if m < 0:
-        return TruncPoly.zero(n, deg)
-    key = ("e", m, alphabet, n, deg)
-    got = _ALPHABET_CACHE.get(key)
-    if got is not None:
-        return got
-    cur = [TruncPoly.const(n, deg, 1)] + \
-        [TruncPoly.zero(n, deg) for _ in range(m)]
-    for sign, block in alphabet:
-        if sign > 0:
-            bvals = [e_block(k, block, n, deg) for k in range(m + 1)]
-        else:
-            bvals = [(-1) ** k * h_block(k, block, n, deg)
-                     for k in range(m + 1)]
-        nxt = []
-        for d in range(m + 1):
-            acc = TruncPoly.zero(n, deg)
-            for k in range(d + 1):
-                if not (bvals[k].is_zero() or cur[d - k].is_zero()):
-                    acc = acc + cur[d - k] * bvals[k]
-            nxt.append(acc)
-        cur = nxt
-    _ALPHABET_CACHE[key] = cur[m]
-    return cur[m]
+    return _pleth("e", m, alphabet, n, deg)
 
 
-def _check_ominus(left, right):
+def _ominus(kind, m, left, right, n, deg):
+    """f_m[left (-) right] = sum_k f_{m+k}[left] f_k[right] for f = h or e;
+    m may be negative.  The sum stops once f_{m+k}[left] must vanish: for h
+    at k = deg - m, since it is homogeneous of x-degree m + k, for e once
+    m + k exceeds the number of letters in left."""
     if not is_x_only(left):
         raise ValueError("ominus left argument must be x-blocks only")
     if not is_param_only(right):
         raise ValueError("ominus right argument must be parameter blocks only")
+    # the public names are looked up per call so that wrappers see them
+    pleth = h_pleth if kind == "h" else e_pleth
+    top = deg - m if kind == "h" else alphabet_size(left) - m
+    acc = TruncPoly.zero(n, deg)
+    for k in range(max(0, -m), top + 1):
+        lhs = pleth(m + k, left, n, deg)
+        if lhs.is_zero():
+            continue
+        rhs = pleth(k, right, n, deg)
+        if rhs.is_zero():
+            continue
+        acc = acc + lhs * rhs
+    return acc
 
 
 def h_ominus(m, left, right, n, deg):
-    """h_m[left (-) right] = sum_k h_{m+k}[left] h_k[right].
-
-    The sum stops at k = deg - m since h_{m+k}[left] is homogeneous of
-    x-degree m + k.  m may be negative.
-    """
-    _check_ominus(left, right)
-    acc = TruncPoly.zero(n, deg)
-    for k in range(max(0, -m), deg - m + 1):
-        lhs = h_pleth(m + k, left, n, deg)
-        if lhs.is_zero():
-            continue
-        rhs = h_pleth(k, right, n, deg)
-        if rhs.is_zero():
-            continue
-        acc = acc + lhs * rhs
-    return acc
+    return _ominus("h", m, left, right, n, deg)
 
 
 def e_ominus(m, left, right, n, deg):
-    """e_m[left (-) right]; terminates because e_{m+k}[left] vanishes once
-    m + k exceeds the number of letters in left."""
-    _check_ominus(left, right)
-    acc = TruncPoly.zero(n, deg)
-    top = alphabet_size(left) - m
-    for k in range(max(0, -m), top + 1):
-        lhs = e_pleth(m + k, left, n, deg)
-        if lhs.is_zero():
-            continue
-        rhs = e_pleth(k, right, n, deg)
-        if rhs.is_zero():
-            continue
-        acc = acc + lhs * rhs
-    return acc
+    return _ominus("e", m, left, right, n, deg)
 
 
 def vandermonde(n, deg):
@@ -296,16 +216,25 @@ def schur_jt(outer, inner, n, deg, rows=None):
     return det(matrix, n=n, deg=deg)
 
 
-def schur_bialternant(lam, n, deg):
-    """det(x_j^{lam_i + n - i}) / prod_{i<j}(x_i - x_j), computed with a
-    guard of n(n-1)/2 extra x-degrees for the division."""
+def alternant_quotient(entry, n, deg):
+    """det(entry(i, j, work))_{i,j<=n} / prod_{i<j}(x_i - x_j), computed in
+    degree work = deg + n(n-1)/2 so that the division has a guard of the
+    Vandermonde's degree."""
     from .ring import det, exact_divide
     guard = n * (n - 1) // 2
-    gdeg = deg + guard
-    matrix = [[TruncPoly.var(n, gdeg, X, j) ** (part(lam, i) + n - i)
-               for j in range(1, n + 1)] for i in range(1, n + 1)]
-    num = det(matrix, n=n, deg=gdeg)
-    return exact_divide(num, vandermonde(n, gdeg), guard)
+    work = deg + guard
+    matrix = [[entry(i, j, work) for j in range(1, n + 1)]
+              for i in range(1, n + 1)]
+    num = det(matrix, n=n, deg=work)
+    return exact_divide(num, vandermonde(n, work), guard)
+
+
+def schur_bialternant(lam, n, deg):
+    """det(x_j^{lam_i + n - i}) / prod_{i<j}(x_i - x_j)."""
+    return alternant_quotient(
+        lambda i, j, work: TruncPoly.var(n, work, X, j) ** (part(lam, i)
+                                                            + n - i),
+        n, deg)
 
 
 def schur_flagged_check(lam, n, deg):

@@ -16,16 +16,9 @@ is compared against are already placed.
 
 import itertools
 
-from .ring import TruncPoly, X, ALPHA, BETA
+from .ring import ALPHA, BETA, X, TruncPoly, pvar
 from .shapes import (INF, ShapeError, cells, contains, dent_index, gen_cells,
                      gen_contains, part, partition, skew)
-
-
-def _pvar(n, deg, fam, idx):
-    """alpha_idx or beta_idx as a polynomial; zero for indices <= 0."""
-    if idx <= 0:
-        return TruncPoly.zero(n, deg)
-    return TruncPoly.var(n, deg, fam, idx)
 
 
 def _xvar(n, deg, v):
@@ -67,8 +60,9 @@ def _check_orientation(orientation):
 # ---------------------------------------------------------------------------
 # marked multiset-valued tableaux
 
-def _multisets(lo, hi, max_len):
-    """Nonempty weakly increasing tuples over [lo, hi] of length <= max_len."""
+def _increasing(lo, hi, max_len, strict):
+    """Nonempty increasing tuples over [lo, hi] of length <= max_len: sets
+    when strict, multisets otherwise."""
     if lo > hi or max_len < 1:
         return
     prefix = []
@@ -78,10 +72,23 @@ def _multisets(lo, hi, max_len):
             prefix.append(v)
             yield tuple(prefix)
             if len(prefix) < max_len:
-                yield from rec(v)
+                yield from rec(v + strict)
             prefix.pop()
 
     yield from rec(lo)
+
+
+def _between_neighbors(ends, i, j, lo, hi):
+    """Narrow [lo, hi] for cell (i, j) against the (first, last) entries of
+    the placed cells above and to the right: columns increase strictly and
+    rows weakly."""
+    above = ends.get((i - 1, j))
+    if above is not None:
+        lo = max(lo, above[1] + 1)
+    right = ends.get((i, j + 1))
+    if right is not None:
+        hi = min(hi, right[0])
+    return lo, hi
 
 
 def _markable_positions(ms):
@@ -134,14 +141,9 @@ def gen_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
             return
         i, j = order[k]
         lo, hi = _cell_bounds(flags, orientation, n, i, j)
-        above = ends.get((i - 1, j))
-        if above is not None:
-            lo = max(lo, above[1] + 1)
-        right = ends.get((i, j + 1))
-        if right is not None:
-            hi = min(hi, right[0])
+        lo, hi = _between_neighbors(ends, i, j, lo, hi)
         max_len = deg - used - (len(order) - k - 1)
-        for ms in _multisets(lo, hi, max_len):
+        for ms in _increasing(lo, hi, max_len, False):
             ends[(i, j)] = (ms[0], ms[-1])
             positions = _markable_positions(ms)
             for npick in range(len(positions) + 1):
@@ -172,16 +174,11 @@ def enum_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
             return
         i, j = order[k]
         lo, hi = _cell_bounds(flags, orientation, n, i, j)
-        above = ends.get((i - 1, j))
-        if above is not None:
-            lo = max(lo, above[1] + 1)
-        right = ends.get((i, j + 1))
-        if right is not None:
-            hi = min(hi, right[0])
+        lo, hi = _between_neighbors(ends, i, j, lo, hi)
         max_len = deg - used - (len(order) - k - 1)
         alpha = TruncPoly.var(n, deg, ALPHA, j)
         beta = TruncPoly.var(n, deg, BETA, i)
-        for ms in _multisets(lo, hi, max_len):
+        for ms in _increasing(lo, hi, max_len, False):
             factor = TruncPoly.const(n, deg, 1)
             for v in ms:
                 factor = factor * _xvar(n, deg, v)
@@ -340,9 +337,9 @@ def mrpp_weight(outer, inner, filling, variant, n, deg,
         if marked:
             if _compare_value(values, outer, mark_set, s_flags, mcell) != v:
                 raise ShapeError(f"cell {(i, j)} is not markable")
-            w = w * (-_pvar(n, deg, ALPHA, midx))
+            w = w * (-pvar(n, deg, ALPHA, midx))
         elif _compare_value(values, outer, mark_set, s_flags, bcell) == v:
-            w = w * _pvar(n, deg, BETA, bidx)
+            w = w * pvar(n, deg, BETA, bidx)
         else:
             w = w * _xvar(n, deg, v)
     return w
@@ -365,11 +362,11 @@ def enum_mrpp(outer, inner, n, deg, variant="left", flags=None,
         for (i, j), v in values.items():
             (mcell, midx), (bcell, bidx) = _mrpp_neighbors(variant, i, j)
             if _compare_value(values, outer_t, mark_set, s_flags, bcell) == v:
-                rest = _pvar(n, deg, BETA, bidx)
+                rest = pvar(n, deg, BETA, bidx)
             else:
                 rest = _xvar(n, deg, v)
             if _compare_value(values, outer_t, mark_set, s_flags, mcell) == v:
-                rest = rest - _pvar(n, deg, ALPHA, midx)
+                rest = rest - pvar(n, deg, ALPHA, midx)
             w = w * rest
         total = total + w
     return total
@@ -429,12 +426,12 @@ def _rule_weight(rule, n, deg, t, c):
     if group is None:
         raise ShapeError(f"unknown weight rule {rule!r}")
     if group == 0:
-        return _pvar(n, deg, ALPHA, t) - _pvar(n, deg, BETA, t - c)
+        return pvar(n, deg, ALPHA, t) - pvar(n, deg, BETA, t - c)
     if group == 1:
-        return _pvar(n, deg, BETA, t) - _pvar(n, deg, ALPHA, t + c)
+        return pvar(n, deg, BETA, t) - pvar(n, deg, ALPHA, t + c)
     if group == 2:
-        return _pvar(n, deg, ALPHA, t - c) - _pvar(n, deg, BETA, t)
-    return _pvar(n, deg, BETA, t + c) - _pvar(n, deg, ALPHA, t)
+        return pvar(n, deg, ALPHA, t - c) - pvar(n, deg, BETA, t)
+    return pvar(n, deg, BETA, t + c) - pvar(n, deg, ALPHA, t)
 
 
 def _elegant_cells(outer, inner):
@@ -503,23 +500,6 @@ def enum_elegant(outer, inner, n, deg, family, rule):
 # ---------------------------------------------------------------------------
 # flagged set-valued tableaux
 
-def _sets(lo, hi, max_len):
-    """Nonempty strictly increasing tuples over [lo, hi] of length <= max_len."""
-    if lo > hi or max_len < 1:
-        return
-    prefix = []
-
-    def rec(start):
-        for v in range(start, hi + 1):
-            prefix.append(v)
-            yield tuple(prefix)
-            if len(prefix) < max_len:
-                yield from rec(v + 1)
-            prefix.pop()
-
-    yield from rec(lo)
-
-
 def gen_fsvt(outer, inner, f, g, n, deg):
     """Yield set-valued fillings {(i,j): (v1 < v2 < ...)} with row i entries
     in [g_i, f_i] and at most deg entries in total."""
@@ -540,14 +520,9 @@ def gen_fsvt(outer, inner, f, g, n, deg):
             hi = n
         if hi > n:
             raise ShapeError(f"upper flag {hi} exceeds the variable count {n}")
-        above = ends.get((i - 1, j))
-        if above is not None:
-            lo = max(lo, above[1] + 1)
-        right = ends.get((i, j + 1))
-        if right is not None:
-            hi = min(hi, right[0])
+        lo, hi = _between_neighbors(ends, i, j, lo, hi)
         max_len = deg - used - (len(order) - k - 1)
-        for st in _sets(lo, hi, max_len):
+        for st in _increasing(lo, hi, max_len, True):
             ends[(i, j)] = (st[0], st[-1])
             chosen[(i, j)] = st
             yield from rec(k + 1, used + len(st))

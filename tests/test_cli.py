@@ -160,6 +160,35 @@ def test_verify_exit_codes():
     assert "pairs equal delta" in out
 
 
+@pytest.mark.parametrize("argv", [
+    ["duality", "--max-size", "2"],
+    ["hall", "--max-size", "2"],
+    ["G", "--max-size", "2", "--deg", "3"],
+    ["g", "--max-size", "2", "--deg", "3"],
+    ["C", "--max-size", "3"],
+    ["c", "--max-size", "3"],
+    ["cauchy", "--budget", "2"],
+    ["omega", "--max-size", "2"],
+    ["matsumura", "--max-size", "2"],
+    ["flagged", "--max-size", "1"],
+], ids=lambda argv: argv[0])
+def test_every_verify_suite_exits_zero_at_small_size(argv):
+    assert argv[0] in cli.VERIFY_SUITES
+    status, out = run(["verify"] + argv)
+    assert status == 0, out
+    assert "FAIL" not in out
+
+
+def test_verify_matsumura_reports_flags_outside_the_hypothesis():
+    status, out = run(["verify", "matsumura", "--max-size", "2"])
+    assert status == 0
+    assert out.splitlines() == [
+        "matsumura: 74 flagged shapes match the set-valued enumeration; "
+        "surviving convention: b = (-beta, -beta, ...)",
+        "outside the flag hypothesis (reported, not asserted): "
+        "0 flag pairs agree, 16 differ"]
+
+
 def test_verify_failure_exits_one(monkeypatch):
     monkeypatch.setattr(cli, "verify_duality",
                         lambda max_size: (False, ["FAIL duality"]))
@@ -180,6 +209,12 @@ def test_usage_errors_exit_two():
     assert status == 2
     status, _ = run(["unknown-verb"])
     assert status == 2
+    status, _ = run(["compute", "G", "--shape", "2", "--n", "2",
+                     "--deg", "-1"])
+    assert status == 2
+    status, out = run(["expand", "G", "--shape", "2", "--inner", "3"])
+    assert status == 2
+    assert "contained" in out
 
 
 def test_low_degree_warning_on_stderr(capsys):

@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import symfunc
-from grothpoly.grothendieck import (C_coeff, G_bialternant, G_flagged_det,
-                                    G_jt, G_jt_modified, c_coeff,
+from grothpoly.grothendieck import (C_coeff, FlagSweep, G_bialternant,
+                                    G_flagged_det, G_jt, G_jt_modified,
+                                    c_coeff,
                                     cauchy_check, dual_parameters,
                                     g_bialternant, g_flagged_det, g_jt,
                                     g_jt_modified, g_marked_det, hall_pairing,
@@ -227,6 +228,33 @@ def test_flagged_containment_counterexample():
     with pytest.warns(UserWarning):
         col = G_flagged_det((1,), (2,), (1,), (1,), "col", n, deg)
     assert col == bv(n, deg, 2) - av(n, deg, 1)
+
+
+@pytest.mark.parametrize("kind", ["G", "g"])
+@pytest.mark.parametrize("orientation", ["row", "col"])
+def test_flag_sweep_matches_direct_determinants_on_raw_flags(kind,
+                                                             orientation):
+    # flags above the variable count: r_j > n + 1 and s_i > n, in and out
+    # of the hypotheses; the sweep canonicalizes them, the direct
+    # determinants use them as given
+    n, deg = 2, 4
+    direct = G_flagged_det if kind == "G" else g_flagged_det
+    flag_vectors = [(1, 1), (1, 2), (2, 4), (4, 1), (5, 6), (3, 2)]
+    for lam, mu in [((2, 1), (1,)), ((2, 2), ()), ((1, 1), (1,))]:
+        sweep = FlagSweep(kind, lam, mu, orientation, n, deg)
+        for r in flag_vectors:
+            for s in flag_vectors:
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    want = direct(lam, mu, r, s, orientation, n, deg)
+                assert sweep.value(r, s) == want, (lam, mu, r, s)
+
+
+def test_flag_sweep_rejects_bad_arguments():
+    with pytest.raises(ShapeError):
+        FlagSweep("H", (1,), (), "row", 1, 1)
+    with pytest.raises(ShapeError):
+        FlagSweep("G", (1,), (), "diag", 1, 1)
 
 
 def test_flagged_weaker_condition_counterexample():

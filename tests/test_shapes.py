@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothpoly.shapes import (
-    INF, ShapeError, cells, cells_and_contents, circ, conjugate, contains,
-    dent_index, flag_pair, gen_cells, minimal_cell, parse_flags,
-    parse_partition, partition, partitions_between, partitions_of,
-    partitions_up_to, resolve_flags, size, skew,
+    ShapeError, cells, circ, conjugate, contains, dent_index, gen_cells,
+    minimal_cell, partition, partitions_between, partitions_of,
+    partitions_up_to, size, skew,
 )
 
 
@@ -34,12 +33,7 @@ def test_conjugate_involution(seed):
     assert conjugate(conjugate(lam)) == lam
 
 
-def test_cells_and_contents():
-    cc = cells_and_contents((4, 3, 1))
-    assert (1, 4, 3) in cc
-    assert (3, 1, -2) in cc
-    assert len(cc) == 8
-    assert cells_and_contents((1,), (1,)) == []
+def test_cells_of_skew_shape():
     assert len(cells((4, 3, 1), (2, 1))) == size((4, 3, 1)) - size((2, 1))
 
 
@@ -93,25 +87,6 @@ def test_skew_validation():
 def test_gen_cells_negative_columns():
     got = gen_cells((1, 0), (-1, -2))
     assert got == [(1, 0), (1, 1), (2, -1), (2, 0)]
-
-
-def test_flag_parsing():
-    r, s = parse_flags("r=1,1,2 s=3,3,4")
-    assert r == (1, 1, 2)
-    assert s == (3, 3, 4)
-    r, s = parse_flags("r=1 s=inf")
-    assert s == (INF,)
-    assert resolve_flags(r, s, 5) == ((1,), (5,))
-    with pytest.raises(ShapeError):
-        flag_pair((0,), (1,))
-
-
-def test_parse_partition():
-    assert parse_partition("4,3,1") == (4, 3, 1)
-    assert parse_partition("0") == ()
-    assert parse_partition("") == ()
-    with pytest.raises(ShapeError):
-        parse_partition("1,2")
 
 
 def test_partition_enumerators():

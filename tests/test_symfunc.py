@@ -109,7 +109,7 @@ def random_alphabet(rng, n, max_blocks=3):
     out = []
     for _ in range(rng.randint(1, max_blocks)):
         sign = rng.choice([1, -1])
-        kind = rng.randrange(5)
+        kind = rng.randrange(4)
         if kind == 0:
             r = rng.randint(1, n)
             block = ("x", r, rng.randint(r, n))
@@ -117,11 +117,8 @@ def random_alphabet(rng, n, max_blocks=3):
             block = ("ap", rng.randint(1, 3))
         elif kind == 2:
             block = ("bp", rng.randint(1, 3))
-        elif kind == 3:
-            block = ("v", rng.choice([ALPHA, BETA]), rng.randint(1, 3))
         else:
-            block = ("m", rng.randint(1, 3),
-                     rng.choice([ALPHA, BETA]), rng.randint(1, 3))
+            block = ("v", rng.choice([ALPHA, BETA]), rng.randint(1, 3))
         out.append((sign, block))
     return tuple(out)
 
@@ -153,15 +150,6 @@ def test_h_of_parameter_prefix():
     assert h_pleth(2, a_prefix(2), n, deg) == a1 * a1 + a1 * a2 + a2 * a2
     assert e_pleth(2, a_prefix(2), n, deg) == a1 * a2
     assert h_pleth(-1, a_prefix(2), n, deg).is_zero()
-
-
-def test_constant_multiple_block():
-    n, deg = 1, 3
-    b1 = bv(1, n, deg)
-    three = ((1, ("m", 3, BETA, 1)),)
-    assert h_pleth(2, three, n, deg) == 6 * b1 * b1
-    assert e_pleth(2, three, n, deg) == 3 * b1 * b1
-    assert e_pleth(4, three, n, deg).is_zero()
 
 
 def test_negation_on_mixed_alphabet():
@@ -374,4 +362,3 @@ def test_product_circ():
 def test_alphabet_size():
     assert alphabet_size(cat(x_interval(1, 3), a_prefix(2))) == 5
     assert alphabet_size(()) == 0
-    assert alphabet_size(((1, ("m", 4, BETA, 2)),)) == 4
