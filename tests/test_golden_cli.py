@@ -45,6 +45,16 @@ GOLDEN = [
      0, '(x2*x3+x3^2) - a1*x3 + b1*x2 - a1*b1'),
     ('compute G --shape 2,1 --n 2 --deg 3 --spec b=0',
      0, '(x1^2*x2+x1*x2^2)'),
+    ('compute g --shape 3,2,1 --n 4 --format latex',
+     0, 'sha256:c94f101cea6df08eed1653d072e93ddae87636bb2525aef44ab2de6acaea3cc2'),
+    ('compute G --shape 3,1 --n 4 --deg 6 --format json-like',
+     0, 'sha256:ad48993a32deeae8e9e2f5e4f3debfcd1dd04a8f475739ddd5b84e57298ecd3e'),
+    ('compute G --shape 0 --n 2 --deg 3',
+     0, '1'),
+    ('compute G --shape 2,2 --n 3 --deg 6 --spec a=0',
+     0, '(x1^2*x2^2+x1^2*x2*x3+x1^2*x3^2+x1*x2^2*x3+x1*x2*x3^2+x2^2*x3^2) - b1*(x1^2*x2^2*x3+x1^2*x2*x3^2+x1*x2^2*x3^2) - b2*(x1^2*x2^2*x3+x1^2*x2*x3^2+x1*x2^2*x3^2) + b1*b2*x1^2*x2^2*x3^2'),
+    ('compute g --shape 3,3 --n 2',
+     0, 'sha256:8915f73340224297497951283e88e9884c8f8355d39e5baff9d1d49f7953da86'),
     ('expand G --shape 2,1 --n 2 --deg 2',
      0, 's[2,1]: 1\ns[3,1]: a1 + a2\ns[2,2]: a1 - b1\ns[2,1,1]: -b1 - b2\ns[4,1]: a1*a2 + a1^2 + a2^2\ns[3,2]: a1*a2 - a1*b1 + a1^2 - a2*b1\ns[3,1,1]: -a1*b1 - a1*b2 - a2*b1 - a2*b2\ns[2,2,1]: -a1*b1 - a1*b2 + b1*b2 + b1^2\ns[2,1,1,1]: b1*b2 + b1^2 + b2^2'),
     ('expand g --shape 2,2',
