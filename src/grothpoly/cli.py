@@ -7,6 +7,15 @@ and x-monomials inside a group are printed by ascending total degree with
 lexicographic ties (x1^2 before x1*x2 before x2^2).  Signs are folded into
 the leading connector when a whole group is negative.
 
+Unflagged straight-shape `compute G`/`compute g` sum the paper's Schur
+expansions G_lam = sum C_{lam,mu} s_mu and g_lam = sum c_{lam,mu} s_mu, with
+s_mu(x_n) by the branching rule; flagged, marked and skew inputs evaluate
+their determinants.  The other evaluations stay as independent checks:
+`verify G`/`verify g` compare bialternant, Jacobi-Trudi, modified
+Jacobi-Trudi, flagged determinant and tableau enumeration, `verify cauchy`
+multiplies out the Jacobi-Trudi G and g, and the tests compare the Schur
+expansion with Jacobi-Trudi and tableau enumeration.
+
 Exit codes: 0 success, 1 verification failure, 2 usage or argument error,
 3 internal inconsistency (two formulas that must agree disagreed).
 """
@@ -17,12 +26,12 @@ import json
 import sys
 
 from .grothendieck import (C_coeff, FlagSweep, G_bialternant, G_flagged_det,
-                           G_jt, G_jt_modified, c_coeff, cauchy_check,
-                           col_monotone, g_bialternant, g_flagged_det, g_jt,
-                           g_jt_modified, g_marked_det, hall_pairing,
-                           matsumura_det, omega_check, row_monotone,
-                           schur_in_grothendieck, skew_schur_expansion,
-                           valid_mark_sets)
+                           G_jt, G_jt_modified, G_schur, c_coeff,
+                           cauchy_check, col_monotone, g_bialternant,
+                           g_flagged_det, g_jt, g_jt_modified, g_marked_det,
+                           g_schur, hall_pairing, matsumura_det, omega_check,
+                           row_monotone, schur_in_grothendieck,
+                           skew_schur_expansion, valid_mark_sets)
 from .lgv import nonintersecting_coeff
 from .ring import (ALPHA, BETA, FAMILY_NAMES, X, DivisibilityError,
                    InternalCheckError, TruncPoly)
@@ -229,12 +238,17 @@ def _get_shapes(args):
 
 
 def _parse_flag_list(text, length, fill):
+    """One flag per row of the shape, length = max(l(outer), l(inner), 1);
+    fill for every row when the option is absent."""
     if text is None:
         return (fill,) * length
     out = []
     for tok in text.split(","):
         tok = tok.strip()
         out.append(INF if tok in ("inf", "oo") else int(tok))
+    if len(out) != length:
+        raise ShapeError(f"flag list {text!r} gives {len(out)} flags "
+                         f"for {length} rows")
     return tuple(out)
 
 
@@ -279,8 +293,8 @@ def cmd_compute(args):
         flagged = (args.flags_r is not None or args.flags_s is not None
                    or inner or args.mark_set is not None)
         if not flagged:
-            value = G_jt(outer, n, deg) if args.target == "G" \
-                else g_jt(outer, n, deg)
+            value = G_schur(outer, n, deg) if args.target == "G" \
+                else g_schur(outer, n, deg)
         else:
             m = max(len(outer), len(inner), 1)
             r = _parse_flag_list(args.flags_r, m, 1)
@@ -782,14 +796,24 @@ def build_parser():
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p = sub.add_parser("compute",
-                       help="evaluate a polynomial and print it")
+                       help="evaluate a polynomial and print it",
+                       description="Evaluate G, g or s and print it.  "
+                                   "Unflagged G and g without --inner use "
+                                   "the Schur expansion sum C_{lam,mu} "
+                                   "s_mu (sum c_{lam,mu} s_mu for g); "
+                                   "flagged, marked and skew inputs use "
+                                   "their determinants.  Jacobi-Trudi, "
+                                   "bialternant and tableau evaluations "
+                                   "are checked by verify G / verify g.")
     p.add_argument("target", choices=["G", "g", "s"],
                    help="G, dual g, or Schur s")
     _add_common(p)
     p.add_argument("--flags-r", default=None,
-                   help="lower flags, e.g. 1,1,2 (default all 1)")
+                   help="lower flags, one per shape row, e.g. 1,1,2 "
+                        "(default all 1)")
     p.add_argument("--flags-s", default=None,
-                   help="upper flags, e.g. 2,3,inf (default all n)")
+                   help="upper flags, one per shape row, e.g. 2,3,inf "
+                        "(default all n)")
     p.add_argument("--orientation", choices=["row", "col"], default="row",
                    help="flag orientation (default row)")
     p.add_argument("--mark-set", default=None,

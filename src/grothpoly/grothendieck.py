@@ -22,7 +22,8 @@ from .shapes import (ShapeError, contains, dent_index, minimal_cell, part,
                      partition, partitions_above, partitions_between,
                      partitions_of, size)
 from .symfunc import (a_prefix, alternant_quotient, b_prefix, cat, e_ominus,
-                      e_pleth, h_ominus, h_pleth, neg, single, x_interval)
+                      e_pleth, h_ominus, h_pleth, neg, schur_branching,
+                      single, x_interval)
 
 
 def _one(n, deg):
@@ -157,6 +158,35 @@ def c_coeff(lam, mu, n, deg):
     """Coefficient of s_mu in the Schur expansion of g_lam:
     det(h_{lam_i-mu_j-i+j}[-A_{lam_i-1} + B_{i-1}]); zero unless mu <= lam."""
     return _coeff_det("c", partition(lam), partition(mu), n, deg)
+
+
+def _schur_sum(coeff, lam, shapes, n, deg):
+    """sum of coeff(lam, mu) s_mu(x_n) over the mu in shapes with l(mu) <= n
+    and |mu| <= deg; the s_mu share one branching-rule memo."""
+    memo = {}
+    acc = TruncPoly.zero(n, deg)
+    for mu in shapes:
+        if len(mu) > n or size(mu) > deg:
+            continue
+        coef = coeff(lam, mu, n, deg)
+        if not coef.is_zero():
+            acc = acc + coef * schur_branching(mu, n, deg, memo)
+    return acc
+
+
+def G_schur(lam, n, deg):
+    """Schur expansion G_lam = sum_{mu >= lam} C_{lam,mu} s_mu(x_n),
+    truncated at |mu| <= deg."""
+    lam = _fit(lam, n)
+    return _schur_sum(C_coeff, lam, partitions_above(lam, deg, max_len=n),
+                      n, deg)
+
+
+def g_schur(lam, n, deg):
+    """Schur expansion g_lam = sum_{mu <= lam} c_{lam,mu} s_mu(x_n),
+    truncated at |mu| <= deg."""
+    lam = _fit(lam, n)
+    return _schur_sum(c_coeff, lam, partitions_between((), lam), n, deg)
 
 
 def hall_pairing(lam, mu, n, deg):

@@ -9,8 +9,10 @@ An alphabet is a tuple of (sign, block) atoms.  Blocks:
     ("v", fam, idx)    a single variable
 """
 
+import itertools
+
 from .ring import ALPHA, BETA, X, TruncPoly
-from .shapes import part
+from .shapes import part, partition
 
 
 class SymmetryError(ValueError):
@@ -214,6 +216,41 @@ def schur_jt(outer, inner, n, deg, rows=None):
     matrix = [[h_pleth(part(outer, i) - part(inner, j) - i + j, xs, n, deg)
                for j in range(1, rows + 1)] for i in range(1, rows + 1)]
     return det(matrix, n=n, deg=deg)
+
+
+def schur_branching(lam, n, deg, memo=None):
+    """s_lam(x_n) by the branching rule s_mu(x_1..x_m) = sum_nu
+    s_nu(x_1..x_{m-1}) x_m^{|mu/nu|} over the nu with mu/nu a horizontal
+    strip, i.e. mu_{i+1} <= nu_i <= mu_i (Macdonald I (5.11)).  No term
+    cancels.  memo maps (mu, m) to s_mu(x_1..x_m) in this (n, deg); a caller
+    evaluating several shapes passes one dict to share it, and it lives no
+    longer than that caller's dict."""
+    if memo is None:
+        memo = {}
+    zero = TruncPoly.zero(n, deg)
+
+    def rec(mu, m):
+        if not mu:
+            return TruncPoly.const(n, deg, 1)
+        if len(mu) > m or sum(mu) > deg:
+            return zero
+        got = memo.get((mu, m))
+        if got is not None:
+            return got
+        acc = zero
+        ranges = [range(part(mu, i + 1), part(mu, i) + 1)
+                  for i in range(1, m)]
+        for nu in itertools.product(*ranges):
+            nu = tuple(v for v in nu if v)
+            sub = rec(nu, m - 1)
+            if not sub.is_zero():
+                k = sum(mu) - sum(nu)
+                acc = acc + (sub * TruncPoly.var(n, deg, X, m, k) if k
+                             else sub)
+        memo[(mu, m)] = acc
+        return acc
+
+    return rec(partition(lam), n)
 
 
 def alternant_quotient(entry, n, deg):

@@ -9,6 +9,7 @@ from grothpoly import cli
 from grothpoly.grothendieck import G_flagged_det, G_jt, g_jt
 from grothpoly.ring import ALPHA, BETA, X, TruncPoly
 from grothpoly.symfunc import schur_jt
+from grothpoly.tableaux import enum_mmsvt, enum_mrpp
 
 
 def run(argv):
@@ -39,6 +40,17 @@ def test_compute_matches_library():
     assert status == 0
     want = G_flagged_det((2, 1), (1,), (1, 2), (2, 2), "row", 2, 3)
     assert out == cli.render_poly(want)
+
+
+def test_compute_defaults_match_tableau_enumeration():
+    # unflagged compute goes through the Schur expansion; the tableau sums
+    # are an independent evaluation at the default degree |lam|
+    status, out = run(["compute", "G", "--shape", "4,3,2,1", "--n", "4"])
+    assert status == 0
+    assert out == cli.render_poly(enum_mmsvt((4, 3, 2, 1), (), 4, 10))
+    status, out = run(["compute", "g", "--shape", "3,2,1", "--n", "4"])
+    assert status == 0
+    assert out == cli.render_poly(enum_mrpp((3, 2, 1), (), 4, 6))
 
 
 def test_compute_specialization_recovers_schur():
@@ -215,6 +227,18 @@ def test_usage_errors_exit_two():
     status, out = run(["expand", "G", "--shape", "2", "--inner", "3"])
     assert status == 2
     assert "contained" in out
+    # one flag per row of the shape: longer and shorter lists are refused
+    for argv in (["compute", "G", "--shape", "2,1", "--n", "3",
+                  "--flags-r", "1,1,1", "--flags-s", "3,3,3"],
+                 ["compute", "g", "--shape", "2,1", "--n", "3",
+                  "--flags-s", "3"],
+                 ["enumerate", "G", "--shape", "2,1", "--n", "2",
+                  "--flags-r", "1,1,1"],
+                 ["enumerate", "matsumura", "--shape", "2,1", "--n", "3",
+                  "--flags-s", "2,3,3", "--flags-r", "1,2"]):
+        status, out = run(argv)
+        assert status == 2, argv
+        assert "flags for 2 rows" in out, argv
 
 
 def test_low_degree_warning_on_stderr(capsys):

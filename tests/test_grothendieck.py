@@ -9,10 +9,11 @@ from hypothesis import strategies as st
 from grothpoly import symfunc
 from grothpoly.grothendieck import (C_coeff, FlagSweep, G_bialternant,
                                     G_flagged_det, G_jt, G_jt_modified,
-                                    c_coeff,
+                                    G_schur, c_coeff,
                                     cauchy_check, dual_parameters,
                                     g_bialternant, g_flagged_det, g_jt,
-                                    g_jt_modified, g_marked_det, hall_pairing,
+                                    g_jt_modified, g_marked_det, g_schur,
+                                    hall_pairing,
                                     matsumura_Gpq, matsumura_det, omega_check,
                                     schur_in_grothendieck, skew_coeff,
                                     skew_schur_expansion, valid_mark_sets)
@@ -81,6 +82,26 @@ def test_jacobi_trudi_matches_bialternant():
         for lam in partitions_up_to(3, max_len=n):
             assert G_jt(lam, n, deg) == G_bialternant(lam, n, deg)
             assert g_jt(lam, n, deg) == g_bialternant(lam, n, deg)
+
+
+def test_schur_expansion_matches_jacobi_trudi():
+    cases = 0
+    for lam in partitions_up_to(4):
+        for n in range(max(len(lam), 1), 4):
+            for deg in range(sum(lam) + 3):
+                assert G_schur(lam, n, deg) == G_jt(lam, n, deg), \
+                    (lam, n, deg)
+                assert g_schur(lam, n, deg) == g_jt(lam, n, deg), \
+                    (lam, n, deg)
+                cases += 2
+    assert cases == 276
+
+
+def test_schur_expansion_rejects_shape_longer_than_n():
+    with pytest.raises(ShapeError):
+        G_schur((1, 1), 1, 2)
+    with pytest.raises(ShapeError):
+        g_schur((1, 1), 1, 2)
 
 
 def test_modified_jacobi_trudi():

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly.ring import ALPHA, BETA, X, TruncPoly
+from grothpoly.shapes import partitions_up_to
 from grothpoly.symfunc import (
     ExpansionError,
     SymmetryError,
@@ -20,6 +21,7 @@ from grothpoly.symfunc import (
     neg,
     product_circ_check,
     schur_bialternant,
+    schur_branching,
     schur_expand,
     schur_flagged_check,
     schur_jt,
@@ -310,6 +312,19 @@ def test_schur_bialternant_agrees_with_jt():
         deg = sum(lam)
         assert schur_bialternant(lam, n, deg) == \
             schur_jt(lam, (), n, deg, rows=n), (lam, n)
+
+
+def test_schur_branching_matches_jt_and_bialternant():
+    for n in range(5):
+        memo = {}
+        for lam in partitions_up_to(6):
+            got = schur_branching(lam, n, 6, memo)
+            assert got == schur_jt(lam, (), n, 6), (lam, n)
+            if 1 <= n and len(lam) <= n:
+                assert got == schur_bialternant(lam, n, 6), (lam, n)
+            # truncation below |lam| leaves nothing
+            if lam:
+                assert schur_branching(lam, n, sum(lam) - 1).is_zero()
 
 
 def test_schur_flagged_variant():
