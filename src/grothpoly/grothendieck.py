@@ -161,13 +161,11 @@ def c_coeff(lam, mu, n, deg):
 
 
 def _schur_sum(coeff, lam, shapes, n, deg):
-    """sum of coeff(lam, mu) s_mu(x_n) over the mu in shapes with l(mu) <= n
-    and |mu| <= deg; the s_mu share one branching-rule memo."""
+    """sum of coeff(lam, mu) s_mu(x_n) over the mu in shapes; the s_mu
+    share one branching-rule memo."""
     memo = {}
     acc = TruncPoly.zero(n, deg)
     for mu in shapes:
-        if len(mu) > n or size(mu) > deg:
-            continue
         coef = coeff(lam, mu, n, deg)
         if not coef.is_zero():
             acc = acc + coef * schur_branching(mu, n, deg, memo)
@@ -186,7 +184,8 @@ def g_schur(lam, n, deg):
     """Schur expansion g_lam = sum_{mu <= lam} c_{lam,mu} s_mu(x_n),
     truncated at |mu| <= deg."""
     lam = _fit(lam, n)
-    return _schur_sum(c_coeff, lam, partitions_between((), lam), n, deg)
+    return _schur_sum(c_coeff, lam, [mu for mu in partitions_between((), lam)
+                                     if size(mu) <= deg], n, deg)
 
 
 def hall_pairing(lam, mu, n, deg):

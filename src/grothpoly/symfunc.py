@@ -223,8 +223,8 @@ def schur_branching(lam, n, deg, memo=None):
     s_nu(x_1..x_{m-1}) x_m^{|mu/nu|} over the nu with mu/nu a horizontal
     strip, i.e. mu_{i+1} <= nu_i <= mu_i (Macdonald I (5.11)).  No term
     cancels.  memo maps (mu, m) to s_mu(x_1..x_m) in this (n, deg); a caller
-    evaluating several shapes passes one dict to share it, and it lives no
-    longer than that caller's dict."""
+    evaluating several shapes in one context passes one dict so that they
+    share sub-shapes.  Nothing is kept between calls otherwise."""
     if memo is None:
         memo = {}
     zero = TruncPoly.zero(n, deg)

@@ -234,6 +234,8 @@ def test_usage_errors_exit_two():
                   "--flags-s", "3"],
                  ["enumerate", "G", "--shape", "2,1", "--n", "2",
                   "--flags-r", "1,1,1"],
+                 ["enumerate", "g", "--shape", "2,1", "--n", "2",
+                  "--flags-s", "1"],
                  ["enumerate", "matsumura", "--shape", "2,1", "--n", "3",
                   "--flags-s", "2,3,3", "--flags-r", "1,2"]):
         status, out = run(argv)
