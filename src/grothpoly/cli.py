@@ -238,8 +238,8 @@ def _get_shapes(args):
 
 
 def _parse_flag_list(text, length, fill):
-    """One flag per row of the shape, length = max(l(outer), l(inner), 1);
-    fill for every row when the option is absent."""
+    """Exactly length flags, one per row of the shape (per column for
+    column-flagged tableaux); fill for each when the option is absent."""
     if text is None:
         return (fill,) * length
     out = []
@@ -247,8 +247,8 @@ def _parse_flag_list(text, length, fill):
         tok = tok.strip()
         out.append(INF if tok in ("inf", "oo") else int(tok))
     if len(out) != length:
-        raise ShapeError(f"flag list {text!r} gives {len(out)} flags "
-                         f"for {length} rows")
+        raise ShapeError(f"flag list {text!r} gives {len(out)} flags, "
+                         f"expected {length}")
     return tuple(out)
 
 
@@ -399,8 +399,10 @@ def cmd_enumerate(args):
     blocks = []
     flags = None
     if args.flags_r is not None or args.flags_s is not None:
-        flags = (_parse_flag_list(args.flags_r, m, 1),
-                 _parse_flag_list(args.flags_s, m, INF))
+        # a column-flagged tableau bounds cell (i, j) by the flags of column j
+        k = max((*outer, *inner, 1)) if args.orientation == "col" else m
+        flags = (_parse_flag_list(args.flags_r, k, 1),
+                 _parse_flag_list(args.flags_s, k, INF))
     if args.target == "G":
         for filling in gen_mmsvt(outer, inner, n, deg, flags=flags,
                                  orientation=args.orientation):
@@ -864,8 +866,12 @@ def build_parser():
                    help="multiset tableaux for G, marked reverse plane "
                         "partitions for g, set-valued fillings for matsumura")
     _add_common(p)
-    p.add_argument("--flags-r", default=None, help="lower flags")
-    p.add_argument("--flags-s", default=None, help="upper flags")
+    p.add_argument("--flags-r", default=None,
+                   help="lower flags, one per shape row (per column with "
+                        "--orientation col)")
+    p.add_argument("--flags-s", default=None,
+                   help="upper flags, one per shape row (per column with "
+                        "--orientation col)")
     p.add_argument("--orientation", choices=["row", "col"], default="row")
     p.add_argument("--variant", choices=["left", "right", "bottom"],
                    default="left", help="marking rule for the dual family")

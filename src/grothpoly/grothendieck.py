@@ -161,14 +161,13 @@ def c_coeff(lam, mu, n, deg):
 
 
 def _schur_sum(coeff, lam, shapes, n, deg):
-    """sum of coeff(lam, mu) s_mu(x_n) over the mu in shapes; the s_mu
-    share one branching-rule memo."""
-    memo = {}
+    """sum of coeff(lam, mu) s_mu(x_n) over the mu in shapes."""
+    terms = [(mu, coeff(lam, mu, n, deg)) for mu in shapes]
+    terms = [(mu, coef) for mu, coef in terms if not coef.is_zero()]
     acc = TruncPoly.zero(n, deg)
-    for mu in shapes:
-        coef = coeff(lam, mu, n, deg)
-        if not coef.is_zero():
-            acc = acc + coef * schur_branching(mu, n, deg, memo)
+    for (_, coef), s_mu in zip(terms, schur_branching(
+            [mu for mu, _ in terms], n, deg)):
+        acc = acc + coef * s_mu
     return acc
 
 

@@ -218,16 +218,14 @@ def schur_jt(outer, inner, n, deg, rows=None):
     return det(matrix, n=n, deg=deg)
 
 
-def schur_branching(lam, n, deg, memo=None):
-    """s_lam(x_n) by the branching rule s_mu(x_1..x_m) = sum_nu
-    s_nu(x_1..x_{m-1}) x_m^{|mu/nu|} over the nu with mu/nu a horizontal
-    strip, i.e. mu_{i+1} <= nu_i <= mu_i (Macdonald I (5.11)).  No term
-    cancels.  memo maps (mu, m) to s_mu(x_1..x_m) in this (n, deg); a caller
-    evaluating several shapes in one context passes one dict so that they
-    share sub-shapes.  Nothing is kept between calls otherwise."""
-    if memo is None:
-        memo = {}
+def schur_branching(shapes, n, deg):
+    """[s_mu(x_n) for mu in shapes] by the branching rule s_mu(x_1..x_m) =
+    sum_nu s_nu(x_1..x_{m-1}) x_m^{|mu/nu|} over the nu with mu/nu a
+    horizontal strip, i.e. mu_{i+1} <= nu_i <= mu_i (Macdonald I (5.11)).
+    No term cancels.  The shapes share the values of their sub-shapes, which
+    are dropped on return."""
     zero = TruncPoly.zero(n, deg)
+    memo = {}
 
     def rec(mu, m):
         if not mu:
@@ -250,7 +248,7 @@ def schur_branching(lam, n, deg, memo=None):
         memo[(mu, m)] = acc
         return acc
 
-    return rec(partition(lam), n)
+    return [rec(partition(mu), n) for mu in shapes]
 
 
 def alternant_quotient(entry, n, deg):

@@ -240,7 +240,15 @@ def test_usage_errors_exit_two():
                   "--flags-s", "2,3,3", "--flags-r", "1,2"]):
         status, out = run(argv)
         assert status == 2, argv
-        assert "flags for 2 rows" in out, argv
+        assert "expected 2" in out, argv
+    # column-flagged tableaux take one flag per column of the shape
+    for argv in (["enumerate", "G", "--shape", "3", "--n", "3",
+                  "--orientation", "col", "--flags-r", "1"],
+                 ["enumerate", "g", "--shape", "3,1", "--n", "3",
+                  "--orientation", "col", "--flags-s", "2,3"]):
+        status, out = run(argv)
+        assert status == 2, argv
+        assert "expected 3" in out, argv
 
 
 def test_low_degree_warning_on_stderr(capsys):

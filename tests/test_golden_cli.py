@@ -75,6 +75,10 @@ GOLDEN = [
      0, 'sha256:408ff06a4ea09c50b66fb6d04273ff95b5efa094469fa8a0bcd4d6d2167a7bc7'),
     ('enumerate G --shape 2,1 --n 3 --flags-r 1,2 --flags-s 2,3',
      0, 'sha256:413f2aeff76ed4803ff2924c6a7b65c50afa20cf42740248e983e62a91cc57d7'),
+    ('enumerate G --shape 3 --n 3 --orientation col --flags-r 1,1,2 --flags-s 3,3,3',
+     0, 'sha256:38f938406140e233dbe76d1f0f608c0ed8bd52768b842b80f5df6ebbe25fb9f6'),
+    ('enumerate g --shape 3,1 --n 3 --orientation col --flags-r 1,2,2 --flags-s 2,3,3',
+     0, '1 2 2\n1\n\n 1 2*  2\n 1\n\n1 2 2\n2\n\n 1 2*  2\n 2\n\n2 2 2\n2\n\n2*  2  2\n 2\n\n 2 2*  2\n 2\n\n2* 2*  2\n 2\n\n1 2 3\n1\n\n1 2 3\n2\n\n2 2 3\n2\n\n2*  2  3\n 2\n\n1 3 3\n1\n\n 1 3*  3\n 1\n\n1 3 3\n2\n\n 1 3*  3\n 2\n\n2 3 3\n2\n\n 2 3*  3\n 2\n\ntotal: 18'),
     ('enumerate g --shape 2,2 --n 2',
      0, '1 1\n1 1\n\n1*  1\n 1  1\n\n 1  1\n1*  1\n\n1*  1\n1*  1\n\n1 1\n1 2\n\n1*  1\n 1  2\n\n1 1\n2 2\n\n1*  1\n 2  2\n\n 1  1\n2*  2\n\n1*  1\n2*  2\n\n1 2\n1 2\n\n1 2\n2 2\n\n 1  2\n2*  2\n\n2 2\n2 2\n\n2*  2\n 2  2\n\n 2  2\n2*  2\n\n2*  2\n2*  2\n\ntotal: 17'),
     ('enumerate g --shape 1,2 --n 2 --mark-set 1,2',
