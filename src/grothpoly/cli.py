@@ -39,8 +39,8 @@ from .shapes import (INF, ShapeError, conjugate, contains, dent_index, part,
                      partition, partitions_above, partitions_between,
                      partitions_of, partitions_up_to, size, skew)
 from .symfunc import schur_jt
-from .tableaux import (enum_elegant, enum_fsvt, enum_mmsvt, enum_mrpp,
-                       gen_fsvt, gen_mmsvt, gen_mrpp)
+from .tableaux import (TableauSweep, enum_elegant, enum_fsvt, enum_mmsvt,
+                       enum_mrpp, gen_fsvt, gen_mmsvt, gen_mrpp)
 
 SCHEMA = "grothpoly-terms-1"
 
@@ -639,27 +639,33 @@ _FLAGGED_JOBS = (("row dual", "g", "row", "row"),
                  ("col G", "G", "col", "col"))
 
 
-def _flag_reference(kind, orientation, lam, mu, r, s, n, deg):
-    """The tableau enumeration a flagged determinant must equal, zero when
-    mu is not contained in lam; column flags enumerate the conjugate
-    shape."""
+def _tableau_reference(kind, orientation, lam, mu, n, deg):
+    """The tableau enumeration a flagged determinant must equal, as a
+    function of the flags (r, s); zero when mu is not contained in lam.
+    Column flags enumerate the conjugate shape."""
     if not contains(mu, lam):
-        return TruncPoly.zero(n, deg)
-    enum = enum_mmsvt if kind == "G" else enum_mrpp
+        zero = TruncPoly.zero(n, deg)
+        return lambda r, s: zero
     if orientation == "col":
         lam, mu = conjugate(lam), conjugate(mu)
-    return enum(lam, mu, n, deg, flags=(r, s), orientation=orientation)
+    return TableauSweep("mmsvt" if kind == "G" else "mrpp", lam, mu, n, deg,
+                        orientation).value
 
 
 def verify_flagged(max_size=4):
     """Flagged determinants against tableau enumerations on every flag pair
     satisfying the respective monotonicity hypotheses.
 
-    Values depend on the flags only through (min(r_i, n+1), min(s_i, n)), so
-    each equivalence class is checked once; a sample of raw flag vectors is
-    re-evaluated through the plain determinant functions as a cross-check.
-    The weakened lower-flag condition for column-flagged G (one extra unit of
-    slack) is evaluated and reported, never asserted.
+    One (kind, orientation) job runs at a time per shape pair, with one
+    FlagSweep for the determinants and one TableauSweep, an unflagged
+    enumeration filtered by the flags, for the tableaux.  Determinant values
+    depend on the flags only through (min(r_i, n+1), min(s_i, n)), so each
+    equivalence class is checked once, on the first raw flags of the class;
+    a sample of raw flag vectors is re-evaluated through the plain
+    determinant functions as a cross-check.  The weakened lower-flag
+    condition for column-flagged G (one extra unit of slack) is evaluated
+    and reported, never asserted.  The boundary-marked duals evaluate a
+    FlagSweep with the mark set against enum_mrpp.
     """
     counts = {"row G": 0, "col G": 0, "row dual": 0, "col dual": 0,
               "dual without containment": 0, "marked dual": 0,
@@ -670,24 +676,34 @@ def verify_flagged(max_size=4):
             deg = size(lam) + 2
             for mu in partitions_up_to(max_size):
                 contained = contains(mu, lam)
-                jobs = [job for job in _FLAGGED_JOBS
-                        if contained or job[1] == "g"]
-                sweeps = {key: FlagSweep(kind, lam, mu, orientation, n, deg)
-                          for key, kind, orientation, _ in jobs}
-                seen = {key: set() for key in sweeps}
-                seen_weak = set()
+                pairs = []
                 for r, s in _flag_pairs(max(len(lam), len(mu), 1)):
                     eff = (tuple(min(v, n + 1) for v in r),
                            tuple(min(v, n) for v in s))
                     holds = {"row": row_monotone(lam, mu, r, s),
                              "col": contained and col_monotone(lam, mu, r, s)}
-                    for key, kind, orientation, hypothesis in jobs:
-                        if not holds[hypothesis] or eff in seen[key]:
+                    pairs.append((r, s, eff, holds))
+                for key, kind, orientation, hypothesis in _FLAGGED_JOBS:
+                    if not (contained or kind == "g"):
+                        continue
+                    sweep = FlagSweep(kind, lam, mu, orientation, n, deg)
+                    reference = _tableau_reference(kind, orientation, lam,
+                                                   mu, n, deg)
+                    seen, seen_weak = set(), set()
+                    for r, s, eff, holds in pairs:
+                        if key == "col G" and not holds["col"] \
+                                and eff not in seen_weak \
+                                and col_monotone(lam, mu, r, s, slack=1):
+                            seen_weak.add(eff)
+                            if sweep.value(r, s) == reference(r, s):
+                                weak_agree += 1
+                            else:
+                                weak_differ += 1
+                        if not holds[hypothesis] or eff in seen:
                             continue
-                        seen[key].add(eff)
-                        value = sweeps[key].value(r, s)
-                        if value != _flag_reference(kind, orientation, lam,
-                                                    mu, r, s, n, deg):
+                        seen.add(eff)
+                        value = sweep.value(r, s)
+                        if value != reference(r, s):
                             return False, [
                                 f"FAIL {key} at lam={lam}, mu={mu}, "
                                 f"n={n}, r={r}, s={s}"]
@@ -704,15 +720,6 @@ def verify_flagged(max_size=4):
                                     f"lam={lam}, mu={mu}, n={n}, "
                                     f"r={r}, s={s}"]
                             crosschecked += 1
-                    if (contained and not holds["col"]
-                            and col_monotone(lam, mu, r, s, slack=1)
-                            and eff not in seen_weak):
-                        seen_weak.add(eff)
-                        if sweeps["col G"].value(r, s) == _flag_reference(
-                                "G", "col", lam, mu, r, s, n, deg):
-                            weak_agree += 1
-                        else:
-                            weak_differ += 1
     # boundary-marked duals; dented shapes included
     for lam in _dented_shapes(max_size, 3):
         deg = sum(lam) + 2
@@ -721,14 +728,14 @@ def verify_flagged(max_size=4):
             if len(mu) > len(lam) or not contains(mu, lam):
                 continue
             for mark_set in valid_mark_sets(lam):
+                sweep = FlagSweep("g", lam, mu, "row", MARKED_N, deg,
+                                  marks=mark_set)
                 for r, s in _flag_pairs(len(lam)):
                     if not row_monotone(lam, mu, r, s):
                         continue
-                    value = g_marked_det(lam, mu, r, s, mark_set, MARKED_N,
-                                         deg)
                     reference = enum_mrpp(lam, mu, MARKED_N, deg,
                                           flags=(r, s), mark_set=mark_set)
-                    if value != reference:
+                    if sweep.value(r, s) != reference:
                         return False, [
                             f"FAIL marked dual at lam={lam}, mu={mu}, "
                             f"I={sorted(mark_set)}, r={r}, s={s}"]

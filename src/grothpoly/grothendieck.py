@@ -18,8 +18,8 @@ import warnings
 from math import comb
 
 from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det, pvar
-from .shapes import (ShapeError, contains, dent_index, minimal_cell, part,
-                     partition, partitions_above, partitions_between,
+from .shapes import (INF, ShapeError, contains, dent_index, minimal_cell,
+                     part, partition, partitions_above, partitions_between,
                      partitions_of, size)
 from .symfunc import (a_prefix, alternant_quotient, b_prefix, cat, e_ominus,
                       e_pleth, h_ominus, h_pleth, neg, schur_branching,
@@ -389,36 +389,62 @@ def g_flagged_det(outer, inner, r, s, orientation, n, deg):
 
 class FlagSweep:
     """Evaluates a flagged determinant for many flag vectors of one shape
-    pair, sharing entry values, column-prefix minors, and per-row prefactors
-    across calls.  value(r, s) equals G_flagged_det / g_flagged_det for the
-    same arguments; hypothesis checking is left to the caller.
+    pair, sharing entry values and column-prefix minors across calls.
+    value(r, s) equals G_flagged_det / g_flagged_det for the same
+    arguments, or g_marked_det with a mark set; hypothesis checking is left
+    to the caller.
 
-    Sharing works because entry (i, j) depends on the flags only through
-    (r_j, s_i), and because x variables beyond n vanish, only through
-    (min(r_j, n + 1), min(s_i, n)).
+    Entry (i, j) depends on the flags only through (r_j, s_i), and because
+    x variables beyond n vanish, only through (min(r_j, n + 1), min(s_i, n)).
+    The G prefactor is folded into the rows, det(diag(F) M) = prod F_i det M,
+    with F_i depending on (r_i, s_i): entries are stored scaled and minors
+    are keyed by the flags of their rows, so value() multiplies nothing
+    afterwards.  With a mark set (row-flagged g only; outer may be dented)
+    entries take the [i in I] shift, vanish when r_j > s_i, and use the
+    flags as given.
     """
 
-    def __init__(self, kind, outer, inner, orientation, n, deg):
+    def __init__(self, kind, outer, inner, orientation, n, deg, marks=None):
         if kind not in ("G", "g"):
             raise ShapeError(f"unknown kind {kind!r}")
         if orientation not in ("row", "col"):
             raise ShapeError(f"unknown orientation {orientation!r}")
         self.kind = kind
-        self.lam, self.mu = partition(outer), partition(inner)
+        if marks is None:
+            self.lam, self.mu = partition(outer), partition(inner)
+        elif (kind, orientation) != ("g", "row"):
+            raise ShapeError("mark sets apply to the row-flagged dual")
+        else:
+            self.lam, self.mu, marks = _marked_shape(outer, inner, marks)
+        self.marks = marks
         self.orientation = orientation
         self.n, self.deg = n, deg
         self._entries = {}
-        self._minors = {}
+        self._scaled = {}
         self._rowpref = {}
+        self._minors = {}
 
-    def _entry(self, i, j, rj, si):
+    def _entry(self, i, j, r, s):
+        rj, si = r[j - 1], s[i - 1]
         key = (i, j, rj, si)
         val = self._entries.get(key)
         if val is None:
-            val = self._entries[key] = _flag_entry(
-                self.kind, self.orientation, self.lam, self.mu, i, j, rj, si,
-                self.n, self.deg)
-        return val
+            marked = self.marks is not None
+            if marked and rj > si:
+                val = TruncPoly.zero(self.n, self.deg)
+            else:
+                val = _flag_entry(self.kind, self.orientation, self.lam,
+                                  self.mu, i, j, rj, si, self.n, self.deg,
+                                  shift=marked and i in self.marks)
+            self._entries[key] = val
+        if self.kind == "g":
+            return val
+        key = (i, j, r[i - 1], rj, si)
+        scaled = self._scaled.get(key)
+        if scaled is None:
+            scaled = self._scaled[key] = val if val.is_zero() else \
+                self._row_factor(i, r[i - 1], si) * val
+        return scaled
 
     def _minor(self, rows, r, s):
         # det of the submatrix on these rows and columns 1..len(rows); the
@@ -427,14 +453,16 @@ class FlagSweep:
         if k == 0:
             return _one(self.n, self.deg)
         full = k == len(r)
-        key = (rows, r[:k], tuple(s[i - 1] for i in rows))
+        # a row's entries depend on s_i, and once scaled by F_i on r_i too
+        row_flags = s if self.kind == "g" else tuple(zip(r, s))
+        key = (rows, r[:k], tuple(row_flags[i - 1] for i in rows))
         if not full:
             val = self._minors.get(key)
             if val is not None:
                 return val
         acc = TruncPoly.zero(self.n, self.deg)
         for t, i in enumerate(rows):
-            entry = self._entry(i, k, r[k - 1], s[i - 1])
+            entry = self._entry(i, k, r, s)
             if entry.is_zero():
                 continue
             term = entry * self._minor(rows[:t] + rows[t + 1:], r, s)
@@ -454,15 +482,13 @@ class FlagSweep:
         return val
 
     def value(self, r, s):
-        n = self.n
-        r = tuple(min(v, n + 1) for v in r)
-        s = tuple(min(v, n) for v in s)
-        m = len(r)
-        result = self._minor(tuple(range(1, m + 1)), r, s)
-        if self.kind == "G":
-            for i in range(1, m + 1):
-                result = result * self._row_factor(i, r[i - 1], s[i - 1])
-        return result
+        r, s = _flag_vectors(r, s, max(len(self.lam), len(self.mu)))
+        if self.marks is None:
+            r = tuple(min(v, self.n + 1) for v in r)
+            s = tuple(min(v, self.n) for v in s)
+        elif max(self.marks, default=0) > len(r):
+            raise ShapeError(f"mark set out of range: {sorted(self.marks)}")
+        return self._minor(tuple(range(1, len(r) + 1)), r, s)
 
 
 def valid_mark_sets(outer):
@@ -484,6 +510,20 @@ def valid_mark_sets(outer):
     return out
 
 
+def _marked_shape(outer, inner, mark_set, rows=INF):
+    """(outer, inner, mark set) checked for a marked determinant: outer
+    dented, inner inside it, marks among rows 1..rows."""
+    lam, mu = tuple(outer), partition(inner)
+    if dent_index(lam) is None:
+        raise ShapeError(f"not a dented partition: {lam}")
+    if not contains(mu, lam):
+        raise ShapeError(f"{mu} not contained in {lam}")
+    mark_set = frozenset(mark_set)
+    if not all(isinstance(i, int) and 1 <= i <= rows for i in mark_set):
+        raise ShapeError(f"mark set out of range: {sorted(mark_set)}")
+    return lam, mu, mark_set
+
+
 def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     """Row-flagged dual determinant with a boundary mark set, size len(r).
 
@@ -494,17 +534,9 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     outer may be dented; with I empty and an ordinary partition this reduces
     to the row g determinant whenever r <= s componentwise.
     """
-    lam = tuple(outer)
-    if dent_index(lam) is None:
-        raise ShapeError(f"not a dented partition: {lam}")
-    mu = partition(inner)
-    if not contains(mu, lam):
-        raise ShapeError(f"{mu} not contained in {lam}")
-    r, s = _flag_vectors(r, s, len(lam))
+    r, s = _flag_vectors(r, s, len(tuple(outer)))
     m = len(r)
-    mark_set = frozenset(mark_set)
-    if not all(isinstance(i, int) and 1 <= i <= m for i in mark_set):
-        raise ShapeError(f"mark set out of range: {sorted(mark_set)}")
+    lam, mu, mark_set = _marked_shape(outer, inner, mark_set, m)
     _warn_hypotheses(mark_set in valid_mark_sets(lam)
                      and row_monotone(lam, mu, r, s), "marked g")
     zero = TruncPoly.zero(n, deg)

@@ -9,9 +9,10 @@ Fillings are plain dicts keyed by 1-based (row, column) cells.  Single-valued
 marked fillings map a cell to (value, marked); multiset and set valued
 fillings map a cell to a tuple of (value, marked) pairs.  enum_* functions
 return exact TruncPoly sums of weights; gen_* generators yield the fillings
-themselves.  Enumeration runs depth-first over cells taken column by column
-from the right, top to bottom within a column, so that the neighbors a cell
-is compared against are already placed.
+themselves; TableauSweep gives the flagged sums of one shape for many flag
+vectors from one unflagged enumeration.  Enumeration runs depth-first over
+cells taken column by column from the right, top to bottom within a column,
+so that the neighbors a cell is compared against are already placed.
 """
 
 import itertools
@@ -157,20 +158,16 @@ def gen_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
     yield from rec(0, 0)
 
 
-def enum_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
-    """Exact generating function of flagged marked multiset fillings.
-
-    Marks are summed out cell by cell: a markable element contributes
-    alpha_col - beta_row, so only underlying multisets are enumerated.
-    """
+def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
+    """Yield (weight, ends) for every filling of the underlying multisets,
+    ends mapping each cell to its (first, last) entry.  Marks are summed out
+    cell by cell: a markable element contributes alpha_col - beta_row."""
     order = _mmsvt_state(outer, inner, orientation)
-    total = TruncPoly.zero(n, deg)
     ends = {}
 
     def rec(k, used, acc):
-        nonlocal total
         if k == len(order):
-            total = total + acc
+            yield acc, ends
             return
         i, j = order[k]
         lo, hi = _cell_bounds(flags, orientation, n, i, j)
@@ -186,10 +183,19 @@ def enum_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
             factor = factor * alpha ** (len(ms) - 1 - markable)
             factor = factor * (alpha - beta) ** markable
             ends[(i, j)] = (ms[0], ms[-1])
-            rec(k + 1, used + len(ms), acc * factor)
+            yield from rec(k + 1, used + len(ms), acc * factor)
             del ends[(i, j)]
 
-    rec(0, 0, TruncPoly.const(n, deg, 1))
+    yield from rec(0, 0, TruncPoly.const(n, deg, 1))
+
+
+def enum_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
+    """Exact generating function of flagged marked multiset fillings; only
+    the underlying multisets are enumerated, since marks are summed out."""
+    total = TruncPoly.zero(n, deg)
+    for weight, _ in _mmsvt_fillings(outer, inner, n, deg, flags,
+                                     orientation):
+        total = total + weight
     return total
 
 
@@ -345,31 +351,88 @@ def mrpp_weight(outer, inner, filling, variant, n, deg,
     return w
 
 
+def _mrpp_summed_weight(values, variant, outer, mark_set, s_flags, n, deg):
+    """Weight of the underlying filling with its markable cells summed out:
+    each contributes its unmarked weight minus the marking alpha."""
+    w = TruncPoly.const(n, deg, 1)
+    for (i, j), v in values.items():
+        (mcell, midx), (bcell, bidx) = _mrpp_neighbors(variant, i, j)
+        if _compare_value(values, outer, mark_set, s_flags, bcell) == v:
+            rest = pvar(n, deg, BETA, bidx)
+        else:
+            rest = _xvar(n, deg, v)
+        if _compare_value(values, outer, mark_set, s_flags, mcell) == v:
+            rest = rest - pvar(n, deg, ALPHA, midx)
+        w = w * rest
+    return w
+
+
 def enum_mrpp(outer, inner, n, deg, variant="left", flags=None,
               orientation="row", mark_set=None):
-    """Exact generating function of marked reverse plane partitions.
-
-    Markable cells are summed out: each contributes its unmarked weight minus
-    the marking alpha, so only underlying fillings are enumerated.
-    """
+    """Exact generating function of marked reverse plane partitions; only
+    underlying fillings are enumerated, since marks are summed out."""
     outer_t, inner_t, mark_set = _mrpp_validate(
         outer, inner, variant, orientation, mark_set, flags, n)
     s_flags = _resolve_s_flags(outer_t, flags, n)
     total = TruncPoly.zero(n, deg)
     for values in gen_rpp(outer, inner, n, flags=flags,
                           orientation=orientation, mark_set=mark_set):
-        w = TruncPoly.const(n, deg, 1)
-        for (i, j), v in values.items():
-            (mcell, midx), (bcell, bidx) = _mrpp_neighbors(variant, i, j)
-            if _compare_value(values, outer_t, mark_set, s_flags, bcell) == v:
-                rest = pvar(n, deg, BETA, bidx)
-            else:
-                rest = _xvar(n, deg, v)
-            if _compare_value(values, outer_t, mark_set, s_flags, mcell) == v:
-                rest = rest - pvar(n, deg, ALPHA, midx)
-            w = w * rest
-        total = total + w
+        total = total + _mrpp_summed_weight(values, variant, outer_t,
+                                            mark_set, s_flags, n, deg)
     return total
+
+
+class TableauSweep:
+    """Flagged generating functions of one skew shape for many flag vectors,
+    from a single unflagged enumeration.
+
+    A flagged filling is an unflagged one whose entries in row k (column k
+    for column flags) lie in [r_k, s_k].  The fillings with values in 1..n
+    are enumerated once, by the rules of enum_mmsvt (family "mmsvt") or of
+    enum_mrpp's left variant ("mrpp"), and their weights are bucketed by
+    the (min, max) entry of each row or column.  value(r, s) sums the
+    buckets the flags admit; it equals enum_mmsvt / enum_mrpp with
+    flags=(r, s) and the same orientation.
+    """
+
+    def __init__(self, family, outer, inner, n, deg, orientation="row"):
+        _check_orientation(orientation)
+        outer, inner = skew(outer, inner)
+        if family == "mmsvt":
+            fillings = _mmsvt_fillings(outer, inner, n, deg, None,
+                                       orientation)
+        elif family == "mrpp":
+            fillings = ((_mrpp_summed_weight(values, "left", outer, None,
+                                             (), n, deg),
+                         {c: (v, v) for c, v in values.items()})
+                        for values in gen_rpp(outer, inner, n,
+                                              orientation=orientation))
+        else:
+            raise ShapeError(f"unknown tableau family {family!r}")
+        self.n, self.deg = n, deg
+        axis = 0 if orientation == "row" else 1
+        # flags are needed up to the last row or column holding a cell
+        self._width = max((c[axis] for c in cells(outer, inner)), default=0)
+        self._buckets = {}
+        for weight, ends in fillings:
+            # an index without cells reads (INF, 0), which every flag admits
+            lo, hi = [INF] * self._width, [0] * self._width
+            for cell, (first, last) in ends.items():
+                k = cell[axis] - 1
+                lo[k], hi[k] = min(lo[k], first), max(hi[k], last)
+            key = tuple(zip(lo, hi))
+            got = self._buckets.get(key)
+            self._buckets[key] = weight if got is None else got + weight
+
+    def value(self, r, s):
+        if min(len(r), len(s)) < self._width:
+            raise ShapeError("flag vectors shorter than the shape")
+        total = TruncPoly.zero(self.n, self.deg)
+        for key, weight in self._buckets.items():
+            if all(rk <= lo and hi <= sk
+                   for (lo, hi), rk, sk in zip(key, r, s)):
+                total = total + weight
+        return total
 
 
 def gen_mrpp(outer, inner, n, variant="left", flags=None, orientation="row",

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import warnings
 
 import pytest
@@ -10,17 +11,20 @@ from grothpoly import symfunc
 from grothpoly.grothendieck import (C_coeff, FlagSweep, G_bialternant,
                                     G_flagged_det, G_jt, G_jt_modified,
                                     G_schur, c_coeff,
-                                    cauchy_check, dual_parameters,
+                                    cauchy_check, col_monotone,
+                                    dual_parameters,
                                     g_bialternant, g_flagged_det, g_jt,
                                     g_jt_modified, g_marked_det, g_schur,
                                     hall_pairing,
                                     matsumura_Gpq, matsumura_det, omega_check,
-                                    schur_in_grothendieck, skew_coeff,
-                                    skew_schur_expansion, valid_mark_sets)
+                                    row_monotone, schur_in_grothendieck,
+                                    skew_coeff, skew_schur_expansion,
+                                    valid_mark_sets)
 from grothpoly.ring import ALPHA, BETA, TruncPoly, X
 from grothpoly.shapes import (ShapeError, conjugate, contains,
                               partitions_between, partitions_up_to)
-from grothpoly.tableaux import enum_elegant, enum_fsvt, enum_mmsvt, enum_mrpp
+from grothpoly.tableaux import (TableauSweep, enum_elegant, enum_fsvt,
+                                enum_mmsvt, enum_mrpp)
 
 
 def xv(n, deg, i):
@@ -271,11 +275,81 @@ def test_flag_sweep_matches_direct_determinants_on_raw_flags(kind,
                 assert sweep.value(r, s) == want, (lam, mu, r, s)
 
 
+@pytest.mark.parametrize("kind", ["G", "g"])
+@pytest.mark.parametrize("orientation", ["row", "col"])
+def test_flag_sweep_matches_tableau_enumeration_on_raw_flags(kind,
+                                                             orientation):
+    # the determinant side against the enumeration side, which shares no
+    # entry code with it, on flags up to n + 2 inside the hypotheses: this
+    # checks the sweep's (min(r, n + 1), min(s, n)) canonicalization
+    n, deg = 2, 4
+    hypothesis = col_monotone if (kind, orientation) == ("G", "col") \
+        else row_monotone
+    flag_vectors = list(itertools.product(range(1, n + 3), repeat=2))
+    for lam, mu in [((2, 1), (1,)), ((2, 2), ()), ((2, 1), (1, 1)),
+                    ((3, 1), (1,))]:
+        sweep = FlagSweep(kind, lam, mu, orientation, n, deg)
+        shape = (lam, mu) if orientation == "row" else \
+            (conjugate(lam), conjugate(mu))
+        tableaux = TableauSweep("mmsvt" if kind == "G" else "mrpp", *shape,
+                                n, deg, orientation)
+        checked = 0
+        for r in flag_vectors:
+            for s in flag_vectors:
+                if not hypothesis(lam, mu, r, s):
+                    continue
+                assert sweep.value(r, s) == tableaux.value(r, s), \
+                    (lam, mu, r, s)
+                checked += 1
+        assert checked
+
+
 def test_flag_sweep_rejects_bad_arguments():
     with pytest.raises(ShapeError):
         FlagSweep("H", (1,), (), "row", 1, 1)
     with pytest.raises(ShapeError):
         FlagSweep("G", (1,), (), "diag", 1, 1)
+    with pytest.raises(ShapeError):
+        FlagSweep("G", (1, 2), (), "row", 1, 1)
+    with pytest.raises(ShapeError):
+        FlagSweep("G", (1, 2), (), "row", 1, 1, marks={1})
+    with pytest.raises(ShapeError):
+        FlagSweep("g", (1, 2), (), "col", 1, 1, marks={1})
+    with pytest.raises(ShapeError):
+        FlagSweep("g", (1, 3), (), "row", 1, 1, marks={1})
+    with pytest.raises(ShapeError):
+        FlagSweep("g", (1, 2), (), "row", 2, 2, marks={3}).value((1, 1),
+                                                                 (2, 2))
+
+
+@pytest.mark.parametrize("r, s", [((1,), (2,)), ((1, 1), (2,)),
+                                  ((0, 1), (2, 2))],
+                         ids=["short", "ragged", "zero"])
+def test_flag_sweep_rejects_bad_flags(r, s):
+    sweep = FlagSweep("G", (2, 1), (), "row", 2, 4)
+    with pytest.raises(ShapeError):
+        sweep.value(r, s)
+
+
+def test_flag_sweep_with_marks_matches_marked_determinant_on_raw_flags():
+    # raw flags with r_j > s_i and s_i > n, on every valid mark set
+    n = 2
+    flag_values = [1, 2, 4]
+    for lam, mu in [((1, 2), ()), ((1, 2), (1,)), ((2, 2, 1), (1,)),
+                    ((1, 1, 2), ())]:
+        deg = sum(lam) + 1
+        m = len(lam)
+        flag_vectors = list(itertools.product(flag_values, repeat=m))
+        if m == 3:
+            flag_vectors = flag_vectors[::3]
+        for marks in valid_mark_sets(lam):
+            sweep = FlagSweep("g", lam, mu, "row", n, deg, marks=marks)
+            for r in flag_vectors:
+                for s in flag_vectors:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")
+                        want = g_marked_det(lam, mu, r, s, marks, n, deg)
+                    assert sweep.value(r, s) == want, (lam, mu, marks, r, s)
 
 
 def test_flagged_weaker_condition_counterexample():

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from grothpoly import shapes, symfunc
 from grothpoly.ring import ALPHA, BETA, TruncPoly, X
 from grothpoly.shapes import ShapeError
-from grothpoly.tableaux import (enum_elegant, enum_fsvt, enum_mmsvt,
-                                enum_mrpp, gen_elegant, gen_fsvt, gen_mmsvt,
-                                gen_mrpp, gen_rpp, markable_cells,
+from grothpoly.tableaux import (TableauSweep, enum_elegant, enum_fsvt,
+                                enum_mmsvt, enum_mrpp, gen_elegant, gen_fsvt,
+                                gen_mmsvt, gen_mrpp, gen_rpp, markable_cells,
                                 mmsvt_weight, mrpp_weight, phi_left_to_right)
 
 
@@ -462,3 +462,37 @@ def test_flagged_generation_consistency(data):
         total = total + mrpp_weight(outer, inner, filling, "left", n, deg,
                                     flags=flags)
     assert total == enum_mrpp(outer, inner, n, deg, flags=flags)
+
+
+@pytest.mark.parametrize("family", ["mmsvt", "mrpp"])
+@pytest.mark.parametrize("orientation", ["row", "col"])
+def test_tableau_sweep_matches_flagged_enumeration_on_raw_flags(family,
+                                                                orientation):
+    # flags up to n + 2 on both sides, r_k > s_k included; (2, 1)/(1, 1)
+    # has an empty second row, and its conjugate (2, 1)/(2) an empty first
+    # column; column flags enumerate the conjugate shape
+    n, deg = 2, 4
+    enum = enum_mmsvt if family == "mmsvt" else enum_mrpp
+    flag_values = range(1, n + 3)
+    for lam, mu in [((2, 1), (1, 1)), ((2, 1), (2,)), ((2, 2), (1,)),
+                    ((3, 1), (1,)), ((1, 1), ())]:
+        if orientation == "col":
+            lam, mu = shapes.conjugate(lam), shapes.conjugate(mu)
+        sweep = TableauSweep(family, lam, mu, n, deg, orientation)
+        m = 2
+        for r in itertools.product(flag_values, repeat=m):
+            for s in itertools.product(flag_values, repeat=m):
+                want = enum(lam, mu, n, deg, flags=(r, s),
+                            orientation=orientation)
+                assert sweep.value(r, s) == want, (lam, mu, r, s)
+
+
+def test_tableau_sweep_rejects_bad_arguments():
+    with pytest.raises(ShapeError):
+        TableauSweep("svt", (1,), (), 1, 1)
+    with pytest.raises(ShapeError):
+        TableauSweep("mmsvt", (1,), (), 1, 1, orientation="diag")
+    with pytest.raises(ShapeError):
+        TableauSweep("mrpp", (1,), (2,), 1, 1)
+    with pytest.raises(ShapeError):
+        TableauSweep("mmsvt", (2, 1), (), 2, 3).value((1,), (2,))
