@@ -671,18 +671,23 @@ def verify_flagged(max_size=4):
               "dual without containment": 0, "marked dual": 0,
               "marked dual on properly dented shapes": 0}
     crosschecked = weak_agree = weak_differ = tick = 0
-    for n in FLAGGED_NS:
-        for lam in partitions_up_to(max_size):
-            deg = size(lam) + 2
-            for mu in partitions_up_to(max_size):
-                contained = contains(mu, lam)
-                pairs = []
-                for r, s in _flag_pairs(max(len(lam), len(mu), 1)):
-                    eff = (tuple(min(v, n + 1) for v in r),
-                           tuple(min(v, n) for v in s))
-                    holds = {"row": row_monotone(lam, mu, r, s),
-                             "col": contained and col_monotone(lam, mu, r, s)}
-                    pairs.append((r, s, eff, holds))
+    for lam in partitions_up_to(max_size):
+        deg = size(lam) + 2
+        for mu in partitions_up_to(max_size):
+            contained = contains(mu, lam)
+            # the hypotheses do not depend on n; "weak" is the weakened col
+            # G condition where the col one fails
+            flag_pairs = []
+            for r, s in _flag_pairs(max(len(lam), len(mu), 1)):
+                col = contained and col_monotone(lam, mu, r, s)
+                holds = {"row": row_monotone(lam, mu, r, s), "col": col,
+                         "weak": contained and not col
+                         and col_monotone(lam, mu, r, s, slack=1)}
+                flag_pairs.append((r, s, holds))
+            for n in FLAGGED_NS:
+                pairs = [(r, s, (tuple(min(v, n + 1) for v in r),
+                                 tuple(min(v, n) for v in s)), holds)
+                         for r, s, holds in flag_pairs]
                 for key, kind, orientation, hypothesis in _FLAGGED_JOBS:
                     if not (contained or kind == "g"):
                         continue
@@ -691,9 +696,8 @@ def verify_flagged(max_size=4):
                                                    mu, n, deg)
                     seen, seen_weak = set(), set()
                     for r, s, eff, holds in pairs:
-                        if key == "col G" and not holds["col"] \
-                                and eff not in seen_weak \
-                                and col_monotone(lam, mu, r, s, slack=1):
+                        if key == "col G" and holds["weak"] \
+                                and eff not in seen_weak:
                             seen_weak.add(eff)
                             if sweep.value(r, s) == reference(r, s):
                                 weak_agree += 1

@@ -11,7 +11,7 @@ An alphabet is a tuple of (sign, block) atoms.  Blocks:
 
 import itertools
 
-from .ring import ALPHA, BETA, X, TruncPoly
+from .ring import ALPHA, BETA, X, TruncPoly, det, exact_divide
 from .shapes import part, partition
 
 
@@ -66,22 +66,6 @@ def _block_vars(block, n, deg):
     raise ValueError(f"unknown block {block!r}")
 
 
-def block_size(block):
-    """Number of letters in the block (for e-vanishing bounds)."""
-    kind = block[0]
-    if kind == "x":
-        return max(block[2] - block[1] + 1, 0)
-    if kind in ("ap", "bp"):
-        return max(block[1], 0)
-    if kind == "v":
-        return 1
-    raise ValueError(f"unknown block {block!r}")
-
-
-def alphabet_size(alphabet):
-    return sum(block_size(b) for _, b in alphabet)
-
-
 def is_x_only(alphabet):
     return all(b[0] == "x" or (b[0] == "v" and b[1] == X)
                for _, b in alphabet)
@@ -92,46 +76,18 @@ def is_param_only(alphabet):
                for _, b in alphabet)
 
 
-_DUAL = {"h": "e", "e": "h"}
-
-_BLOCK_CACHE = {}
-
-
-def _block(kind, m, block, n, deg):
-    """h_m (kind "h") or e_m (kind "e") of a single positive block."""
-    if m < 0:
-        return TruncPoly.zero(n, deg)
-    if m == 0:
-        return TruncPoly.const(n, deg, 1)
-    if kind == "e" and m > block_size(block):
-        return TruncPoly.zero(n, deg)
-    key = (kind, m, block, n, deg)
-    got = _BLOCK_CACHE.get(key)
-    if got is not None:
-        return got
-    if kind == "h" and block[0] == "x" and m > deg:
-        out = TruncPoly.zero(n, deg)
-    else:
-        variables = _block_vars(block, n, deg)
-        # h adds each letter with repetition (ascending d), e without
-        degrees = range(1, m + 1) if kind == "h" else \
-            range(min(m, len(variables)), 0, -1)
-        table = [TruncPoly.const(n, deg, 1)] + \
-            [TruncPoly.zero(n, deg) for _ in range(m)]
-        for v in variables:
-            for d in degrees:
-                table[d] = table[d] + v * table[d - 1]
-        out = table[m]
-    _BLOCK_CACHE[key] = out
-    return out
-
-
 _ALPHABET_CACHE = {}
 
 
 def _pleth(kind, m, alphabet, n, deg):
-    """h_m[Z] or e_m[Z] for a signed alphabet Z, block by block; a negated
-    block swaps the kind, h_m[-Z] = (-1)^m e_m[Z]."""
+    """h_m[Z] (kind "h") or e_m[Z] (kind "e") for a signed alphabet Z.
+
+    The series cur[0..m] starts at 1 and takes one factor per letter z of
+    H(t) = prod (1 - z t)^-1 or E(t) = prod (1 + z t), with z -> -z and the
+    factor inverted for a negated letter.  A factor (1 - z t)^-1 (h of a
+    letter, e of a negated one) is cur[d] += z cur[d-1] with d running up;
+    a factor (1 + z t) (e of a letter, h of a negated one) is the same
+    update with d running down."""
     if m < 0:
         return TruncPoly.zero(n, deg)
     key = (kind, m, alphabet, n, deg)
@@ -141,19 +97,14 @@ def _pleth(kind, m, alphabet, n, deg):
     cur = [TruncPoly.const(n, deg, 1)] + \
         [TruncPoly.zero(n, deg) for _ in range(m)]
     for sign, block in alphabet:
-        if sign > 0:
-            bvals = [_block(kind, k, block, n, deg) for k in range(m + 1)]
-        else:
-            bvals = [(-1) ** k * _block(_DUAL[kind], k, block, n, deg)
-                     for k in range(m + 1)]
-        nxt = []
-        for d in range(m + 1):
-            acc = TruncPoly.zero(n, deg)
-            for k in range(d + 1):
-                if not (bvals[k].is_zero() or cur[d - k].is_zero()):
-                    acc = acc + cur[d - k] * bvals[k]
-            nxt.append(acc)
-        cur = nxt
+        degrees = range(1, m + 1) if (kind == "h") == (sign > 0) else \
+            range(m, 0, -1)
+        for z in _block_vars(block, n, deg):
+            if sign < 0:
+                z = -z
+            for d in degrees:
+                if not cur[d - 1].is_zero():
+                    cur[d] = cur[d] + z * cur[d - 1]
     _ALPHABET_CACHE[key] = cur[m]
     return cur[m]
 
@@ -168,18 +119,17 @@ def e_pleth(m, alphabet, n, deg):
 
 def _ominus(kind, m, left, right, n, deg):
     """f_m[left (-) right] = sum_k f_{m+k}[left] f_k[right] for f = h or e;
-    m may be negative.  The sum stops once f_{m+k}[left] must vanish: for h
-    at k = deg - m, since it is homogeneous of x-degree m + k, for e once
-    m + k exceeds the number of letters in left."""
+    m may be negative.  The sum stops at k = deg - m: left holds x letters
+    only, so f_{m+k}[left] is homogeneous of x-degree m + k and vanishes
+    above deg."""
     if not is_x_only(left):
         raise ValueError("ominus left argument must be x-blocks only")
     if not is_param_only(right):
         raise ValueError("ominus right argument must be parameter blocks only")
     # the public names are looked up per call so that wrappers see them
     pleth = h_pleth if kind == "h" else e_pleth
-    top = deg - m if kind == "h" else alphabet_size(left) - m
     acc = TruncPoly.zero(n, deg)
-    for k in range(max(0, -m), top + 1):
+    for k in range(max(0, -m), deg - m + 1):
         lhs = pleth(m + k, left, n, deg)
         if lhs.is_zero():
             continue
@@ -209,7 +159,6 @@ def vandermonde(n, deg):
 
 def schur_jt(outer, inner, n, deg, rows=None):
     """s_{outer/inner}(x_n) = det(h_{lam_i - mu_j - i + j}[X_n])."""
-    from .ring import det
     if rows is None:
         rows = max(len(outer), len(inner))
     xs = x_interval(1, n)
@@ -255,7 +204,6 @@ def alternant_quotient(entry, n, deg):
     """det(entry(i, j, work))_{i,j<=n} / prod_{i<j}(x_i - x_j), computed in
     degree work = deg + n(n-1)/2 so that the division has a guard of the
     Vandermonde's degree."""
-    from .ring import det, exact_divide
     guard = n * (n - 1) // 2
     work = deg + guard
     matrix = [[entry(i, j, work) for j in range(1, n + 1)]
@@ -274,7 +222,6 @@ def schur_bialternant(lam, n, deg):
 
 def schur_flagged_check(lam, n, deg):
     """det(h_{lam_i - i + j}[X_{n-j+1}]) must also give s_lam(x_n)."""
-    from .ring import det
     matrix = [[h_pleth(part(lam, i) - i + j, x_interval(1, n - j + 1), n, deg)
                for j in range(1, n + 1)] for i in range(1, n + 1)]
     return det(matrix, n=n, deg=deg) == schur_jt(lam, (), n, deg, rows=n)

@@ -259,6 +259,11 @@ def gen_rpp(outer, inner, n, flags=None, orientation="row", mark_set=None):
     """
     outer, inner, mark_set = _mrpp_validate(
         outer, inner, "left", orientation, mark_set, flags, n)
+    yield from _rpp_fillings(outer, inner, n, flags, orientation, mark_set)
+
+
+def _rpp_fillings(outer, inner, n, flags, orientation, mark_set):
+    """gen_rpp on arguments _mrpp_validate has already checked."""
     s_flags = _resolve_s_flags(outer, flags, n)
     if mark_set is not None:
         r_flags = flags[0] if flags is not None else (1,) * len(s_flags)
@@ -375,8 +380,8 @@ def enum_mrpp(outer, inner, n, deg, variant="left", flags=None,
         outer, inner, variant, orientation, mark_set, flags, n)
     s_flags = _resolve_s_flags(outer_t, flags, n)
     total = TruncPoly.zero(n, deg)
-    for values in gen_rpp(outer, inner, n, flags=flags,
-                          orientation=orientation, mark_set=mark_set):
+    for values in _rpp_fillings(outer_t, inner_t, n, flags, orientation,
+                                mark_set):
         total = total + _mrpp_summed_weight(values, variant, outer_t,
                                             mark_set, s_flags, n, deg)
     return total
@@ -440,8 +445,8 @@ def gen_mrpp(outer, inner, n, variant="left", flags=None, orientation="row",
     """Yield explicit marked fillings {(i,j): (value, marked)}."""
     outer_t, inner_t, mark_set = _mrpp_validate(
         outer, inner, variant, orientation, mark_set, flags, n)
-    for values in gen_rpp(outer, inner, n, flags=flags,
-                          orientation=orientation, mark_set=mark_set):
+    for values in _rpp_fillings(outer_t, inner_t, n, flags, orientation,
+                                mark_set):
         markable = markable_cells(outer_t, inner_t, values, variant,
                                   mark_set=mark_set, flags=flags, n=n)
         for npick in range(len(markable) + 1):

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 from hypothesis import given, settings
@@ -11,7 +12,6 @@ from grothpoly.symfunc import (
     ExpansionError,
     SymmetryError,
     a_prefix,
-    alphabet_size,
     b_prefix,
     cat,
     e_ominus,
@@ -113,8 +113,9 @@ def random_alphabet(rng, n, max_blocks=3):
         sign = rng.choice([1, -1])
         kind = rng.randrange(4)
         if kind == 0:
+            # x letters beyond n are zero
             r = rng.randint(1, n)
-            block = ("x", r, rng.randint(r, n))
+            block = ("x", r, rng.randint(r, n + 2))
         elif kind == 1:
             block = ("ap", rng.randint(1, 3))
         elif kind == 2:
@@ -129,6 +130,87 @@ def random_letter(rng, n):
     fam = rng.choice([X, ALPHA, BETA])
     idx = rng.randint(1, n if fam == X else 3)
     return fam, idx
+
+
+# Independent oracle: h_m and e_m of an alphabet written out as signed
+# letters, h_m[P - N] = sum_k (-1)^k h_{m-k}[P] e_k[N] and e_m[P - N] =
+# sum_k (-1)^k e_{m-k}[P] h_k[N], with h a sum over multisets of letters and
+# e over sets.
+
+def signed_letters(alphabet, n, deg):
+    pos, negs = [], []
+    for sign, block in alphabet:
+        if block[0] == "x":
+            letters = [(X, i) for i in range(block[1], min(block[2], n) + 1)]
+        elif block[0] == "ap":
+            letters = [(ALPHA, i) for i in range(1, block[1] + 1)]
+        elif block[0] == "bp":
+            letters = [(BETA, i) for i in range(1, block[1] + 1)]
+        else:
+            letters = [block[1:]]
+        (pos if sign > 0 else negs).extend(
+            TruncPoly.var(n, deg, fam, idx) for fam, idx in letters)
+    return pos, negs
+
+
+def choose_sum(letters, k, choose, n, deg):
+    acc = TruncPoly.zero(n, deg)
+    for picked in choose(letters, k):
+        term = one(n, deg)
+        for z in picked:
+            term = term * z
+        acc = acc + term
+    return acc
+
+
+def pleth_oracle(kind, m, alphabet, n, deg):
+    pos, negs = signed_letters(alphabet, n, deg)
+    h = itertools.combinations_with_replacement
+    e = itertools.combinations
+    first, second = (h, e) if kind == "h" else (e, h)
+    acc = TruncPoly.zero(n, deg)
+    for k in range(m + 1):
+        acc = acc + (-1) ** k * choose_sum(pos, m - k, first, n, deg) \
+            * choose_sum(negs, k, second, n, deg)
+    return acc
+
+
+ORACLE_N, ORACLE_DEG = 2, 4
+
+ORACLE_ALPHABETS = [
+    x_interval(1, ORACLE_N),
+    x_interval(2, ORACLE_N + 2),
+    neg(x_interval(2, ORACLE_N + 2)),
+    x_interval(ORACLE_N + 1, ORACLE_N + 2),
+    single(ALPHA, 2),
+    neg(single(BETA, 1)),
+    single(X, 1),
+    cat(x_interval(2, ORACLE_N + 2), neg(a_prefix(2)), b_prefix(1)),
+    cat(a_prefix(1), neg(b_prefix(2)), single(X, 2)),
+    cat(neg(x_interval(1, ORACLE_N)), single(BETA, 3), neg(single(ALPHA, 1))),
+]
+
+
+@pytest.mark.parametrize("alphabet", ORACLE_ALPHABETS, ids=str)
+def test_pleth_matches_signed_letter_oracle(alphabet):
+    n, deg = ORACLE_N, ORACLE_DEG
+    # m runs past deg and past the number of letters
+    for m in range(-1, deg + 3):
+        assert h_pleth(m, alphabet, n, deg) == \
+            pleth_oracle("h", m, alphabet, n, deg), (m, alphabet)
+        assert e_pleth(m, alphabet, n, deg) == \
+            pleth_oracle("e", m, alphabet, n, deg), (m, alphabet)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10 ** 9))
+def test_pleth_matches_signed_letter_oracle_on_random_alphabets(seed):
+    rng = random.Random(seed)
+    n, deg = ORACLE_N, ORACLE_DEG
+    z = random_alphabet(rng, n)
+    m = rng.randint(0, deg + 2)
+    assert h_pleth(m, z, n, deg) == pleth_oracle("h", m, z, n, deg)
+    assert e_pleth(m, z, n, deg) == pleth_oracle("e", m, z, n, deg)
 
 
 def test_h_of_x_interval_matches_monomial_sum():
@@ -373,7 +455,3 @@ def test_product_circ():
     assert product_circ_check((1,), (1,), 2, 3)
     assert product_circ_check((2, 1), (1, 1), 3, 6)
 
-
-def test_alphabet_size():
-    assert alphabet_size(cat(x_interval(1, 3), a_prefix(2))) == 5
-    assert alphabet_size(()) == 0
