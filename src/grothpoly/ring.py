@@ -7,7 +7,7 @@ its context (n, deg): x-indices stay in 1..n and every stored monomial has
 total x-degree <= deg.  alpha/beta degrees are not truncated.
 """
 
-from functools import cmp_to_key
+import heapq
 
 X = 0
 ALPHA = 1
@@ -64,33 +64,11 @@ def mono_deg(mono):
     return sum(e for _, e in mono)
 
 
-def mono_cmp(m1, m2):
-    # graded lexicographic: total degree first, then higher exponent on the
-    # earliest variable (X < ALPHA < BETA, index ascending) wins
-    d1, d2 = mono_deg(m1), mono_deg(m2)
-    if d1 != d2:
-        return -1 if d1 < d2 else 1
-    i = j = 0
-    while i < len(m1) and j < len(m2):
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            if e1 != e2:
-                return 1 if e1 > e2 else -1
-            i += 1
-            j += 1
-        elif v1 < v2:
-            return 1
-        else:
-            return -1
-    if i < len(m1):
-        return 1
-    if j < len(m2):
-        return -1
-    return 0
-
-
-MONO_KEY = cmp_to_key(mono_cmp)
+def mono_key(mono):
+    # graded lexicographic order, largest first: higher total degree, then
+    # the higher exponent on the earliest variable (X < ALPHA < BETA, index
+    # ascending).  At equal degree neither tuple is a prefix of the other.
+    return (-mono_deg(mono), tuple((fam, idx, -e) for (fam, idx), e in mono))
 
 
 def mono_divide(m1, m2):
@@ -275,31 +253,53 @@ class TruncPoly:
         """The set of (family, index) variables occurring in some term."""
         return {var for mono in self.terms for var, _ in mono}
 
+    def _as_term(self, val):
+        # a specialization value as (coefficient, x-free monomial)
+        if isinstance(val, int):
+            return val, ()
+        if isinstance(val, tuple):
+            val = TruncPoly.var(self.n, self.deg, *val)
+        self._check(val)
+        if len(val.terms) > 1:
+            raise ValueError("specialization values must be single terms")
+        [(mono, c)] = val.terms.items() or [((), 0)]
+        if mono_xdeg(mono):
+            raise ValueError("specialization values must be free of x")
+        return c, mono
+
     def specialize(self, assignment):
         """Substitute alpha/beta variables.  Values may be integers, (family,
-        index) pairs, or TruncPoly in the same context."""
+        index) pairs, or single x-free terms in the same context, so each
+        monomial maps to one monomial of the same x-degree."""
         for fam, _ in assignment:
             if fam == X:
                 raise ValueError("x-variables are eliminated by restrict_n, "
                                  "not by specialization")
-        result = TruncPoly.zero(self.n, self.deg)
+        subs = {var: self._as_term(val) for var, val in assignment.items()}
+        powers = {}  # (var, e) -> the image of var^e as (coeff, monomial)
+        terms = {}
         for mono, c in self.terms.items():
             kept = []
-            factor = TruncPoly.const(self.n, self.deg, c)
-            for (fam, idx), e in mono:
-                val = assignment.get((fam, idx))
-                if val is None:
-                    kept.append(((fam, idx), e))
-                elif isinstance(val, int):
-                    factor = factor * (val ** e)
-                elif isinstance(val, tuple):
-                    factor = factor * TruncPoly.var(self.n, self.deg,
-                                                    val[0], val[1], e)
+            image = ()
+            for var, e in mono:
+                if var not in subs:
+                    kept.append((var, e))
+                    continue
+                p = powers.get((var, e))
+                if p is None:
+                    sc, sm = subs[var]
+                    p = powers[(var, e)] = (
+                        sc ** e, tuple((v, f * e) for v, f in sm))
+                c *= p[0]
+                image = mono_mul(image, p[1])
+            if c:
+                m = mono_mul(tuple(kept), image)
+                s = terms.get(m, 0) + c
+                if s:
+                    terms[m] = s
                 else:
-                    factor = factor * (val ** e)
-            term = TruncPoly(self.n, self.deg, {tuple(sorted(kept)): 1})
-            result = result + factor * term
-        return result
+                    del terms[m]
+        return TruncPoly(self.n, self.deg, terms)
 
     def coeff(self, mono):
         return self.terms.get(tuple(sorted(mono)), 0)
@@ -311,7 +311,7 @@ class TruncPoly:
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=MONO_KEY):
+        for mono in sorted(self.terms, key=mono_key, reverse=True):
             c = self.terms[mono]
             body = "*".join(
                 f"{FAMILY_NAMES[fam]}{idx}" + (f"^{e}" if e > 1 else "")
@@ -386,13 +386,19 @@ def exact_divide(num, den, guard_degree):
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     num._check(den)
-    lead_den = max(den.terms, key=MONO_KEY)
+    lead_den = min(den.terms, key=mono_key)
     cd = den.terms[lead_den]
     rem = dict(num.terms)
+    # the remainder's monomials, leading term first; a monomial cancelled
+    # after it was pushed is skipped when popped (lazy deletion)
+    heap = [(mono_key(m), m) for m in rem]
+    heapq.heapify(heap)
     quot = {}
-    while rem:
-        lead = max(rem, key=MONO_KEY)
-        c = rem[lead]
+    while heap:
+        _, lead = heapq.heappop(heap)
+        c = rem.get(lead)
+        if c is None:
+            continue
         m = mono_divide(lead, lead_den)
         if m is None or c % cd:
             raise DivisibilityError(f"leading term {lead} not divisible")
@@ -400,10 +406,13 @@ def exact_divide(num, den, guard_degree):
         quot[m] = quot.get(m, 0) + q
         for mono, dc in den.terms.items():
             mm = mono_mul(m, mono)
-            s = rem.get(mm, 0) - q * dc
-            if s:
-                rem[mm] = s
+            old = rem.get(mm)
+            if old is None:
+                rem[mm] = -q * dc
+                heapq.heappush(heap, (mono_key(mm), mm))
+            elif old == q * dc:
+                del rem[mm]
             else:
-                rem.pop(mm, None)
+                rem[mm] = old - q * dc
     result = TruncPoly(num.n, num.deg, quot)
     return result.truncate(num.deg - guard_degree)

@@ -220,13 +220,6 @@ def schur_bialternant(lam, n, deg):
         n, deg)
 
 
-def schur_flagged_check(lam, n, deg):
-    """det(h_{lam_i - i + j}[X_{n-j+1}]) must also give s_lam(x_n)."""
-    matrix = [[h_pleth(part(lam, i) - i + j, x_interval(1, n - j + 1), n, deg)
-               for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return det(matrix, n=n, deg=deg) == schur_jt(lam, (), n, deg, rows=n)
-
-
 def _x_vector(mono, n):
     vec = [0] * n
     for (fam, idx), e in mono:
@@ -272,10 +265,3 @@ def schur_expand(p, max_degree=None):
         work = work - coeff * schur_jt(mu, (), n, deg)
     return {mu: c for mu, c in result.items() if not c.is_zero()}
 
-
-def product_circ_check(lam, mu, n, deg):
-    """s_lam(x_n) s_mu(x_n) = s_{lam o mu}(x_n)."""
-    from .shapes import circ
-    outer, inner = circ(lam, mu, n)
-    lhs = schur_jt(lam, (), n, deg) * schur_jt(mu, (), n, deg)
-    return lhs == schur_jt(outer, inner, n, deg)

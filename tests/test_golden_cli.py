@@ -91,6 +91,8 @@ GOLDEN = [
      0, 'G concordance: 11 shapes agree five ways'),
     ('verify g --max-size 3',
      0, 'g concordance: 17 shapes agree five ways'),
+    ('verify g --max-size 6',
+     0, 'g concordance: 46 shapes agree five ways'),
     ('verify C --max-size 3',
      0, 'C: 22 pairs agree three ways and the sign-adjusted values are nonnegative'),
     ('verify flagged --max-size 2',

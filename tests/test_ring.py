@@ -4,11 +4,11 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from grothpoly.ring import (
     ALPHA, BETA, X, ContextMismatch, DivisibilityError, TruncPoly, det,
-    exact_divide, mono_cmp,
+    exact_divide, mono_deg, mono_key,
 )
 
 
@@ -55,6 +55,54 @@ def naive_det(matrix, n, deg):
             term = term * matrix[i][perm[i]]
         acc = acc + term
     return acc
+
+
+def mono_cmp(m1, m2):
+    # graded lexicographic: total degree first, then higher exponent on the
+    # earliest variable (X < ALPHA < BETA, index ascending) wins
+    d1, d2 = mono_deg(m1), mono_deg(m2)
+    if d1 != d2:
+        return -1 if d1 < d2 else 1
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 == v2:
+            if e1 != e2:
+                return 1 if e1 > e2 else -1
+            i += 1
+            j += 1
+        elif v1 < v2:
+            return 1
+        else:
+            return -1
+    if i < len(m1):
+        return 1
+    if j < len(m2):
+        return -1
+    return 0
+
+
+def product_specialize(p, assignment):
+    """Substitution by ring products: each term becomes its coefficient
+    times the product of its variables' images."""
+    result = TruncPoly.zero(p.n, p.deg)
+    for mono, c in p.terms.items():
+        kept = []
+        factor = TruncPoly.const(p.n, p.deg, c)
+        for (fam, idx), e in mono:
+            val = assignment.get((fam, idx))
+            if val is None:
+                kept.append(((fam, idx), e))
+            elif isinstance(val, int):
+                factor = factor * (val ** e)
+            elif isinstance(val, tuple):
+                factor = factor * TruncPoly.var(p.n, p.deg, val[0], val[1], e)
+            else:
+                factor = factor * (val ** e)
+        term = TruncPoly(p.n, p.deg, {tuple(sorted(kept)): 1})
+        result = result + factor * term
+    return result
 
 
 def test_difference_of_squares():
@@ -163,17 +211,33 @@ def test_exact_divide_remainder_detected():
         exact_divide(x1 + one(n, deg), x1 * x1, 0)
 
 
+def has_mixed_term(p):
+    return any({fam for (fam, _), _ in mono} >= {X, ALPHA}
+               or {fam for (fam, _), _ in mono} >= {X, BETA}
+               for mono in p.terms)
+
+
 @settings(max_examples=40, deadline=None)
 @given(small_polys, small_polys)
 def test_exact_divide_roundtrip(sa, sb):
     p = poly_from_seed(sa, deg=8)
     q = poly_from_seed(sb, deg=8)
-    if q.is_zero():
-        return
+    assume(not q.is_zero())
     # keep the product below the truncation bound so it is exact
-    if p.max_xdeg() + q.max_xdeg() > 8:
-        return
+    assume(p.max_xdeg() + q.max_xdeg() <= 8)
+    # graded-lex order must interleave x with the parameters
+    assume(has_mixed_term(p * q))
     assert exact_divide(p * q, q, 0) == p
+
+
+def test_exact_divide_recreates_a_cancelled_term():
+    # den leads with x1*x3.  Step x1 cancels the remainder's x1*x3, step x3
+    # creates it again, so the heap holds it twice and pops a stale copy
+    n, deg = 3, 4
+    x1, x3 = xv(n, deg, 1), xv(n, deg, 3)
+    den = x1 * x3 + x1 - x3
+    quot = x1 - x3 + one(n, deg)
+    assert exact_divide(quot * den, den, 0) == quot
 
 
 def test_specialize_basic():
@@ -195,6 +259,50 @@ def test_specialize_rejects_x():
     p = xv(1, 2, 1)
     with pytest.raises(ValueError):
         p.specialize({(X, 1): 0})
+
+
+def specialize_values(rng, n, deg):
+    """Random values of every kind specialize accepts."""
+    fam = rng.choice([ALPHA, BETA])
+    idx = rng.randrange(1, 4)
+    var = TruncPoly.var(n, deg, fam, idx)
+    mono = TruncPoly.var(n, deg, ALPHA, rng.randrange(1, 4)) \
+        * TruncPoly.var(n, deg, BETA, rng.randrange(1, 4)) ** 2
+    return [0, 1, -1, (fam, idx), var, -var,
+            rng.choice([-3, 2, 5]) * mono, TruncPoly.zero(n, deg)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys)
+def test_specialize_matches_ring_products(seed):
+    rng = random.Random(seed)
+    n, deg = 2, 3
+    p = random_poly(rng, n, deg, nterms=6)
+    params = [(fam, idx) for fam in (ALPHA, BETA) for idx in range(1, 4)]
+    assignment = {}
+    for var in rng.sample(params, rng.randrange(1, len(params) + 1)):
+        assignment[var] = rng.choice(specialize_values(rng, n, deg))
+    assert p.specialize(assignment) == product_specialize(p, assignment)
+
+
+def test_specialize_rejects_multi_term_values():
+    n, deg = 1, 3
+    p = av(n, deg, 1) * xv(n, deg, 1)
+    with pytest.raises(ValueError):
+        p.specialize({(ALPHA, 1): av(n, deg, 2) + bv(n, deg, 1)})
+    with pytest.raises(ValueError):
+        p.specialize({(ALPHA, 1): one(n, deg) - bv(n, deg, 1)})
+
+
+def test_specialize_rejects_x_values():
+    n, deg = 2, 3
+    p = av(n, deg, 1) * xv(n, deg, 1)
+    with pytest.raises(ValueError):
+        p.specialize({(ALPHA, 1): xv(n, deg, 2)})
+    with pytest.raises(ValueError):
+        p.specialize({(ALPHA, 1): 2 * bv(n, deg, 1) * xv(n, deg, 1)})
+    with pytest.raises(ValueError):
+        p.specialize({(ALPHA, 1): (X, 1)})
 
 
 def test_restrict_and_shift():
@@ -225,3 +333,24 @@ def test_mono_cmp_order():
     assert mono_cmp(m_x2, m_a1) > 0
     assert mono_cmp(m_a1, m_b1) > 0
     assert mono_cmp(m_x1, m_x1) == 0
+
+
+def random_mono(rng):
+    exps = {}
+    for _ in range(rng.randrange(0, 5)):
+        var = (rng.choice([X, ALPHA, BETA]), rng.randrange(1, 4))
+        exps[var] = exps.get(var, 0) + 1
+    return tuple(sorted(exps.items()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_polys)
+def test_mono_key_orders_like_mono_cmp(seed):
+    # mono_key sorts largest first, so it reverses mono_cmp
+    rng = random.Random(seed)
+    for _ in range(20):
+        m1, m2 = random_mono(rng), random_mono(rng)
+        k1, k2 = mono_key(m1), mono_key(m2)
+        want = mono_cmp(m1, m2)
+        assert (k1 < k2) == (want > 0)
+        assert (k1 == k2) == (want == 0)

@@ -6,8 +6,8 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grothpoly.ring import ALPHA, BETA, X, TruncPoly
-from grothpoly.shapes import partitions_up_to
+from grothpoly.ring import ALPHA, BETA, X, TruncPoly, det
+from grothpoly.shapes import circ, part, partitions_up_to
 from grothpoly.symfunc import (
     ExpansionError,
     SymmetryError,
@@ -19,11 +19,9 @@ from grothpoly.symfunc import (
     h_ominus,
     h_pleth,
     neg,
-    product_circ_check,
     schur_bialternant,
     schur_branching,
     schur_expand,
-    schur_flagged_check,
     schur_jt,
     single,
     vandermonde,
@@ -409,6 +407,13 @@ def test_schur_branching_matches_jt_and_bialternant():
                 assert low.is_zero()
 
 
+def schur_flagged_check(lam, n, deg):
+    """det(h_{lam_i - i + j}[X_{n-j+1}]) must also give s_lam(x_n)."""
+    matrix = [[h_pleth(part(lam, i) - i + j, x_interval(1, n - j + 1), n, deg)
+               for j in range(1, n + 1)] for i in range(1, n + 1)]
+    return det(matrix, n=n, deg=deg) == schur_jt(lam, (), n, deg, rows=n)
+
+
 def test_schur_flagged_variant():
     for lam, n in [((2, 1), 2), ((2, 1), 3), ((3, 2), 3), ((1, 1, 1), 3)]:
         assert schur_flagged_check(lam, n, sum(lam))
@@ -448,6 +453,13 @@ def test_schur_expand_max_degree_cut():
     n, deg = 2, 4
     p = schur_jt((1,), (), n, deg) + schur_jt((2, 1), (), n, deg)
     assert schur_expand(p, max_degree=2) == {(1,): one(n, deg)}
+
+
+def product_circ_check(lam, mu, n, deg):
+    """s_lam(x_n) s_mu(x_n) = s_{lam o mu}(x_n)."""
+    outer, inner = circ(lam, mu, n)
+    lhs = schur_jt(lam, (), n, deg) * schur_jt(mu, (), n, deg)
+    return lhs == schur_jt(outer, inner, n, deg)
 
 
 def test_product_circ():
