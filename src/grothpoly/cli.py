@@ -252,11 +252,11 @@ def _parse_flag_list(text, length, fill):
     return tuple(out)
 
 
-def _degree(text):
-    deg = int(text)
-    if deg < 0:
-        raise argparse.ArgumentTypeError(f"degree must be >= 0, got {deg}")
-    return deg
+def _nonnegative(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def _default_deg(args, outer, inner):
@@ -575,6 +575,9 @@ def verify_matsumura(max_outer=6):
     reported.  Only flags inside Matsumura's hypothesis (f and g weakly
     increase wherever mu_i < lam_{i+1}) are asserted; the others are
     evaluated and reported, never asserted."""
+    if max_outer < 1:
+        raise ShapeError("verify matsumura needs --max-size >= 1: it sweeps "
+                         "skew shapes with at least one cell")
     n = 3
     checked = outside_agree = outside_differ = 0
     minus_ok = plus_ok = True
@@ -793,9 +796,9 @@ def _add_common(p, need_n=True):
     p.add_argument("--inner", default="",
                    help="inner shape for skew computations (default empty)")
     if need_n:
-        p.add_argument("--n", type=int, required=True,
+        p.add_argument("--n", type=_nonnegative, required=True,
                        help="number of x variables; must cover the shape rows")
-    p.add_argument("--deg", type=_degree, default=None,
+    p.add_argument("--deg", type=_nonnegative, default=None,
                    help="x-degree truncation (default: cell count)")
     p.add_argument("--format", choices=["text", "latex", "json-like"],
                    default="text", help="output format (default text)")
@@ -838,9 +841,9 @@ def build_parser():
     p.add_argument("target", choices=["G", "g", "s"],
                    help="expand G or g in Schur terms, or s in the G/g bases")
     _add_common(p, need_n=False)
-    p.add_argument("--n", type=int, default=1,
+    p.add_argument("--n", type=_nonnegative, default=1,
                    help="variable count for coefficient contexts (default 1)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_nonnegative, default=None,
                    help="extra size allowed above |shape| (default --deg)")
 
     p = sub.add_parser("coeff", help="single expansion coefficients")
@@ -851,9 +854,9 @@ def build_parser():
                    help="first index (the G/g shape)")
     p.add_argument("--inner", required=True,
                    help="second index (the Schur or pairing shape)")
-    p.add_argument("--n", type=int, default=1,
+    p.add_argument("--n", type=_nonnegative, default=1,
                    help="variable context; the value has no x part")
-    p.add_argument("--deg", type=_degree, default=0,
+    p.add_argument("--deg", type=_nonnegative, default=0,
                    help="x-degree truncation (default 0)")
     p.add_argument("--format", choices=["text", "latex", "json-like"],
                    default="text")
@@ -863,11 +866,11 @@ def build_parser():
     p = sub.add_parser("verify", help="verification suites")
     p.add_argument("target", choices=list(VERIFY_SUITES),
                    help="which identity family to check")
-    p.add_argument("--max-size", type=int, default=4,
+    p.add_argument("--max-size", type=_nonnegative, default=4,
                    help="largest shape size swept (default 4)")
-    p.add_argument("--budget", type=int, default=None,
+    p.add_argument("--budget", type=_nonnegative, default=None,
                    help="series budget where applicable (default per suite)")
-    p.add_argument("--deg", type=_degree, default=None,
+    p.add_argument("--deg", type=_nonnegative, default=None,
                    help="x-degree for the concordance suites (default 6)")
 
     p = sub.add_parser("enumerate",

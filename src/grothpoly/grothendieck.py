@@ -326,9 +326,15 @@ _FLAG_ENTRY = {
 }
 
 
-def _flag_entry(kind, orientation, lam, mu, i, j, rj, si, n, deg, shift=0):
-    """Entry (i, j) of the flagged determinant; shift is added to the lam_i
-    that P sees (the marked determinant's [i in I])."""
+def _flag_entry(kind, orientation, lam, mu, i, j, rj, si, n, deg, marks=None):
+    """Entry (i, j) of the flagged determinant.  With a mark set I (the
+    marked dual) the entry is 0 when r_j > s_i, and P sees lam_i + [i in I]
+    in place of lam_i."""
+    shift = 0
+    if marks is not None:
+        if rj > si:
+            return TruncPoly.zero(n, deg)
+        shift = i in marks
     m = part(lam, i) - part(mu, j) - i + j
     params = _FLAG_ENTRY[kind, orientation](part(lam, i) + shift,
                                             part(mu, j), i, j)
@@ -397,11 +403,11 @@ class FlagSweep:
     Entry (i, j) depends on the flags only through (r_j, s_i), and because
     x variables beyond n vanish, only through (min(r_j, n + 1), min(s_i, n)).
     The G prefactor is folded into the rows, det(diag(F) M) = prod F_i det M,
-    with F_i depending on (r_i, s_i): entries are stored scaled and minors
-    are keyed by the flags of their rows, so value() multiplies nothing
-    afterwards.  With a mark set (row-flagged g only; outer may be dented)
-    entries take the [i in I] shift, vanish when r_j > s_i, and use the
-    flags as given.
+    with F_i depending on (r_i, s_i), so entries are stored scaled.  value()
+    builds the matrix from the stored entries and evaluates it with
+    ring.det, passing the sweep's minor memo: a minor on rows R is keyed by
+    (R, r_1..r_|R|, the flags of R), which fix its entries.  With a mark set
+    (row-flagged g only; outer may be dented) the flags are used as given.
     """
 
     def __init__(self, kind, outer, inner, orientation, n, deg, marks=None):
@@ -429,14 +435,9 @@ class FlagSweep:
         key = (i, j, rj, si)
         val = self._entries.get(key)
         if val is None:
-            marked = self.marks is not None
-            if marked and rj > si:
-                val = TruncPoly.zero(self.n, self.deg)
-            else:
-                val = _flag_entry(self.kind, self.orientation, self.lam,
-                                  self.mu, i, j, rj, si, self.n, self.deg,
-                                  shift=marked and i in self.marks)
-            self._entries[key] = val
+            val = self._entries[key] = _flag_entry(
+                self.kind, self.orientation, self.lam, self.mu, i, j, rj, si,
+                self.n, self.deg, self.marks)
         if self.kind == "g":
             return val
         key = (i, j, r[i - 1], rj, si)
@@ -445,33 +446,6 @@ class FlagSweep:
             scaled = self._scaled[key] = val if val.is_zero() else \
                 self._row_factor(i, r[i - 1], si) * val
         return scaled
-
-    def _minor(self, rows, r, s):
-        # det of the submatrix on these rows and columns 1..len(rows); the
-        # full-size determinant is not memoized since its key rarely repeats
-        k = len(rows)
-        if k == 0:
-            return _one(self.n, self.deg)
-        full = k == len(r)
-        # a row's entries depend on s_i, and once scaled by F_i on r_i too
-        row_flags = s if self.kind == "g" else tuple(zip(r, s))
-        key = (rows, r[:k], tuple(row_flags[i - 1] for i in rows))
-        if not full:
-            val = self._minors.get(key)
-            if val is not None:
-                return val
-        acc = TruncPoly.zero(self.n, self.deg)
-        for t, i in enumerate(rows):
-            entry = self._entry(i, k, r, s)
-            if entry.is_zero():
-                continue
-            term = entry * self._minor(rows[:t] + rows[t + 1:], r, s)
-            if (t + k - 1) % 2:
-                term = -term
-            acc = acc + term
-        if not full:
-            self._minors[key] = acc
-        return acc
 
     def _row_factor(self, i, ri, si):
         key = (i, ri, si)
@@ -488,7 +462,14 @@ class FlagSweep:
             s = tuple(min(v, self.n) for v in s)
         elif max(self.marks, default=0) > len(r):
             raise ShapeError(f"mark set out of range: {sorted(self.marks)}")
-        return self._minor(tuple(range(1, len(r) + 1)), r, s)
+        m = len(r)
+        matrix = [[self._entry(i, j, r, s) for j in range(1, m + 1)]
+                  for i in range(1, m + 1)]
+        # a row's entries depend on s_i, and once scaled by F_i on r_i too
+        row_flags = s if self.kind == "g" else tuple(zip(r, s))
+        return det(matrix, self.n, self.deg, self._minors,
+                   lambda rows: (rows, r[:len(rows)],
+                                 tuple(row_flags[i] for i in rows)))
 
 
 def valid_mark_sets(outer):
@@ -539,10 +520,8 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     lam, mu, mark_set = _marked_shape(outer, inner, mark_set, m)
     _warn_hypotheses(mark_set in valid_mark_sets(lam)
                      and row_monotone(lam, mu, r, s), "marked g")
-    zero = TruncPoly.zero(n, deg)
-    matrix = [[zero if r[j - 1] > s[i - 1] else
-               _flag_entry("g", "row", lam, mu, i, j, r[j - 1], s[i - 1],
-                           n, deg, shift=i in mark_set)
+    matrix = [[_flag_entry("g", "row", lam, mu, i, j, r[j - 1], s[i - 1],
+                           n, deg, mark_set)
                for j in range(1, m + 1)] for i in range(1, m + 1)]
     return det(matrix, n=n, deg=deg)
 

@@ -335,45 +335,47 @@ def pvar(n, deg, fam, idx):
     return TruncPoly.var(n, deg, fam, idx)
 
 
-def det(matrix, n=None, deg=None):
-    """Determinant by Laplace expansion memoized over row subsets.
+def det(matrix, n, deg, memo=None, key=None):
+    """Determinant by Laplace expansion along the leading columns, memoized
+    over row subsets.
 
     Division-free: the truncated ring has zero divisors, so elimination
-    methods are unavailable.  det of the 0x0 matrix is 1, which needs the
-    context passed explicitly since there is no entry to read it from.
+    methods are unavailable.  A caller that evaluates many matrices may pass
+    its own memo dict and a key(rows) that determines the entries of those
+    rows in the leading len(rows) columns; proper minors are then shared
+    between calls, and the full determinant is not stored.
     """
     size = len(matrix)
     for row in matrix:
         if len(row) != size:
             raise ValueError("determinant of a non-square matrix")
     if size == 0:
-        if n is None or deg is None:
-            raise ValueError("0x0 determinant needs an explicit context")
         return TruncPoly.const(n, deg, 1)
-    ctx_poly = matrix[0][0]
-    memo = {}
+    return _minor(matrix, tuple(range(size)), n, deg,
+                  {} if memo is None else memo, key)
 
-    def minor(rows):
-        # det of matrix[rows][columns 0..len(rows)-1]
-        if not rows:
-            return TruncPoly.const(ctx_poly.n, ctx_poly.deg, 1)
-        if rows in memo:
-            return memo[rows]
-        col = len(rows) - 1
-        acc = TruncPoly.zero(ctx_poly.n, ctx_poly.deg)
-        for t, r in enumerate(rows):
-            entry = matrix[r][col]
-            if entry.is_zero():
-                continue
-            sub = minor(rows[:t] + rows[t + 1:])
-            term = entry * sub
-            if (t + col) % 2:
-                term = -term
-            acc = acc + term
-        memo[rows] = acc
-        return acc
 
-    return minor(tuple(range(size)))
+def _minor(matrix, rows, n, deg, memo, key):
+    # det of matrix[rows][columns 0..len(rows)-1], expanded along the last
+    # of those columns; memo holds proper minors under key(rows), or rows
+    col = len(rows) - 1
+    if col == 0:
+        return matrix[rows[0]][0]
+    acc = None
+    for t, r in enumerate(rows):
+        entry = matrix[r][col]
+        if entry.is_zero():
+            continue
+        sub = rows[:t] + rows[t + 1:]
+        k = sub if key is None else key(sub)
+        minor = memo.get(k)
+        if minor is None:
+            minor = memo[k] = _minor(matrix, sub, n, deg, memo, key)
+        term = entry * minor
+        if (t + col) % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return TruncPoly.zero(n, deg) if acc is None else acc
 
 
 def exact_divide(num, den, guard_degree):

@@ -84,18 +84,6 @@ def gen_cells(outer, inner):
     return out
 
 
-def circ(lam, mu, n):
-    """The skew shape made by rotating lam 180 degrees and attaching mu to
-    its right: (lam1+mu1, ..., lam1+mu_n)/(lam1-lam_n, ..., lam1-lam1)."""
-    lam, mu = partition(lam), partition(mu)
-    if n < max(len(lam), len(mu)):
-        raise ShapeError(f"n={n} shorter than {lam} or {mu}")
-    l1 = part(lam, 1)
-    outer = tuple(l1 + part(mu, i) for i in range(1, n + 1))
-    inner = tuple(l1 - part(lam, n + 1 - i) for i in range(1, n + 1))
-    return partition(outer), partition(inner)
-
-
 def dent_index(seq):
     """The k making seq a dented partition, or None.
 

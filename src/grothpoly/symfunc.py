@@ -1,6 +1,5 @@
 """Complete homogeneous and elementary symmetric polynomials, plethystic
-evaluation over signed alphabets, the ominus operator, Schur functions, and
-Schur-basis expansion of symmetric truncated polynomials.
+evaluation over signed alphabets, the ominus operator, and Schur functions.
 
 An alphabet is a tuple of (sign, block) atoms.  Blocks:
     ("x", r, s)        x_r + ... + x_s
@@ -13,14 +12,6 @@ import itertools
 
 from .ring import ALPHA, BETA, X, TruncPoly, det, exact_divide
 from .shapes import part, partition
-
-
-class SymmetryError(ValueError):
-    pass
-
-
-class ExpansionError(ValueError):
-    pass
 
 
 def x_interval(r, s):
@@ -218,50 +209,3 @@ def schur_bialternant(lam, n, deg):
         lambda i, j, work: TruncPoly.var(n, work, X, j) ** (part(lam, i)
                                                             + n - i),
         n, deg)
-
-
-def _x_vector(mono, n):
-    vec = [0] * n
-    for (fam, idx), e in mono:
-        if fam == X:
-            vec[idx - 1] = e
-    return tuple(vec)
-
-
-def _param_part(mono):
-    return tuple(v for v in mono if v[0][0] != X)
-
-
-def schur_expand(p, max_degree=None):
-    """Expand a symmetric truncated polynomial in Schur polynomials by
-    peeling the graded-lex dominant x-monomial; returns {partition: coeff}
-    with parameter-only coefficient polynomials."""
-    n, deg = p.n, p.deg
-    if max_degree is None:
-        max_degree = deg
-    for i in range(1, n):
-        if p.swap_x(i, i + 1) != p:
-            raise SymmetryError(f"not symmetric under x{i} <-> x{i + 1}")
-    work = TruncPoly(n, deg, {m: c for m, c in p.terms.items()
-                              if sum(_x_vector(m, n)) <= max_degree})
-    result = {}
-    guard = 0
-    while not work.is_zero():
-        guard += 1
-        if guard > 100000:
-            raise ExpansionError("expansion did not terminate")
-        dom = max(work.terms, key=lambda m: (sum(_x_vector(m, n)),
-                                             _x_vector(m, n)))
-        vec = _x_vector(dom, n)
-        mu = tuple(v for v in vec if v)
-        if any(vec[i] < vec[i + 1] for i in range(n - 1)):
-            raise ExpansionError(f"dominant x-part {vec} is not a partition")
-        coeff_terms = {}
-        for mono, c in work.terms.items():
-            if _x_vector(mono, n) == vec:
-                coeff_terms[_param_part(mono)] = c
-        coeff = TruncPoly(n, deg, coeff_terms)
-        result[mu] = result.get(mu, TruncPoly.zero(n, deg)) + coeff
-        work = work - coeff * schur_jt(mu, (), n, deg)
-    return {mu: c for mu, c in result.items() if not c.is_zero()}
-

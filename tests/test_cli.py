@@ -249,6 +249,16 @@ def test_usage_errors_exit_two():
         status, out = run(argv)
         assert status == 2, argv
         assert "expected 3" in out, argv
+    # negative sizes, budgets and variable counts are refused by the parser,
+    # and verify matsumura needs a shape with a cell
+    for argv in (["verify", "duality", "--max-size", "-1"],
+                 ["verify", "cauchy", "--budget", "-1"],
+                 ["verify", "omega", "--budget", "-1"],
+                 ["expand", "G", "--shape", "2", "--budget", "-1"],
+                 ["enumerate", "G", "--shape", "2", "--n", "-1"],
+                 ["verify", "matsumura", "--max-size", "0"]):
+        status, _ = run(argv)
+        assert status == 2, argv
 
 
 def test_low_degree_warning_on_stderr(capsys):

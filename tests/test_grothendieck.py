@@ -25,6 +25,7 @@ from grothpoly.shapes import (ShapeError, conjugate, contains,
                               partitions_between, partitions_up_to)
 from grothpoly.tableaux import (TableauSweep, enum_elegant, enum_fsvt,
                                 enum_mmsvt, enum_mrpp)
+from schur_oracle import schur_expand
 
 
 def xv(n, deg, i):
@@ -142,11 +143,11 @@ def test_variable_stability():
 def test_schur_expansion_triangularity():
     n, deg = 2, 4
     for lam in [(1,), (2,), (2, 1)]:
-        expansion = symfunc.schur_expand(G_jt(lam, n, deg))
+        expansion = schur_expand(G_jt(lam, n, deg))
         for mu, coef in expansion.items():
             assert contains(lam, mu)
             assert coef == C_coeff(lam, mu, n, deg)
-        dual = symfunc.schur_expand(g_jt(lam, n, deg))
+        dual = schur_expand(g_jt(lam, n, deg))
         for mu, coef in dual.items():
             assert contains(mu, lam)
             assert coef == c_coeff(lam, mu, n, deg)
@@ -264,8 +265,15 @@ def test_flag_sweep_matches_direct_determinants_on_raw_flags(kind,
     # determinants use them as given
     n, deg = 2, 4
     direct = G_flagged_det if kind == "G" else g_flagged_det
-    flag_vectors = [(1, 1), (1, 2), (2, 4), (4, 1), (5, 6), (3, 2)]
-    for lam, mu in [((2, 1), (1,)), ((2, 2), ()), ((1, 1), (1,))]:
+    two_rows = [(1, 1), (1, 2), (2, 4), (4, 1), (5, 6), (3, 2)]
+    # three rows share 2x2 minors between calls; vectors that differ only
+    # in r_3 check that a minor's key holds the flags of its rows
+    three_rows = [(1, 1, 1), (1, 1, 2), (1, 2, 3), (2, 1, 2), (1, 2, 2)]
+    for lam, mu, flag_vectors in [((2, 1), (1,), two_rows),
+                                  ((2, 2), (), two_rows),
+                                  ((1, 1), (1,), two_rows),
+                                  ((2, 1, 1), (1,), three_rows),
+                                  ((3, 2, 1), (1, 1), three_rows)]:
         sweep = FlagSweep(kind, lam, mu, orientation, n, deg)
         for r in flag_vectors:
             for s in flag_vectors:

@@ -166,16 +166,45 @@ def test_truncation_coherence(sa, sb):
 
 def test_det_small_cases():
     n, deg = 2, 4
-    assert det([], n=n, deg=deg) == one(n, deg)
-    assert det([[one(n, deg)]]) == one(n, deg)
+    assert det([], n, deg) == one(n, deg)
     x1, x2 = xv(n, deg, 1), xv(n, deg, 2)
-    assert det([[x1, x2], [x2, x1]]) == x1 * x1 - x2 * x2
+    assert det([[x1 - av(n, deg, 1)]], n, deg) == x1 - av(n, deg, 1)
+    assert det([[x1, x2], [x2, x1]], n, deg) == x1 * x1 - x2 * x2
+
+
+def test_det_zero_column_gives_zero_in_context():
+    # every term of the expansion along the zero column is skipped, so the
+    # zero comes from the context passed in, not from an entry
+    n, deg = 3, 2
+    x1, x2, zero = xv(n, deg, 1), xv(n, deg, 2), TruncPoly.zero(n, deg)
+    assert det([[x1, zero], [x2, zero]], n, deg) == zero
+    # a proper minor on rows 0, 1, inside a nonzero determinant
+    m = [[x1, zero, one(n, deg)], [x2, zero, zero], [x2, x1, one(n, deg)]]
+    assert det(m, n, deg) == naive_det(m, n, deg) == x1 * x2
+
+
+def test_det_shares_minors_through_a_caller_memo():
+    # two matrices with the same leading columns: with a key on the rows
+    # alone, the second call finds every proper minor in the memo
+    rng = random.Random(11)
+    n, deg = 2, 4
+    lead = [[random_poly(rng, n, deg, nterms=2) for _ in range(3)]
+            for _ in range(4)]
+    a, b = ([row + [random_poly(rng, n, deg, nterms=2)] for row in lead]
+            for _ in range(2))
+    memo = {}
+    assert det(a, n, deg, memo, lambda rows: rows) == det(a, n, deg)
+    assert memo and max(len(rows) for rows in memo) == 3
+    stored = dict(memo)
+    assert det(b, n, deg, memo, lambda rows: rows) == det(b, n, deg)
+    assert memo == stored
+    assert det(b, n, deg) == naive_det(b, n, deg)
 
 
 def test_det_non_square_rejected():
     n, deg = 1, 2
     with pytest.raises(ValueError):
-        det([[one(n, deg), one(n, deg)]])
+        det([[one(n, deg), one(n, deg)]], n, deg)
 
 
 def test_det_matches_permutation_sum():
@@ -185,7 +214,7 @@ def test_det_matches_permutation_sum():
         for _ in range(3):
             m = [[random_poly(rng, n, deg, nterms=2) for _ in range(size)]
                  for _ in range(size)]
-            assert det(m) == naive_det(m, n, deg)
+            assert det(m, n, deg) == naive_det(m, n, deg)
 
 
 def test_exact_divide_trivial():
@@ -199,7 +228,7 @@ def test_exact_divide_schur_base_case():
     # det(x_j^{lam_i + n - i}) / prod(x_i - x_j) for lam=(1), n=2
     n, deg = 2, 4
     x1, x2 = xv(n, deg, 1), xv(n, deg, 2)
-    num = det([[x1 ** 2, x2 ** 2], [one(n, deg), one(n, deg)]])
+    num = det([[x1 ** 2, x2 ** 2], [one(n, deg), one(n, deg)]], n, deg)
     q = exact_divide(num, x1 - x2, 1)
     assert q == (x1 + x2).truncate(deg - 1)
 

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothpoly.shapes import (
-    ShapeError, cells, circ, conjugate, contains, dent_index, gen_cells,
+    ShapeError, cells, conjugate, contains, dent_index, gen_cells,
     minimal_cell, partition, partitions_between, partitions_of,
     partitions_up_to, size, skew,
 )
@@ -35,20 +35,6 @@ def test_conjugate_involution(seed):
 
 def test_cells_of_skew_shape():
     assert len(cells((4, 3, 1), (2, 1))) == size((4, 3, 1)) - size((2, 1))
-
-
-def test_circ_fixture():
-    outer, inner = circ((3, 1, 0), (4, 2, 2), 3)
-    assert outer == (7, 5, 5)
-    assert inner == (3, 2)
-    assert size(outer) - size(inner) == size((3, 1)) + size((4, 2, 2))
-
-
-def test_circ_degenerate():
-    outer, inner = circ((), (2, 1), 2)
-    assert (outer, inner) == ((2, 1), ())
-    with pytest.raises(ShapeError):
-        circ((1, 1, 1), (1,), 2)
 
 
 def test_minimal_cell():

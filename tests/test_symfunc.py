@@ -7,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly.ring import ALPHA, BETA, X, TruncPoly, det
-from grothpoly.shapes import circ, part, partitions_up_to
+from grothpoly.shapes import (ShapeError, part, partition, partitions_up_to,
+                              size)
 from grothpoly.symfunc import (
-    ExpansionError,
-    SymmetryError,
     a_prefix,
     b_prefix,
     cat,
@@ -21,7 +20,6 @@ from grothpoly.symfunc import (
     neg,
     schur_bialternant,
     schur_branching,
-    schur_expand,
     schur_jt,
     single,
     vandermonde,
@@ -29,6 +27,7 @@ from grothpoly.symfunc import (
 )
 
 import pytest
+from schur_oracle import SymmetryError, schur_expand
 
 
 def xv(i, n, deg):
@@ -453,6 +452,32 @@ def test_schur_expand_max_degree_cut():
     n, deg = 2, 4
     p = schur_jt((1,), (), n, deg) + schur_jt((2, 1), (), n, deg)
     assert schur_expand(p, max_degree=2) == {(1,): one(n, deg)}
+
+
+def circ(lam, mu, n):
+    """The skew shape made by rotating lam 180 degrees and attaching mu to
+    its right: (lam1+mu1, ..., lam1+mu_n)/(lam1-lam_n, ..., lam1-lam1)."""
+    lam, mu = partition(lam), partition(mu)
+    if n < max(len(lam), len(mu)):
+        raise ShapeError(f"n={n} shorter than {lam} or {mu}")
+    l1 = part(lam, 1)
+    outer = tuple(l1 + part(mu, i) for i in range(1, n + 1))
+    inner = tuple(l1 - part(lam, n + 1 - i) for i in range(1, n + 1))
+    return partition(outer), partition(inner)
+
+
+def test_circ_fixture():
+    outer, inner = circ((3, 1, 0), (4, 2, 2), 3)
+    assert outer == (7, 5, 5)
+    assert inner == (3, 2)
+    assert size(outer) - size(inner) == size((3, 1)) + size((4, 2, 2))
+
+
+def test_circ_degenerate():
+    outer, inner = circ((), (2, 1), 2)
+    assert (outer, inner) == ((2, 1), ())
+    with pytest.raises(ShapeError):
+        circ((1, 1, 1), (1,), 2)
 
 
 def product_circ_check(lam, mu, n, deg):

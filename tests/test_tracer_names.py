@@ -1,18 +1,26 @@
-"""Every function the benchmark's per-layer tracer wraps still exists.
+"""Every function the benchmark's per-layer tracer wraps still exists, and
+a traced CLI run still works.
 
-perfbench/tracer.py wraps grothpoly functions by name, so a rename under
-src/ would only show when the benchmark runs with --trace 1.  The tracer is
-loaded by path and never installed, so no grothpoly function is wrapped.
+perfbench/tracer.py wraps grothpoly functions by name and reads some of
+their arguments, so a rename or a signature change under src/ would only
+show when the benchmark runs with --trace 1.  In this process the tracer is
+loaded by path and never installed, so no grothpoly function is wrapped; the
+traced run happens in a subprocess.
 """
 
 import importlib
 import importlib.util
 import inspect
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-TRACER_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+ROOT = Path(__file__).resolve().parents[1]
+TRACER_PATH = ROOT / "perfbench" / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -51,3 +59,24 @@ def test_traced_methods_resolve(tracer):
         assert inspect.isfunction(poly.__dict__.get(name)), name
     sweep = grothpoly_module("grothendieck").FlagSweep
     assert inspect.isfunction(sweep.__dict__.get("value"))
+
+
+def test_traced_run_matches_plain_cli():
+    # traced_op.py installs the tracer and runs the CLI; its stdout must be
+    # the plain CLI's, and its report must have counted determinants
+    argv = ["verify", "flagged", "--max-size", "2"]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    traced = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_op.py"), *argv],
+        capture_output=True, text=True, env=env, timeout=300)
+    plain = subprocess.run([sys.executable, "-m", "grothpoly.cli", *argv],
+                           capture_output=True, text=True, env=env,
+                           timeout=300)
+    assert traced.returncode == 0, traced.stderr
+    assert plain.returncode == 0, plain.stderr
+    assert traced.stdout == plain.stdout
+    marker = "@@perfbench-trace "
+    last = traced.stderr.splitlines()[-1]
+    assert last.startswith(marker)
+    report = json.loads(last[len(marker):])
+    assert report["ring.det.calls"] > 0
