@@ -1,9 +1,10 @@
 """Schur-basis expansion of a symmetric truncated polynomial, the oracle
 that tests compare Schur coefficients against.
 
-It peels dominant x-monomials one at a time and shares no code with the
-closed formulas it checks (C_coeff, c_coeff, schur_branching).  Test modules
-import it by name: pytest puts this directory on sys.path.
+It peels the dominant x-monomial one at a time, subtracting its schur_jt
+multiple, and shares no code with the closed coefficient formulas C_coeff and
+c_coeff that tests compare it with.  Test modules import it by name: pytest
+puts this directory on sys.path.
 """
 
 from grothpoly.ring import X, TruncPoly
