@@ -177,7 +177,7 @@ def _parse_mark_set(text):
 
 def _parse_spec(text):
     """Tokens like "a=0", "b=1", "a2=-1": whole-family or single-variable
-    integer substitutions for the parameter alphabets."""
+    integer substitutions for the parameter alphabets (indices from 1)."""
     rules = []
     for tok in text.split(","):
         tok = tok.strip()
@@ -191,7 +191,8 @@ def _parse_spec(text):
             raise ShapeError(f"bad substitution value in {tok!r}") from None
         if name in ("a", "b"):
             rules.append((FAMILY_CODES[name], None, value))
-        elif name[:1] in ("a", "b") and name[1:].isdigit():
+        elif (name[:1] in ("a", "b") and name[1:].isdigit()
+              and int(name[1:]) >= 1):
             rules.append((FAMILY_CODES[name[0]], int(name[1:]), value))
         else:
             raise ShapeError(f"bad substitution target in {tok!r}")
@@ -199,18 +200,14 @@ def _parse_spec(text):
 
 
 def _apply_spec(p, rules):
-    if not rules:
-        return p
-    assignment = {}
-    seen = p.variables()
-    for fam, idx, value in rules:
-        if idx is not None:
-            assignment[(fam, idx)] = value
-        else:
-            for vfam, vidx in seen:
-                if vfam == fam:
-                    assignment[(vfam, vidx)] = value
-    return p.specialize(assignment)
+    """Substitute the --spec values; the last rule naming a variable wins."""
+    def image(var):
+        out = None
+        for fam, idx, value in rules:
+            if fam == var[0] and idx in (None, var[1]):
+                out = (value, None)
+        return out
+    return p.specialize(image) if rules else p
 
 
 def _parse_shape(text):
@@ -479,12 +476,16 @@ def five_way(kind, lam, n, deg):
             enum_mrpp(lam, (), n, deg)]
 
 
-def verify_concordance(kind, max_size=4, deg=6, ns=(1, 2, 3)):
+# verify G/g: the values of n swept
+CONCORDANCE_NS = (1, 2, 3)
+
+
+def verify_concordance(kind, max_size=4, deg=6):
     """Bialternant = Jacobi-Trudi = modified = flagged (r=1, s=n) = tableau
     enumeration, for every shape with at most max_size cells fitting in n
     rows."""
     checked = 0
-    for n in ns:
+    for n in CONCORDANCE_NS:
         for k in range(max_size + 1):
             for lam in partitions_of(k, max_len=n):
                 values = five_way(kind, lam, n, deg)
@@ -497,7 +498,7 @@ def verify_concordance(kind, max_size=4, deg=6, ns=(1, 2, 3)):
     return True, [f"{kind} concordance: {checked} shapes agree five ways"]
 
 
-def verify_coefficients(kind, max_size=5):
+def verify_coefficients(kind, max_size):
     """Determinant = tableau enumeration = lattice-path sum, plus the
     nonnegativity of the sign-adjusted specialization."""
     n, deg = 1, 0  # the coefficients have no x part
@@ -518,8 +519,7 @@ def verify_coefficients(kind, max_size=5):
                 return False, [f"FAIL {kind} at lam={small}, mu={big}: "
                                "determinant, tableaux and paths disagree"]
             signed = det_value.specialize(
-                {var: -TruncPoly.var(n, deg, *var)
-                 for var in det_value.variables() if var[0] == flip_fam})
+                lambda var: (-1, var) if var[0] == flip_fam else None)
             if any(c < 0 for c in signed.terms.values()):
                 return False, [f"FAIL {kind} positivity at lam={small}, "
                                f"mu={big}"]
@@ -563,12 +563,11 @@ def _flag_pairs(m):
 
 
 def _collapse_to_single_beta(p, sign):
-    beta = sign * TruncPoly.var(p.n, p.deg, BETA, 1)
-    return p.specialize({(fam, idx): 0 if fam == ALPHA else beta
-                         for fam, idx in p.variables() if fam != X})
+    return p.specialize(
+        lambda var: (0, None) if var[0] == ALPHA else (sign, (BETA, 1)))
 
 
-def verify_matsumura(max_outer=6):
+def verify_matsumura(max_outer):
     """Set-valued enumeration = single-beta determinant on every skew shape
     with at most 3 cells in three x variables, and exactly one sign of the
     collapsed flagged determinant reproduces it; the surviving convention is
@@ -588,6 +587,7 @@ def verify_matsumura(max_outer=6):
             if not 0 < size(lam) - size(mu) <= 3:
                 continue
             deg = size(lam) - size(mu) + 2
+            sweep = FlagSweep("G", lam, mu, "row", n, deg)
             for f, g in _flag_pairs(len(lam)):
                 if any(gi > fi for gi, fi in zip(g, f)):
                     continue
@@ -601,7 +601,7 @@ def verify_matsumura(max_outer=6):
                     return False, [f"FAIL matsumura at {lam}/{mu}, "
                                    f"f={f}, g={g}: determinant differs "
                                    "from the enumeration"]
-                flagged = G_flagged_det(lam, mu, g, f, "row", n, deg)
+                flagged = sweep.value(g, f)
                 if single != _collapse_to_single_beta(flagged, -1):
                     minus_ok = False
                 if single != _collapse_to_single_beta(flagged, +1):

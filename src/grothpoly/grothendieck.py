@@ -742,9 +742,8 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg):
 
 def dual_parameters(p):
     """Substitute alpha_i -> -beta_i and beta_i -> -alpha_i."""
-    swap = {ALPHA: BETA, BETA: ALPHA}
-    return p.specialize({(fam, idx): -TruncPoly.var(p.n, p.deg, swap[fam], idx)
-                         for fam, idx in p.variables() if fam in swap})
+    return p.specialize(
+        lambda var: (-1, (BETA if var[0] == ALPHA else ALPHA, var[1])))
 
 
 def omega_check(outer, inner, kind, budget, n, deg):

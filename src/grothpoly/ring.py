@@ -139,10 +139,6 @@ class TruncPoly:
             return NotImplemented
         return (self.n, self.deg, self.terms) == (other.n, other.deg, other.terms)
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
-
     __hash__ = None
 
     def _check(self, other):
@@ -253,47 +249,31 @@ class TruncPoly:
         """The set of (family, index) variables occurring in some term."""
         return {var for mono in self.terms for var, _ in mono}
 
-    def _as_term(self, val):
-        # a specialization value as (coefficient, x-free monomial)
-        if isinstance(val, int):
-            return val, ()
-        if isinstance(val, tuple):
-            val = TruncPoly.var(self.n, self.deg, *val)
-        self._check(val)
-        if len(val.terms) > 1:
-            raise ValueError("specialization values must be single terms")
-        [(mono, c)] = val.terms.items() or [((), 0)]
-        if mono_xdeg(mono):
-            raise ValueError("specialization values must be free of x")
-        return c, mono
-
-    def specialize(self, assignment):
-        """Substitute alpha/beta variables.  Values may be integers, (family,
-        index) pairs, or single x-free terms in the same context, so each
-        monomial maps to one monomial of the same x-degree."""
-        for fam, _ in assignment:
-            if fam == X:
-                raise ValueError("x-variables are eliminated by restrict_n, "
-                                 "not by specialization")
-        subs = {var: self._as_term(val) for var, val in assignment.items()}
-        powers = {}  # (var, e) -> the image of var^e as (coeff, monomial)
+    def specialize(self, image):
+        """Substitute alpha/beta variables by a rule.  image((family, index))
+        is called once for each parameter variable that occurs, never for an
+        x variable, and returns None to keep it, or (c, target) to replace it
+        by c times the parameter variable target (the constant c when target
+        is None).  Each monomial maps to one monomial of the same x-degree."""
+        subs = {}  # var -> image(var)
         terms = {}
         for mono, c in self.terms.items():
             kept = []
-            image = ()
+            moved = ()
             for var, e in mono:
-                if var not in subs:
-                    kept.append((var, e))
-                    continue
-                p = powers.get((var, e))
-                if p is None:
-                    sc, sm = subs[var]
-                    p = powers[(var, e)] = (
-                        sc ** e, tuple((v, f * e) for v, f in sm))
-                c *= p[0]
-                image = mono_mul(image, p[1])
+                if var[0] != X:
+                    if var in subs:
+                        sub = subs[var]
+                    else:
+                        sub = subs[var] = image(var)
+                    if sub is not None:
+                        c *= sub[0] ** e
+                        if sub[1] is not None:
+                            moved = mono_mul(moved, ((sub[1], e),))
+                        continue
+                kept.append((var, e))
             if c:
-                m = mono_mul(tuple(kept), image)
+                m = mono_mul(tuple(kept), moved)
                 s = terms.get(m, 0) + c
                 if s:
                     terms[m] = s

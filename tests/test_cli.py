@@ -219,6 +219,11 @@ def test_usage_errors_exit_two():
     status, _ = run(["compute", "G", "--shape", "1", "--n", "1",
                      "--spec", "q=3"])
     assert status == 2
+    # alpha_0 and beta_0 do not exist, so a rule naming one is refused
+    status, out = run(["compute", "G", "--shape", "1", "--n", "1",
+                       "--deg", "2", "--spec", "a0=5"])
+    assert status == 2
+    assert "a0=5" in out
     status, _ = run(["unknown-verb"])
     assert status == 2
     status, _ = run(["compute", "G", "--shape", "2", "--n", "2",

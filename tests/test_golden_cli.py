@@ -45,6 +45,8 @@ GOLDEN = [
      0, '(x2*x3+x3^2) - a1*x3 + b1*x2 - a1*b1'),
     ('compute G --shape 2,1 --n 2 --deg 3 --spec b=0',
      0, '(x1^2*x2+x1*x2^2)'),
+    ('compute G --shape 2,1 --n 2 --deg 4 --spec a2=-1,b1=0',
+     0, '(x1^2*x2+x1*x2^2-x1^3*x2-x1^2*x2^2-x1*x2^3) + a1*(x1^3*x2+2*x1^2*x2^2+x1*x2^3)'),
     ('compute g --shape 3,2,1 --n 4 --format latex',
      0, 'sha256:c94f101cea6df08eed1653d072e93ddae87636bb2525aef44ab2de6acaea3cc2'),
     ('compute G --shape 3,1 --n 4 --deg 6 --format json-like',
@@ -69,6 +71,12 @@ GOLDEN = [
      0, '-a1*b1'),
     ('coeff c --shape 3,1 --inner 1',
      0, 'a1*a2*b1'),
+    ('coeff C --shape 1 --inner 2 --spec a=2,a1=3',
+     0, '3'),
+    ('coeff C --shape 1 --inner 2 --spec a1=3,a=2',
+     0, '2'),
+    ('coeff c --shape 3,1 --inner 1 --spec b=-1,a2=2',
+     0, '-2*a1'),
     ('coeff hall --shape 2,1 --inner 2,1',
      0, '1'),
     ('enumerate G --shape 2,1 --n 2',

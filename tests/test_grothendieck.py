@@ -46,12 +46,7 @@ def one(n, deg):
 
 def param_free(p):
     """Specialize every alpha and beta to zero."""
-    assignment = {}
-    for mono in p.terms:
-        for (fam, idx), _ in mono:
-            if fam in (ALPHA, BETA):
-                assignment[(fam, idx)] = 0
-    return p.specialize(assignment)
+    return p.specialize(lambda var: (0, None))
 
 
 def test_G_bialternant_trivial_cases():
@@ -186,10 +181,10 @@ def test_schur_positivity_of_specialized_coefficients():
                 C_coeff(small, big, n, deg)))
             # C at (a, -b): negate every beta
             flipped = C_coeff(small, big, n, deg).specialize(
-                {(BETA, i): -bv(n, deg, i) for i in range(1, 6)})
+                lambda var: (-1, var) if var[0] == BETA else None)
             assert all(c > 0 for c in flipped.terms.values())
             dual = c_coeff(big, small, n, deg).specialize(
-                {(ALPHA, i): -av(n, deg, i) for i in range(1, 6)})
+                lambda var: (-1, var) if var[0] == ALPHA else None)
             assert all(c > 0 for c in dual.terms.values())
             assert cval == C_coeff(small, big, n, deg)
 
@@ -464,14 +459,8 @@ def test_matsumura_determinant_matches_set_valued_enumeration():
 
 def collapse_parameters(p, sign):
     """a -> 0 and b -> (sign * b1, sign * b1, ...)."""
-    assignment = {}
-    for mono in p.terms:
-        for (fam, idx), _ in mono:
-            if fam == ALPHA:
-                assignment[(fam, idx)] = 0
-            elif fam == BETA:
-                assignment[(fam, idx)] = sign * bv(p.n, p.deg, 1)
-    return p.specialize(assignment)
+    return p.specialize(
+        lambda var: (0, None) if var[0] == ALPHA else (sign, (BETA, 1)))
 
 
 def test_matsumura_is_a_single_sign_specialization():

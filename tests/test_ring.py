@@ -83,25 +83,22 @@ def mono_cmp(m1, m2):
     return 0
 
 
-def product_specialize(p, assignment):
+def product_specialize(p, image):
     """Substitution by ring products: each term becomes its coefficient
     times the product of its variables' images."""
     result = TruncPoly.zero(p.n, p.deg)
     for mono, c in p.terms.items():
-        kept = []
-        factor = TruncPoly.const(p.n, p.deg, c)
-        for (fam, idx), e in mono:
-            val = assignment.get((fam, idx))
-            if val is None:
-                kept.append(((fam, idx), e))
-            elif isinstance(val, int):
-                factor = factor * (val ** e)
-            elif isinstance(val, tuple):
-                factor = factor * TruncPoly.var(p.n, p.deg, val[0], val[1], e)
+        term = TruncPoly.const(p.n, p.deg, c)
+        for var, e in mono:
+            sub = None if var[0] == X else image(var)
+            if sub is None:
+                val = TruncPoly.var(p.n, p.deg, *var)
+            elif sub[1] is None:
+                val = TruncPoly.const(p.n, p.deg, sub[0])
             else:
-                factor = factor * (val ** e)
-        term = TruncPoly(p.n, p.deg, {tuple(sorted(kept)): 1})
-        result = result + factor * term
+                val = sub[0] * TruncPoly.var(p.n, p.deg, *sub[1])
+            term = term * val ** e
+        result = result + term
     return result
 
 
@@ -272,33 +269,40 @@ def test_exact_divide_recreates_a_cancelled_term():
 def test_specialize_basic():
     n, deg = 2, 4
     p = av(n, deg, 1) * xv(n, deg, 1) + bv(n, deg, 2) * xv(n, deg, 2)
-    out = p.specialize({(ALPHA, 1): 0, (BETA, 2): 1})
+    out = p.specialize({(ALPHA, 1): (0, None), (BETA, 2): (1, None)}.get)
     assert out == xv(n, deg, 2)
 
 
 def test_specialize_to_parameter_and_poly():
     n, deg = 1, 3
     p = av(n, deg, 2) * xv(n, deg, 1)
-    assert p.specialize({(ALPHA, 2): (ALPHA, 1)}) == av(n, deg, 1) * xv(n, deg, 1)
-    neg = -bv(n, deg, 1)
-    assert p.specialize({(ALPHA, 2): neg}) == -(bv(n, deg, 1) * xv(n, deg, 1))
+    assert (p.specialize(lambda var: (1, (ALPHA, 1)))
+            == av(n, deg, 1) * xv(n, deg, 1))
+    assert (p.specialize(lambda var: (-1, (BETA, 1)))
+            == -(bv(n, deg, 1) * xv(n, deg, 1)))
 
 
-def test_specialize_rejects_x():
-    p = xv(1, 2, 1)
-    with pytest.raises(ValueError):
-        p.specialize({(X, 1): 0})
+def test_specialize_asks_once_per_parameter_and_never_for_x():
+    n, deg = 2, 4
+    p = (av(n, deg, 1) * xv(n, deg, 1) + av(n, deg, 1) * bv(n, deg, 2)
+         + bv(n, deg, 2) * xv(n, deg, 2) ** 2 + xv(n, deg, 1))
+    asked = []
+
+    def image(var):
+        asked.append(var)
+        return None
+
+    assert p.specialize(image) == p
+    assert sorted(asked) == [(ALPHA, 1), (BETA, 2)]
 
 
-def specialize_values(rng, n, deg):
-    """Random values of every kind specialize accepts."""
-    fam = rng.choice([ALPHA, BETA])
-    idx = rng.randrange(1, 4)
-    var = TruncPoly.var(n, deg, fam, idx)
-    mono = TruncPoly.var(n, deg, ALPHA, rng.randrange(1, 4)) \
-        * TruncPoly.var(n, deg, BETA, rng.randrange(1, 4)) ** 2
-    return [0, 1, -1, (fam, idx), var, -var,
-            rng.choice([-3, 2, 5]) * mono, TruncPoly.zero(n, deg)]
+def specialize_values(rng):
+    """Random rule images of every form: keep, a constant, or a multiple of
+    a parameter variable."""
+    target = (rng.choice([ALPHA, BETA]), rng.randrange(1, 4))
+    c = rng.choice([-3, 2, 5])
+    return [None, (0, None), (1, None), (-1, None), (c, None),
+            (1, target), (-1, target), (c, target), (0, target)]
 
 
 @settings(max_examples=60, deadline=None)
@@ -308,30 +312,10 @@ def test_specialize_matches_ring_products(seed):
     n, deg = 2, 3
     p = random_poly(rng, n, deg, nterms=6)
     params = [(fam, idx) for fam in (ALPHA, BETA) for idx in range(1, 4)]
-    assignment = {}
+    rule = {}
     for var in rng.sample(params, rng.randrange(1, len(params) + 1)):
-        assignment[var] = rng.choice(specialize_values(rng, n, deg))
-    assert p.specialize(assignment) == product_specialize(p, assignment)
-
-
-def test_specialize_rejects_multi_term_values():
-    n, deg = 1, 3
-    p = av(n, deg, 1) * xv(n, deg, 1)
-    with pytest.raises(ValueError):
-        p.specialize({(ALPHA, 1): av(n, deg, 2) + bv(n, deg, 1)})
-    with pytest.raises(ValueError):
-        p.specialize({(ALPHA, 1): one(n, deg) - bv(n, deg, 1)})
-
-
-def test_specialize_rejects_x_values():
-    n, deg = 2, 3
-    p = av(n, deg, 1) * xv(n, deg, 1)
-    with pytest.raises(ValueError):
-        p.specialize({(ALPHA, 1): xv(n, deg, 2)})
-    with pytest.raises(ValueError):
-        p.specialize({(ALPHA, 1): 2 * bv(n, deg, 1) * xv(n, deg, 1)})
-    with pytest.raises(ValueError):
-        p.specialize({(ALPHA, 1): (X, 1)})
+        rule[var] = rng.choice(specialize_values(rng))
+    assert p.specialize(rule.get) == product_specialize(p, rule.get)
 
 
 def test_restrict_and_shift():

@@ -429,10 +429,8 @@ def test_fsvt_is_mmsvt_with_collapsed_parameters():
     for lam in [(2,), (1, 1), (2, 1)]:
         n, deg = 2, 4
         ell = len(lam)
-        assignment = {(ALPHA, j): 0 for j in range(1, lam[0] + 1)}
-        assignment.update({(BETA, i): -bv(n, deg, 1)
-                           for i in range(1, ell + 1)})
-        collapsed = enum_mmsvt(lam, (), n, deg).specialize(assignment)
+        collapsed = enum_mmsvt(lam, (), n, deg).specialize(
+            lambda var: (0, None) if var[0] == ALPHA else (-1, (BETA, 1)))
         want = enum_fsvt(lam, (), (n,) * ell, (1,) * ell, n, deg)
         assert collapsed == want
 
