@@ -461,7 +461,9 @@ _FIVE_WAY_LABELS = ("bialternant", "jacobi-trudi", "modified jacobi-trudi",
 
 def five_way(kind, lam, n, deg):
     """The five equivalent evaluations of G or g for a shape fitting in n
-    rows, in the order of _FIVE_WAY_LABELS."""
+    rows, in the order of _FIVE_WAY_LABELS.  The modified Jacobi-Trudi value
+    is the flagged determinant with n rows; the flagged one here has
+    max(len(lam), 1) rows."""
     lam = partition(lam)
     m = max(len(lam), 1)
     r, s = (1,) * m, (n,) * m

@@ -2,8 +2,10 @@
 
 Everything is computed inside TruncPoly: x-degrees are truncated at deg,
 parameter degrees are exact.  G-type formulas use circle-minus entries
-h_m[X (-) Y] so that all values stay polynomial; the only truncated-series
-prefactor is the geometric alpha-product attached to column determinants.
+h_m[X (-) Y] so that all values stay polynomial.  Each series in the
+parameters is such an evaluation too, with Y one (scaled) letter: the row
+prefactor prod_l (1 - b_i x_l) is e_0[X (-) -b_i], the column prefactor
+prod_l 1/(1 - a_i x_l) is h_0[X (-) a_i], truncated at deg.
 
 Conventions shared by all functions:
   - A_k = alpha_1 + ... + alpha_k and B_k = beta_1 + ... + beta_k as signed
@@ -15,9 +17,8 @@ Conventions shared by all functions:
 """
 
 import warnings
-from math import comb
 
-from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det, pvar
+from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
 from .shapes import (INF, ShapeError, contains, dent_index, minimal_cell,
                      part, partition, partitions_above, partitions_between,
                      partitions_of, size)
@@ -38,19 +39,14 @@ def _fit(lam, n):
     return lam
 
 
-def _prefactor(rows, n, deg, top=1):
-    """prod over (c, lo, hi) of prod_{l=lo}^{min(hi, n)} sum_{k=0}^{top}
-    (c x_l)^k.  top = 1 and c = -b_i give the factors (1 - b_i x_l);
-    top = deg and c = a_i give the truncated series 1/(1 - a_i x_l)."""
+def _series_product(kind, rows, n, deg):
+    """prod over (lo, hi, Y) of f_0[X_[lo,hi] (-) Y] for f = h or e.  For
+    one letter z, e_0[X (-) -z] = prod_l (1 - z x_l) and h_0[X (-) z] =
+    prod_l 1/(1 - z x_l), with l running over [lo, min(hi, n)]."""
+    ominus = h_ominus if kind == "h" else e_ominus
     out = _one(n, deg)
-    for c, lo, hi in rows:
-        for l in range(lo, min(hi, n) + 1):
-            t = c * pvar(n, deg, X, l)
-            power = series = _one(n, deg)
-            for _ in range(top):
-                power = power * t
-                series = series + power
-            out = out * series
+    for lo, hi, right in rows:
+        out = out * ominus(0, x_interval(lo, hi), right, n, deg)
     return out
 
 
@@ -58,10 +54,10 @@ def _G_prefactor(orientation, rows, n, deg):
     """The G prefactor over rows (i, lo, hi): prod_{l=lo}^{hi}(1 - b_i x_l)
     for row flags, prod_{l=lo}^{hi} 1/(1 - a_i x_l) for column flags."""
     if orientation == "row":
-        return _prefactor([(-pvar(n, deg, BETA, i), lo, hi)
-                           for i, lo, hi in rows], n, deg)
-    return _prefactor([(pvar(n, deg, ALPHA, i), lo, hi)
-                       for i, lo, hi in rows], n, deg, top=deg)
+        return _series_product("e", [(lo, hi, neg(single(BETA, i, 1)))
+                                     for i, lo, hi in rows], n, deg)
+    return _series_product("h", [(lo, hi, single(ALPHA, i, 1))
+                                 for i, lo, hi in rows], n, deg)
 
 
 def _strip(seq):
@@ -86,7 +82,7 @@ def G_bialternant(lam, n, deg):
     determinant, with an n(n-1)/2 degree guard on the numerator."""
     lam = _fit(lam, n)
     return alternant_quotient(
-        lambda i, j, work: h_ominus(part(lam, i) + n - i, single(X, j),
+        lambda i, j, work: h_ominus(part(lam, i) + n - i, single(X, j, 1),
                                     _g_right(part(lam, i), i), n, work),
         n, deg)
 
@@ -97,7 +93,7 @@ def g_bialternant(lam, n, deg):
     lam = _fit(lam, n)
     return alternant_quotient(
         lambda i, j, work: h_pleth(part(lam, i) + n - i,
-                                   cat(single(X, j),
+                                   cat(single(X, j, 1),
                                        _dual_shift(part(lam, i), i)),
                                    n, work),
         n, deg)
@@ -125,27 +121,19 @@ def g_jt(lam, n, deg):
 
 def G_jt_modified(lam, n, deg):
     """prod_{i,j<=n}(1 - b_i x_j) times the determinant with column-shifted
-    entries h_{lam_i-i+j}[X_n (-) (A_{lam_i} - B_{i-1} + B_j)]."""
+    entries h_{lam_i-i+j}[X_n (-) (A_{lam_i} - B_{i-1} + B_j)], of size n.
+    Entry for entry this is the row-flagged determinant with empty inner
+    shape and flags r = (1, ..., 1), s = (n, ..., n), evaluated as such."""
     lam = _fit(lam, n)
-    xs = x_interval(1, n)
-    pref = _G_prefactor("row", [(i, 1, n) for i in range(1, n + 1)],
-                           n, deg)
-    matrix = [[h_ominus(part(lam, i) - i + j, xs,
-                        cat(_g_right(part(lam, i), i), b_prefix(j)), n, deg)
-               for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return pref * det(matrix, n=n, deg=deg)
+    return G_flagged_det(lam, (), (1,) * n, (n,) * n, "row", n, deg)
 
 
 def g_jt_modified(lam, n, deg):
-    """det(h_{lam_i-i+j}[X_n - A_{lam_i-1} + B_{i-1} - B_{j-1}]); the column
-    shift removes the need for any prefactor."""
+    """det(h_{lam_i-i+j}[X_n - A_{lam_i-1} + B_{i-1} - B_{j-1}]) of size n;
+    the column shift removes the need for any prefactor.  As for G, this is
+    the row-flagged determinant at r = (1, ..., 1), s = (n, ..., n)."""
     lam = _fit(lam, n)
-    xs = x_interval(1, n)
-    matrix = [[h_pleth(part(lam, i) - i + j,
-                       cat(xs, _dual_shift(part(lam, i), i),
-                           neg(b_prefix(j - 1))), n, deg)
-               for j in range(1, n + 1)] for i in range(1, n + 1)]
-    return det(matrix, n=n, deg=deg)
+    return g_flagged_det(lam, (), (1,) * n, (n,) * n, "row", n, deg)
 
 
 def C_coeff(lam, mu, n, deg):
@@ -231,8 +219,14 @@ def cauchy_check(n_x, n_y, bound):
     (d_x, d_y) with d_x, d_y <= bound."""
     n = n_x + n_y
     deg = 2 * bound
-    lhs = _prefactor([(pvar(n, deg, X, i), n_x + 1, n)
-                      for i in range(1, n_x + 1)], n, deg, top=bound)
+    ys = x_interval(n_x + 1, n)
+    lhs = _one(n, deg)
+    for i in range(1, n_x + 1):
+        kernel = TruncPoly.zero(n, deg)
+        for k in range(bound + 1):
+            kernel = kernel + (h_pleth(k, ys, n, deg)
+                               * TruncPoly.var(n, deg, X, i, k))
+        lhs = lhs * kernel
     rhs = TruncPoly.zero(n, deg)
     for k in range(bound + 1):
         for lam in partitions_of(k, max_len=n_x):
@@ -526,32 +520,30 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     return det(matrix, n=n, deg=deg)
 
 
+# The letter -b_1 of Matsumura's single-parameter series.
+_MINUS_B1 = single(BETA, 1, -1)
+
+
 def matsumura_Gpq(m, p, q, n, deg):
     """One-row flagged Grothendieck series in the collapsed parameter b_1:
-    prod_{l=q}^p (1 + b_1 x_l) * sum_{k>=0} (-b_1)^k h_{m+k}[X_[q,p]]."""
-    beta = pvar(n, deg, BETA, 1)
-    pref = _prefactor([(beta, q, p)], n, deg)
-    xs = x_interval(q, p)
-    acc = TruncPoly.zero(n, deg)
-    for k in range(0, max(0, deg - m) + 1):
-        term = h_pleth(m + k, xs, n, deg)
-        if term.is_zero():
-            continue
-        acc = acc + ((-beta) ** k) * term
-    return pref * acc
+    prod_{l=q}^p (1 + b_1 x_l) * sum_{k>=0} (-b_1)^k h_{m+k}[X_[q,p]], that
+    is e_0[X_[q,p] (-) -(-b_1)] * h_m[X_[q,p] (-) (-b_1)]."""
+    return (_series_product("e", [(q, p, neg(_MINUS_B1))], n, deg)
+            * h_ominus(m, x_interval(q, p), _MINUS_B1, n, deg))
 
 
-def _binom_int(t, m):
-    """Binomial coefficient C(t, m) extended to negative integer t."""
-    if t >= 0:
-        return comb(t, m)
-    return (-1) ** m * comb(-t + m - 1, m)
+def _binomial_shift(t):
+    """Y with sum_m h_m[Y] u^m = (1 + b_1 u)^t, i.e. h_m[Y] = C(t, m) b_1^m
+    for any integer t: |t| letters -b_1, negated when t >= 0."""
+    letters = _MINUS_B1 * abs(t)
+    return neg(letters) if t >= 0 else letters
 
 
 def matsumura_det(lam, mu, f, g, n, deg):
     """Single-parameter flagged determinant: prod_{i<=l(lam)}
     prod_{l=g_i}^{f_i}(1 + b_1 x_l) times det over l(lam) rows of
-    sum_m b_1^m C(i-j-1, m) h_{lam_i-mu_j-i+j+m}[X_[g_j,f_i]]."""
+    sum_m b_1^m C(i-j-1, m) h_{lam_i-mu_j-i+j+m}[X_[g_j,f_i]], which is
+    h_{lam_i-mu_j-i+j}[X_[g_j,f_i] (-) _binomial_shift(i-j-1)]."""
     lam, mu = partition(lam), partition(mu)
     if not contains(mu, lam):
         raise ShapeError(f"{mu} is not contained in {lam}")
@@ -559,26 +551,12 @@ def matsumura_det(lam, mu, f, g, n, deg):
     f, g = tuple(f), tuple(g)
     if len(f) < ell or len(g) < ell:
         raise ShapeError("flag vectors shorter than the shape")
-    beta = pvar(n, deg, BETA, 1)
-    pref = _prefactor([(beta, g[i - 1], f[i - 1]) for i in range(1, ell + 1)],
-                      n, deg)
-    matrix = []
-    for i in range(1, ell + 1):
-        row = []
-        for j in range(1, ell + 1):
-            idx = part(lam, i) - part(mu, j) - i + j
-            xs = x_interval(g[j - 1], f[i - 1])
-            acc = TruncPoly.zero(n, deg)
-            for m in range(max(0, -idx), deg - idx + 1):
-                bc = _binom_int(i - j - 1, m)
-                if bc == 0:
-                    continue
-                term = h_pleth(idx + m, xs, n, deg)
-                if term.is_zero():
-                    continue
-                acc = acc + bc * (beta ** m) * term
-            row.append(acc)
-        matrix.append(row)
+    pref = _series_product("e", [(g[i - 1], f[i - 1], neg(_MINUS_B1))
+                                 for i in range(1, ell + 1)], n, deg)
+    matrix = [[h_ominus(part(lam, i) - part(mu, j) - i + j,
+                        x_interval(g[j - 1], f[i - 1]),
+                        _binomial_shift(i - j - 1), n, deg)
+               for j in range(1, ell + 1)] for i in range(1, ell + 1)]
     return pref * det(matrix, n=n, deg=deg)
 
 
@@ -766,14 +744,7 @@ def omega_check(outer, inner, kind, budget, n, deg):
             return False
     if kind == "g":
         return left.prefactor == right.prefactor
-    omega_pref = _one(n, deg)
-    xs = x_interval(1, n)
-    for i in range(1, left.rows + 1):
-        series = TruncPoly.zero(n, deg)
-        for m in range(deg + 1):
-            term = h_pleth(m, xs, n, deg)
-            if term.is_zero():
-                break
-            series = series + ((-pvar(n, deg, BETA, i)) ** m) * term
-        omega_pref = omega_pref * series
+    omega_pref = _series_product("h", [(1, n, single(BETA, i, -1))
+                                       for i in range(1, left.rows + 1)],
+                                 n, deg)
     return omega_pref == dual_parameters(right.prefactor)

@@ -122,13 +122,18 @@ class TruncPoly:
 
     @classmethod
     def var(cls, n, deg, fam, idx, exp=1):
+        """The monomial v^exp for v = (fam, idx); the constant 1 for exp 0."""
         if idx < 1:
             raise ValueError("variable index must be >= 1")
+        if exp < 0:
+            raise ValueError("exponent must be >= 0")
         if fam == X:
             if idx > n:
                 raise ContextMismatch(f"x{idx} exceeds context n={n}")
             if exp > deg:
                 return cls.zero(n, deg)
+        if exp == 0:
+            return cls.const(n, deg, 1)
         return cls(n, deg, {(((fam, idx), exp),): 1})
 
     def is_zero(self):

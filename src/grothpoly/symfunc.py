@@ -5,7 +5,10 @@ An alphabet is a tuple of (sign, block) atoms.  Blocks:
     ("x", r, s)        x_r + ... + x_s
     ("ap", k)          alpha_1 + ... + alpha_k   (empty for k <= 0)
     ("bp", k)          beta_1 + ... + beta_k
-    ("v", fam, idx)    a single variable
+    ("v", fam, idx, c) the one letter c * v for the variable v = (fam, idx)
+
+The sign of an atom is plethystic: h_m[-Z] = (-1)^m e_m[Z].  Value negation
+of a letter v is the letter -1 * v, with h_m[-1 * v] = (-1)^m h_m[v].
 """
 
 import itertools
@@ -26,8 +29,8 @@ def b_prefix(k):
     return ((1, ("bp", k)),) if k > 0 else ()
 
 
-def single(fam, idx):
-    return ((1, ("v", fam, idx)),)
+def single(fam, idx, c):
+    return ((1, ("v", fam, idx, c)),)
 
 
 def neg(alphabet):
@@ -53,7 +56,8 @@ def _block_vars(block, n, deg):
     if kind == "bp":
         return [TruncPoly.var(n, deg, BETA, i) for i in range(1, block[1] + 1)]
     if kind == "v":
-        return [TruncPoly.var(n, deg, block[1], block[2])]
+        _, fam, idx, c = block
+        return [c * TruncPoly.var(n, deg, fam, idx)]
     raise ValueError(f"unknown block {block!r}")
 
 
@@ -183,8 +187,7 @@ def schur_branching(shapes, n, deg):
             sub = rec(nu, m - 1)
             if not sub.is_zero():
                 k = sum(mu) - sum(nu)
-                acc = acc + (sub * TruncPoly.var(n, deg, X, m, k) if k
-                             else sub)
+                acc = acc + sub * TruncPoly.var(n, deg, X, m, k)
         memo[(mu, m)] = acc
         return acc
 
@@ -206,6 +209,5 @@ def alternant_quotient(entry, n, deg):
 def schur_bialternant(lam, n, deg):
     """det(x_j^{lam_i + n - i}) / prod_{i<j}(x_i - x_j)."""
     return alternant_quotient(
-        lambda i, j, work: TruncPoly.var(n, work, X, j) ** (part(lam, i)
-                                                            + n - i),
+        lambda i, j, work: TruncPoly.var(n, work, X, j, part(lam, i) + n - i),
         n, deg)

@@ -455,6 +455,14 @@ def test_matsumura_determinant_matches_set_valued_enumeration():
     for lam, mu, f, g in cases:
         assert (matsumura_det(lam, mu, f, g, n, deg)
                 == enum_fsvt(lam, mu, f, g, n, deg))
+    # three rows reach the entries with i - j - 1 >= 1
+    n = 3
+    cases = [((1, 1, 1), (), (1, 2, 2), (1, 1, 1)),
+             ((1, 1, 1), (), (1, 2, 3), (1, 1, 1)),
+             ((2, 1, 1), (1,), (2, 3, 3), (1, 1, 2))]
+    for lam, mu, f, g in cases:
+        assert (matsumura_det(lam, mu, f, g, n, deg)
+                == enum_fsvt(lam, mu, f, g, n, deg))
 
 
 def collapse_parameters(p, sign):

@@ -123,6 +123,21 @@ def test_geometric_series_inverse():
     assert (one(n, deg) - b1 * x1) * geo == one(n, deg)
 
 
+def test_var_exponents():
+    n, deg = 2, 3
+    for fam, idx in [(X, 1), (ALPHA, 2), (BETA, 1)]:
+        assert TruncPoly.var(n, deg, fam, idx, 0) == one(n, deg)
+        v = TruncPoly.var(n, deg, fam, idx)
+        for e in range(1, deg + 2):
+            assert TruncPoly.var(n, deg, fam, idx, e) == v ** e
+        with pytest.raises(ValueError):
+            TruncPoly.var(n, deg, fam, idx, -1)
+    # parameter degrees are not truncated, x-degrees are
+    assert TruncPoly.var(n, deg, BETA, 1, deg + 1).terms == \
+        {(((BETA, 1), deg + 1),): 1}
+    assert TruncPoly.var(n, deg, X, 2, deg + 1).is_zero()
+
+
 def test_context_mismatch_rejected():
     with pytest.raises(ContextMismatch):
         xv(1, 2, 1) + xv(2, 2, 1)

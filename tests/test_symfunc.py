@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grothpoly.grothendieck import _G_prefactor
 from grothpoly.ring import ALPHA, BETA, X, TruncPoly, det
 from grothpoly.shapes import (ShapeError, part, partition, partitions_up_to,
                               size)
@@ -118,7 +119,8 @@ def random_alphabet(rng, n, max_blocks=3):
         elif kind == 2:
             block = ("bp", rng.randint(1, 3))
         else:
-            block = ("v", rng.choice([ALPHA, BETA]), rng.randint(1, 3))
+            block = ("v", rng.choice([ALPHA, BETA]), rng.randint(1, 3),
+                     rng.choice([1, -1, 2]))
         out.append((sign, block))
     return tuple(out)
 
@@ -132,21 +134,22 @@ def random_letter(rng, n):
 # Independent oracle: h_m and e_m of an alphabet written out as signed
 # letters, h_m[P - N] = sum_k (-1)^k h_{m-k}[P] e_k[N] and e_m[P - N] =
 # sum_k (-1)^k e_{m-k}[P] h_k[N], with h a sum over multisets of letters and
-# e over sets.
+# e over sets.  A ("v", fam, idx, c) block is the one letter c * v.
 
 def signed_letters(alphabet, n, deg):
     pos, negs = [], []
     for sign, block in alphabet:
         if block[0] == "x":
-            letters = [(X, i) for i in range(block[1], min(block[2], n) + 1)]
+            letters = [(X, i, 1)
+                       for i in range(block[1], min(block[2], n) + 1)]
         elif block[0] == "ap":
-            letters = [(ALPHA, i) for i in range(1, block[1] + 1)]
+            letters = [(ALPHA, i, 1) for i in range(1, block[1] + 1)]
         elif block[0] == "bp":
-            letters = [(BETA, i) for i in range(1, block[1] + 1)]
+            letters = [(BETA, i, 1) for i in range(1, block[1] + 1)]
         else:
             letters = [block[1:]]
         (pos if sign > 0 else negs).extend(
-            TruncPoly.var(n, deg, fam, idx) for fam, idx in letters)
+            c * TruncPoly.var(n, deg, fam, idx) for fam, idx, c in letters)
     return pos, negs
 
 
@@ -179,16 +182,28 @@ ORACLE_ALPHABETS = [
     x_interval(2, ORACLE_N + 2),
     neg(x_interval(2, ORACLE_N + 2)),
     x_interval(ORACLE_N + 1, ORACLE_N + 2),
-    single(ALPHA, 2),
-    neg(single(BETA, 1)),
-    single(X, 1),
+    single(ALPHA, 2, 1),
+    neg(single(BETA, 1, 1)),
+    single(X, 1, 1),
+    # value negation, and plethystic negation of the value-negated letter
+    single(BETA, 1, -1),
+    neg(single(BETA, 1, -1)),
     cat(x_interval(2, ORACLE_N + 2), neg(a_prefix(2)), b_prefix(1)),
-    cat(a_prefix(1), neg(b_prefix(2)), single(X, 2)),
-    cat(neg(x_interval(1, ORACLE_N)), single(BETA, 3), neg(single(ALPHA, 1))),
+    cat(a_prefix(1), neg(b_prefix(2)), single(X, 2, 1)),
+    cat(neg(x_interval(1, ORACLE_N)), single(BETA, 3, 1),
+        neg(single(ALPHA, 1, 1))),
+    cat(x_interval(1, ORACLE_N + 1), single(ALPHA, 1, 2),
+        neg(single(BETA, 2, -1)), single(X, 2, -1)),
 ]
 
 
-@pytest.mark.parametrize("alphabet", ORACLE_ALPHABETS, ids=str)
+def alphabet_id(alphabet):
+    # an unscaled letter (c = 1) prints as ("v", fam, idx): short, stable ids
+    return str(tuple((sign, block[:3] if block[0] == "v" and block[3] == 1
+                      else block) for sign, block in alphabet))
+
+
+@pytest.mark.parametrize("alphabet", ORACLE_ALPHABETS, ids=alphabet_id)
 def test_pleth_matches_signed_letter_oracle(alphabet):
     n, deg = ORACLE_N, ORACLE_DEG
     # m runs past deg and past the number of letters
@@ -258,6 +273,27 @@ def test_generating_series_of_hAB():
             assert x1_coeff(series, t) == h_pleth(t, ab, n, deg), (r, s, t)
 
 
+def test_G_prefactor_matches_explicit_products():
+    # rows (i, lo, hi) with hi past n, lo past n and lo > hi; x_l for l > n
+    # is zero, so only l in [lo, min(hi, n)] contributes
+    n, deg = 2, 4
+    rows = [(1, 1, 2), (2, 2, 4), (3, 3, 1), (2, 3, 5), (1, 1, 1)]
+    row_want = col_want = one(n, deg)
+    for i, lo, hi in rows:
+        for l in range(lo, min(hi, n) + 1):
+            row_want = row_want * (one(n, deg) - bv(i, n, deg) * xv(l, n, deg))
+            geo = TruncPoly.zero(n, deg)
+            for k in range(deg + 1):
+                geo = geo + (av(i, n, deg) * xv(l, n, deg)) ** k
+            col_want = col_want * geo
+    assert _G_prefactor("row", rows, n, deg) == row_want
+    assert _G_prefactor("col", rows, n, deg) == col_want
+    for i, lo, hi in rows:
+        if lo > min(hi, n):
+            assert _G_prefactor("row", [(i, lo, hi)], n, deg) == one(n, deg)
+            assert _G_prefactor("col", [(i, lo, hi)], n, deg) == one(n, deg)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10 ** 9))
 def test_h_recurrence_strip_one_letter(seed):
@@ -268,7 +304,7 @@ def test_h_recurrence_strip_one_letter(seed):
     zp = TruncPoly.var(n, deg, fam, idx)
     m = rng.randint(0, 4)
     lhs = h_pleth(m, z, n, deg)
-    rhs = h_pleth(m, cat(z, neg(single(fam, idx))), n, deg) \
+    rhs = h_pleth(m, cat(z, neg(single(fam, idx, 1))), n, deg) \
         + zp * h_pleth(m - 1, z, n, deg)
     assert lhs == rhs
 
@@ -282,8 +318,8 @@ def test_e_recurrences_strip_and_add_one_letter(seed):
     fam, idx = random_letter(rng, n)
     zp = TruncPoly.var(n, deg, fam, idx)
     m = rng.randint(0, 4)
-    minus = cat(z, neg(single(fam, idx)))
-    plus = cat(z, single(fam, idx))
+    minus = cat(z, neg(single(fam, idx, 1)))
+    plus = cat(z, single(fam, idx, 1))
     assert e_pleth(m, z, n, deg) == \
         e_pleth(m, minus, n, deg) + zp * e_pleth(m - 1, minus, n, deg)
     assert e_pleth(m, z, n, deg) == \
