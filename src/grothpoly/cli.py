@@ -89,7 +89,7 @@ def _render_vars(pairs, fmt):
 def poly_records(p):
     """Structured form: terms as (coefficient, exponent-vector) records."""
     order = []
-    for mono, c in p.terms.items():
+    for mono, c in p.monomials():
         xs, ps = _mono_split(mono)
         order.append((_xmono_key(xs, p.n)[0], _pmono_key(ps)[0], mono, c))
     order.sort()
@@ -110,7 +110,7 @@ def parse_records(data):
         mono = tuple(sorted(((FAMILY_CODES[name], idx), e)
                             for name, idx, e in rec["powers"]))
         terms[mono] = rec["coeff"]
-    return TruncPoly(data["n"], data["deg"], terms)
+    return TruncPoly.from_monomials(data["n"], data["deg"], terms.items())
 
 
 def render_poly(p, fmt="text"):
@@ -120,7 +120,7 @@ def render_poly(p, fmt="text"):
         return "0"
     mult = "*" if fmt == "text" else " "
     groups = {}
-    for mono, c in p.terms.items():
+    for mono, c in p.monomials():
         xs, ps = _mono_split(mono)
         groups.setdefault(ps, {})[xs] = c
     out = []
@@ -911,7 +911,7 @@ def run(argv):
         out, status = DISPATCH[args.verb](args)
     except (InternalCheckError, DivisibilityError) as exc:
         return 3, f"internal inconsistency: {exc}"
-    except (ShapeError, ValueError) as exc:
+    except (ShapeError, ValueError, OverflowError) as exc:
         return 2, f"error: {exc}"
     return status, out
 

@@ -200,7 +200,7 @@ def _box_truncate(p, n_x, bound):
     """Keep monomials whose x_1..x_{n_x} degree and remaining x degree are
     both <= bound."""
     kept = {}
-    for mono, c in p.terms.items():
+    for mono, c in p.monomials():
         dx = dy = 0
         for (fam, idx), e in mono:
             if fam == X:
@@ -210,7 +210,7 @@ def _box_truncate(p, n_x, bound):
                     dy += e
         if dx <= bound and dy <= bound:
             kept[mono] = c
-    return TruncPoly(p.n, p.deg, kept)
+    return TruncPoly.from_monomials(p.n, p.deg, kept.items())
 
 
 def cauchy_check(n_x, n_y, bound):

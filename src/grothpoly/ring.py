@@ -1,10 +1,24 @@
 """Exact sparse polynomial arithmetic over the integers in three variable
 families x_i, alpha_i, beta_i, truncated at a fixed total x-degree.
 
-A monomial is a sorted tuple of ((family, index), exponent) pairs with
-positive exponents; families are X=0, ALPHA=1, BETA=2.  A polynomial carries
-its context (n, deg): x-indices stay in 1..n and every stored monomial has
-total x-degree <= deg.  alpha/beta degrees are not truncated.
+A polynomial carries its context (n, deg): x-indices stay in 1..n and every
+stored monomial has total x-degree <= deg.  alpha/beta degrees are not
+truncated.  Families are X=0, ALPHA=1, BETA=2.
+
+Monomials are packed into one int of W-bit fields (Monagan and Pearce's
+packed exponent vectors).  Field 0, the low W bits, holds the total
+x-degree; the variable (fam, idx) sits at field 1 + 3(idx - 1) + fam.  A
+product of monomials is then the sum of their ints, and m & FIELD is the
+x-degree that truncation reads.  A sum carries into the next field once a
+field reaches 2^W, so each polynomial keeps an O(1) bound on the parameter
+degree of its monomials, the sum of its operands' bounds for a product;
+every field then stays <= deg + bound, and a polynomial whose deg + bound
+exceeds LIMIT = 2^(W-1) - 1 raises OverflowError.  The top bit of each field
+stays clear, which exact_divide uses to test divisibility.
+
+Outside this module a monomial is a sorted tuple of ((family, index),
+exponent) pairs with positive exponents: monomials() decodes to that form
+and from_monomials() encodes from it.
 """
 
 import heapq
@@ -14,6 +28,10 @@ ALPHA = 1
 BETA = 2
 
 FAMILY_NAMES = {X: "x", ALPHA: "a", BETA: "b"}
+
+W = 12
+FIELD = (1 << W) - 1
+LIMIT = (1 << (W - 1)) - 1
 
 
 class ContextMismatch(ValueError):
@@ -29,69 +47,86 @@ class InternalCheckError(AssertionError):
     pass
 
 
-def mono_mul(m1, m2):
-    # monomials are sorted by variable, so merge instead of re-sorting
-    if not m1:
-        return m2
-    if not m2:
-        return m1
-    out = []
-    i = j = 0
-    n1, n2 = len(m1), len(m2)
-    while i < n1 and j < n2:
-        v1, e1 = m1[i]
-        v2, e2 = m2[j]
-        if v1 == v2:
-            out.append((v1, e1 + e2))
-            i += 1
-            j += 1
-        elif v1 < v2:
-            out.append(m1[i])
-            i += 1
-        else:
-            out.append(m2[j])
-            j += 1
-    out.extend(m1[i:])
-    out.extend(m2[j:])
-    return tuple(out)
+def _field(fam, idx):
+    return 1 + 3 * (idx - 1) + fam
 
 
-def mono_xdeg(mono):
-    return sum(e for (fam, _), e in mono if fam == X)
+def _encode(mono):
+    m = 0
+    for (fam, idx), e in mono:
+        if fam not in FAMILY_NAMES or idx < 1 or e < 0:
+            raise ValueError(f"bad monomial factor {((fam, idx), e)}")
+        m += e << (_field(fam, idx) * W)
+        if fam == X:
+            m += e
+    return m
 
 
-def mono_deg(mono):
-    return sum(e for _, e in mono)
+def _decode(m, pairs):
+    # the sorted tuple form of m; pairs shares the ((fam, idx), e) tuples
+    # between the monomials of one decode
+    by_fam = ([], [], [])
+    k = 0
+    m >>= W
+    while m:
+        e = m & FIELD
+        if e:
+            pair = pairs.get((k, e))
+            if pair is None:
+                pair = pairs[(k, e)] = ((k % 3, k // 3 + 1), e)
+            by_fam[k % 3].append(pair)
+        m >>= W
+        k += 1
+    return tuple(by_fam[X] + by_fam[ALPHA] + by_fam[BETA])
 
 
-def mono_key(mono):
-    # graded lexicographic order, largest first: higher total degree, then
-    # the higher exponent on the earliest variable (X < ALPHA < BETA, index
-    # ascending).  At equal degree neither tuple is a prefix of the other.
-    return (-mono_deg(mono), tuple((fam, idx, -e) for (fam, idx), e in mono))
+def _x_fields(lo, hi):
+    """Mask of the fields of x_lo..x_hi."""
+    mask = 0
+    for idx in range(lo, hi + 1):
+        mask |= FIELD << (_field(X, idx) * W)
+    return mask
 
 
-def mono_divide(m1, m2):
-    """m1 / m2 as a monomial, or None if m2 does not divide m1."""
-    exps = dict(m1)
-    for var, e in m2:
-        have = exps.get(var, 0)
-        if have < e:
-            return None
-        if have == e:
-            del exps[var]
-        else:
-            exps[var] = have - e
-    return tuple(sorted(exps.items()))
+def _lead_order(m):
+    # graded order, leading monomial first: higher total degree (the sum of
+    # fields 1.., which stays below FIELD, so a remainder mod 2^W - 1 gives
+    # it), then the larger packed int
+    return (-((m >> W) % FIELD), -m)
+
+
+def _add_product(terms, deg, p, q, sign):
+    """terms += sign * p * q, dropping monomials of x-degree above deg."""
+    get = terms.get
+    qb = q._xbuckets()
+    for d1, items1 in p._xbuckets().items():
+        limit = deg - d1
+        for d2, items2 in qb.items():
+            if d2 > limit:
+                continue
+            for m1, c1 in items1:
+                c1 *= sign
+                for m2, c2 in items2:
+                    m = m1 + m2
+                    s = get(m, 0) + c1 * c2
+                    if s:
+                        terms[m] = s
+                    else:
+                        del terms[m]
 
 
 class TruncPoly:
-    __slots__ = ("n", "deg", "terms", "_xb")
+    __slots__ = ("n", "deg", "terms", "pbound", "_xb")
 
-    def __init__(self, n, deg, terms):
+    def __init__(self, n, deg, terms, pbound):
+        if deg + pbound > LIMIT:
+            raise OverflowError(
+                f"x-degree {deg} plus parameter degree {pbound} exceeds "
+                f"{LIMIT}")
         self.n = n
         self.deg = deg
-        self.terms = terms  # dict mono -> nonzero int; treat as immutable
+        self.terms = terms  # dict packed mono -> nonzero int; immutable
+        self.pbound = pbound  # >= the alpha/beta degree of every monomial
         self._xb = None
 
     def _xbuckets(self):
@@ -100,10 +135,7 @@ class TruncPoly:
         if b is None:
             b = {}
             for m, c in self.terms.items():
-                d = 0
-                for (fam, _), e in m:
-                    if fam == X:
-                        d += e
+                d = m & FIELD
                 pairs = b.get(d)
                 if pairs is None:
                     b[d] = [(m, c)]
@@ -114,11 +146,11 @@ class TruncPoly:
 
     @classmethod
     def zero(cls, n, deg):
-        return cls(n, deg, {})
+        return cls(n, deg, {}, 0)
 
     @classmethod
     def const(cls, n, deg, c):
-        return cls(n, deg, {(): c} if c else {})
+        return cls(n, deg, {0: c} if c else {}, 0)
 
     @classmethod
     def var(cls, n, deg, fam, idx, exp=1):
@@ -132,9 +164,37 @@ class TruncPoly:
                 raise ContextMismatch(f"x{idx} exceeds context n={n}")
             if exp > deg:
                 return cls.zero(n, deg)
-        if exp == 0:
-            return cls.const(n, deg, 1)
-        return cls(n, deg, {(((fam, idx), exp),): 1})
+        return cls(n, deg, {_encode((((fam, idx), exp),)): 1},
+                   0 if fam == X else exp)
+
+    @classmethod
+    def from_monomials(cls, n, deg, items):
+        """The sum of c * mono over (mono, c) pairs of tuple-form monomials,
+        truncated at x-degree deg; the inverse of monomials()."""
+        terms = {}
+        pbound = 0
+        for mono, c in items:
+            for (fam, idx), _ in mono:
+                if fam == X and idx > n:
+                    raise ContextMismatch(f"x{idx} exceeds context n={n}")
+            m = _encode(mono)
+            if m & FIELD > deg:
+                continue
+            pbound = max(pbound, sum(e for (fam, _), e in mono if fam != X))
+            s = terms.get(m, 0) + c
+            if s:
+                terms[m] = s
+            else:
+                terms.pop(m, None)
+        return cls(n, deg, terms, pbound)
+
+    def monomials(self):
+        """Iterate over the terms as (mono, c) with tuple-form monomials.
+        The ((family, index), exponent) pairs are shared between the
+        monomials of one iteration."""
+        pairs = {}
+        for m, c in self.terms.items():
+            yield _decode(m, pairs), c
 
     def is_zero(self):
         return not self.terms
@@ -162,13 +222,14 @@ class TruncPoly:
                 terms[mono] = s
             else:
                 terms.pop(mono, None)
-        return TruncPoly(self.n, self.deg, terms)
+        return TruncPoly(self.n, self.deg, terms,
+                         max(self.pbound, other.pbound))
 
     __radd__ = __add__
 
     def __neg__(self):
         return TruncPoly(self.n, self.deg,
-                         {m: -c for m, c in self.terms.items()})
+                         {m: -c for m, c in self.terms.items()}, self.pbound)
 
     def __sub__(self, other):
         if isinstance(other, int):
@@ -183,25 +244,12 @@ class TruncPoly:
             if other == 0:
                 return TruncPoly.zero(self.n, self.deg)
             return TruncPoly(self.n, self.deg,
-                             {m: c * other for m, c in self.terms.items()})
+                             {m: c * other for m, c in self.terms.items()},
+                             self.pbound)
         self._check(other)
-        deg = self.deg
         terms = {}
-        get = terms.get
-        for d1, items1 in self._xbuckets().items():
-            limit = deg - d1
-            for d2, items2 in other._xbuckets().items():
-                if d2 > limit:
-                    continue
-                for m1, c1 in items1:
-                    for m2, c2 in items2:
-                        m = mono_mul(m1, m2)
-                        s = get(m, 0) + c1 * c2
-                        if s:
-                            terms[m] = s
-                        else:
-                            del terms[m]
-        return TruncPoly(self.n, self.deg, terms)
+        _add_product(terms, self.deg, self, other, 1)
+        return TruncPoly(self.n, self.deg, terms, self.pbound + other.pbound)
 
     __rmul__ = __mul__
 
@@ -213,46 +261,36 @@ class TruncPoly:
 
     def truncate(self, new_deg):
         """Reinterpret in the context (n, new_deg), dropping high x-degrees."""
-        terms = {m: c for m, c in self.terms.items() if mono_xdeg(m) <= new_deg}
-        return TruncPoly(self.n, new_deg, terms)
+        terms = {m: c for m, c in self.terms.items() if m & FIELD <= new_deg}
+        return TruncPoly(self.n, new_deg, terms, self.pbound)
+
+    def _has_x_above(self, k):
+        high = _x_fields(k + 1, self.n)
+        return any(m & high for m in self.terms)
 
     def with_n(self, new_n):
         """Embed into a wider context (x-indices must already fit)."""
-        for fam, idx in self.variables():
-            if fam == X and idx > new_n:
-                raise ContextMismatch(f"x{idx} exceeds n={new_n}")
-        return TruncPoly(new_n, self.deg, dict(self.terms))
+        if self._has_x_above(new_n):
+            raise ContextMismatch(f"an x index exceeds n={new_n}")
+        return TruncPoly(new_n, self.deg, dict(self.terms), self.pbound)
 
     def restrict_n(self, new_n):
         """Set x_i = 0 for all i > new_n."""
-        terms = {}
-        for mono, c in self.terms.items():
-            if all(not (fam == X and idx > new_n) for (fam, idx), _ in mono):
-                terms[mono] = c
-        return TruncPoly(new_n, self.deg, terms)
-
-    def _rename_x(self, rename, new_n):
-        terms = {}
-        for mono, c in self.terms.items():
-            new = [((fam, rename(idx) if fam == X else idx), e)
-                   for (fam, idx), e in mono]
-            terms[tuple(sorted(new))] = c
-        return TruncPoly(new_n, self.deg, terms)
+        high = _x_fields(new_n + 1, self.n)
+        terms = {m: c for m, c in self.terms.items() if not m & high}
+        return TruncPoly(new_n, self.deg, terms, self.pbound)
 
     def shift_x(self, offset, new_n):
-        """Rename x_i -> x_{i+offset}."""
-        if any(fam == X and idx + offset > new_n
-               for (fam, idx) in self.variables()):
+        """Rename x_i -> x_{i+offset} for offset >= 0."""
+        if self._has_x_above(new_n - offset):
             raise ContextMismatch("shifted index out of range")
-        return self._rename_x(lambda idx: idx + offset, new_n)
-
-    def swap_x(self, i, j):
-        """Exchange x_i and x_j."""
-        return self._rename_x(lambda idx: {i: j, j: i}.get(idx, idx), self.n)
-
-    def variables(self):
-        """The set of (family, index) variables occurring in some term."""
-        return {var for mono in self.terms for var, _ in mono}
+        xmask = _x_fields(1, self.n)
+        shift = 3 * offset * W
+        terms = {}
+        for m, c in self.terms.items():
+            xm = m & xmask
+            terms[m - xm + (xm << shift)] = c
+        return TruncPoly(new_n, self.deg, terms, self.pbound)
 
     def specialize(self, image):
         """Substitute alpha/beta variables by a rule.  image((family, index))
@@ -260,47 +298,47 @@ class TruncPoly:
         x variable, and returns None to keep it, or (c, target) to replace it
         by c times the parameter variable target (the constant c when target
         is None).  Each monomial maps to one monomial of the same x-degree."""
-        subs = {}  # var -> image(var)
+        subs = {}  # field -> None (kept) or (c, target field shift or None)
         terms = {}
-        for mono, c in self.terms.items():
-            kept = []
-            moved = ()
-            for var, e in mono:
-                if var[0] != X:
-                    if var in subs:
-                        sub = subs[var]
+        for m, c in self.terms.items():
+            rest = m >> W
+            k = 1
+            while rest:
+                e = rest & FIELD
+                if e:
+                    if k in subs:
+                        sub = subs[k]
                     else:
-                        sub = subs[var] = image(var)
+                        sub = subs[k] = _field_image(image, k)
                     if sub is not None:
                         c *= sub[0] ** e
+                        m -= e << (k * W)
                         if sub[1] is not None:
-                            moved = mono_mul(moved, ((sub[1], e),))
-                        continue
-                kept.append((var, e))
+                            m += e << sub[1]
+                rest >>= W
+                k += 1
             if c:
-                m = mono_mul(tuple(kept), moved)
                 s = terms.get(m, 0) + c
                 if s:
                     terms[m] = s
                 else:
                     del terms[m]
-        return TruncPoly(self.n, self.deg, terms)
+        return TruncPoly(self.n, self.deg, terms, self.pbound)
 
     def coeff(self, mono):
-        return self.terms.get(tuple(sorted(mono)), 0)
-
-    def max_xdeg(self):
-        return max((mono_xdeg(m) for m in self.terms), default=0)
+        """The coefficient of a tuple-form monomial, in any factor order."""
+        return self.terms.get(_encode(mono), 0)
 
     def __repr__(self):
         if not self.terms:
             return "0"
         parts = []
-        for mono in sorted(self.terms, key=mono_key, reverse=True):
-            c = self.terms[mono]
+        pairs = {}
+        for m in sorted(self.terms, key=_lead_order):
+            c = self.terms[m]
             body = "*".join(
                 f"{FAMILY_NAMES[fam]}{idx}" + (f"^{e}" if e > 1 else "")
-                for (fam, idx), e in mono)
+                for (fam, idx), e in _decode(m, pairs))
             if not body:
                 parts.append(str(c))
             elif c == 1:
@@ -310,6 +348,19 @@ class TruncPoly:
             else:
                 parts.append(f"{c}*{body}")
         return " + ".join(parts).replace("+ -", "- ")
+
+
+def _field_image(image, k):
+    # a specialize rule at field k >= 1: None, or (c, shift of the target's
+    # field or None)
+    fam, idx = (k - 1) % 3, (k - 1) // 3 + 1
+    if fam == X:
+        return None
+    sub = image((fam, idx))
+    if sub is None:
+        return None
+    c, target = sub
+    return c, None if target is None else _field(*target) * W
 
 
 def pvar(n, deg, fam, idx):
@@ -342,29 +393,31 @@ def det(matrix, n, deg, memo=None, key=None):
 
 def _minor(matrix, rows, n, deg, memo, key):
     # det of matrix[rows][columns 0..len(rows)-1], expanded along the last
-    # of those columns; memo holds proper minors under key(rows), or rows
+    # of those columns into one accumulator; memo holds proper minors under
+    # key(rows), or rows
     col = len(rows) - 1
     if col == 0:
         return matrix[rows[0]][0]
-    acc = None
+    terms = {}
+    pbound = 0
     for t, r in enumerate(rows):
         entry = matrix[r][col]
-        if entry.is_zero():
+        if not entry.terms:
             continue
         sub = rows[:t] + rows[t + 1:]
         k = sub if key is None else key(sub)
         minor = memo.get(k)
         if minor is None:
             minor = memo[k] = _minor(matrix, sub, n, deg, memo, key)
-        term = entry * minor
-        if (t + col) % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return TruncPoly.zero(n, deg) if acc is None else acc
+        if (entry.n, entry.deg, minor.n, minor.deg) != (n, deg, n, deg):
+            raise ContextMismatch(f"determinant entry outside {(n, deg)}")
+        pbound = max(pbound, entry.pbound + minor.pbound)
+        _add_product(terms, deg, entry, minor, -1 if (t + col) % 2 else 1)
+    return TruncPoly(n, deg, terms, pbound)
 
 
 def exact_divide(num, den, guard_degree):
-    """Divide num by den by cancelling graded-lex leading terms.
+    """Divide num by den by cancelling graded leading terms.
 
     num must be exactly divisible within its context; the quotient is
     returned truncated to num.deg - guard_degree.  A nonzero remainder means
@@ -373,33 +426,41 @@ def exact_divide(num, den, guard_degree):
     if den.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     num._check(den)
-    lead_den = min(den.terms, key=mono_key)
+    lead_den = min(den.terms, key=_lead_order)
     cd = den.terms[lead_den]
+    # the top bit of every field: (lead | guard) - lead_den keeps a field's
+    # guard bit exactly when lead_den's exponent there is not larger
+    width = max(m.bit_length() for m in (*num.terms, *den.terms)) // W + 1
+    guard = ((1 << (width * W)) - 1) // FIELD << (W - 1)
     rem = dict(num.terms)
     # the remainder's monomials, leading term first; a monomial cancelled
-    # after it was pushed is skipped when popped (lazy deletion)
-    heap = [(mono_key(m), m) for m in rem]
+    # after it was pushed is skipped when popped (lazy deletion).  Every
+    # remainder monomial has total degree <= the leading one of num, so no
+    # field overflows.
+    heap = list(map(_lead_order, rem))
     heapq.heapify(heap)
     quot = {}
     while heap:
-        _, lead = heapq.heappop(heap)
+        lead = -heapq.heappop(heap)[1]
         c = rem.get(lead)
         if c is None:
             continue
-        m = mono_divide(lead, lead_den)
-        if m is None or c % cd:
-            raise DivisibilityError(f"leading term {lead} not divisible")
+        m = (lead | guard) - lead_den
+        if m & guard != guard or c % cd:
+            raise DivisibilityError(
+                f"leading term {_decode(lead, {})} not divisible")
+        m ^= guard
         q = c // cd
         quot[m] = quot.get(m, 0) + q
         for mono, dc in den.terms.items():
-            mm = mono_mul(m, mono)
+            mm = m + mono
             old = rem.get(mm)
             if old is None:
                 rem[mm] = -q * dc
-                heapq.heappush(heap, (mono_key(mm), mm))
+                heapq.heappush(heap, _lead_order(mm))
             elif old == q * dc:
                 del rem[mm]
             else:
                 rem[mm] = old - q * dc
-    result = TruncPoly(num.n, num.deg, quot)
+    result = TruncPoly(num.n, num.deg, quot, num.pbound)
     return result.truncate(num.deg - guard_degree)

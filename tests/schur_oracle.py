@@ -19,6 +19,15 @@ class ExpansionError(ValueError):
     pass
 
 
+def swap_x(p, i, j):
+    """p with x_i and x_j exchanged."""
+    swap = {i: j, j: i}
+    return TruncPoly.from_monomials(p.n, p.deg, (
+        (tuple(sorted(((fam, swap.get(idx, idx) if fam == X else idx), e)
+                      for (fam, idx), e in mono)), c)
+        for mono, c in p.monomials()))
+
+
 def _x_vector(mono, n):
     vec = [0] * n
     for (fam, idx), e in mono:
@@ -39,27 +48,29 @@ def schur_expand(p, max_degree=None):
     if max_degree is None:
         max_degree = deg
     for i in range(1, n):
-        if p.swap_x(i, i + 1) != p:
+        if swap_x(p, i, i + 1) != p:
             raise SymmetryError(f"not symmetric under x{i} <-> x{i + 1}")
-    work = TruncPoly(n, deg, {m: c for m, c in p.terms.items()
-                              if sum(_x_vector(m, n)) <= max_degree})
+    work = TruncPoly.from_monomials(
+        n, deg, ((m, c) for m, c in p.monomials()
+                 if sum(_x_vector(m, n)) <= max_degree))
     result = {}
     guard = 0
     while not work.is_zero():
         guard += 1
         if guard > 100000:
             raise ExpansionError("expansion did not terminate")
-        dom = max(work.terms, key=lambda m: (sum(_x_vector(m, n)),
+        work_terms = dict(work.monomials())
+        dom = max(work_terms, key=lambda m: (sum(_x_vector(m, n)),
                                              _x_vector(m, n)))
         vec = _x_vector(dom, n)
         mu = tuple(v for v in vec if v)
         if any(vec[i] < vec[i + 1] for i in range(n - 1)):
             raise ExpansionError(f"dominant x-part {vec} is not a partition")
         coeff_terms = {}
-        for mono, c in work.terms.items():
+        for mono, c in work_terms.items():
             if _x_vector(mono, n) == vec:
                 coeff_terms[_param_part(mono)] = c
-        coeff = TruncPoly(n, deg, coeff_terms)
+        coeff = TruncPoly.from_monomials(n, deg, coeff_terms.items())
         result[mu] = result.get(mu, TruncPoly.zero(n, deg)) + coeff
         work = work - coeff * schur_jt(mu, (), n, deg)
     return {mu: c for mu, c in result.items() if not c.is_zero()}

@@ -232,6 +232,11 @@ def test_usage_errors_exit_two():
     status, out = run(["expand", "G", "--shape", "2", "--inner", "3"])
     assert status == 2
     assert "contained" in out
+    # a degree past the packed monomial fields is refused, not wrapped
+    status, out = run(["compute", "G", "--shape", "1", "--n", "1",
+                       "--deg", "5000"])
+    assert status == 2
+    assert "exceeds" in out
     # one flag per row of the shape: longer and shorter lists are refused
     for argv in (["compute", "G", "--shape", "2,1", "--n", "3",
                   "--flags-r", "1,1,1", "--flags-s", "3,3,3"],

@@ -4,12 +4,77 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from grothpoly.ring import (
-    ALPHA, BETA, X, ContextMismatch, DivisibilityError, TruncPoly, det,
-    exact_divide, mono_deg, mono_key,
+    ALPHA, BETA, LIMIT, X, ContextMismatch, DivisibilityError, TruncPoly, det,
+    exact_divide,
 )
+from schur_oracle import swap_x
+
+
+# Tuple-form monomials, the form TruncPoly decodes to at its boundary: a
+# sorted tuple of ((family, index), exponent) pairs.  These helpers are the
+# oracles that the packed kernel is compared with.
+
+def mono_mul(m1, m2):
+    # monomials are sorted by variable, so merge instead of re-sorting
+    if not m1:
+        return m2
+    if not m2:
+        return m1
+    out = []
+    i = j = 0
+    n1, n2 = len(m1), len(m2)
+    while i < n1 and j < n2:
+        v1, e1 = m1[i]
+        v2, e2 = m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif v1 < v2:
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    out.extend(m1[i:])
+    out.extend(m2[j:])
+    return tuple(out)
+
+
+def mono_xdeg(mono):
+    return sum(e for (fam, _), e in mono if fam == X)
+
+
+def mono_deg(mono):
+    return sum(e for _, e in mono)
+
+
+def mono_key(mono):
+    # graded lexicographic order, largest first: higher total degree, then
+    # the higher exponent on the earliest variable (X < ALPHA < BETA, index
+    # ascending).  At equal degree neither tuple is a prefix of the other.
+    return (-mono_deg(mono), tuple((fam, idx, -e) for (fam, idx), e in mono))
+
+
+def mono_divide(m1, m2):
+    """m1 / m2 as a monomial, or None if m2 does not divide m1."""
+    exps = dict(m1)
+    for var, e in m2:
+        have = exps.get(var, 0)
+        if have < e:
+            return None
+        if have == e:
+            del exps[var]
+        else:
+            exps[var] = have - e
+    return tuple(sorted(exps.items()))
+
+
+def max_xdeg(p):
+    return max((mono_xdeg(m) for m, _ in p.monomials()), default=0)
 
 
 def xv(n, deg, i):
@@ -87,7 +152,7 @@ def product_specialize(p, image):
     """Substitution by ring products: each term becomes its coefficient
     times the product of its variables' images."""
     result = TruncPoly.zero(p.n, p.deg)
-    for mono, c in p.terms.items():
+    for mono, c in p.monomials():
         term = TruncPoly.const(p.n, p.deg, c)
         for var, e in mono:
             sub = None if var[0] == X else image(var)
@@ -133,8 +198,8 @@ def test_var_exponents():
         with pytest.raises(ValueError):
             TruncPoly.var(n, deg, fam, idx, -1)
     # parameter degrees are not truncated, x-degrees are
-    assert TruncPoly.var(n, deg, BETA, 1, deg + 1).terms == \
-        {(((BETA, 1), deg + 1),): 1}
+    assert list(TruncPoly.var(n, deg, BETA, 1, deg + 1).monomials()) == \
+        [((((BETA, 1), deg + 1),), 1)]
     assert TruncPoly.var(n, deg, X, 2, deg + 1).is_zero()
 
 
@@ -255,7 +320,7 @@ def test_exact_divide_remainder_detected():
 def has_mixed_term(p):
     # some monomial carries both an x and a parameter
     return any(len({fam == X for (fam, _), _ in mono}) == 2
-               for mono in p.terms)
+               for mono, _ in p.monomials())
 
 
 @settings(max_examples=40, deadline=None)
@@ -265,7 +330,7 @@ def test_exact_divide_roundtrip(sa, sb):
     q = poly_from_seed(sb, deg=8)
     assume(not q.is_zero())
     # keep the product below the truncation bound so it is exact
-    assume(p.max_xdeg() + q.max_xdeg() <= 8)
+    assume(max_xdeg(p) + max_xdeg(q) <= 8)
     # graded-lex order must interleave x with the parameters
     assume(has_mixed_term(p * q))
     assert exact_divide(p * q, q, 0) == p
@@ -339,14 +404,23 @@ def test_restrict_and_shift():
     assert p.restrict_n(2) == xv(2, deg, 1).with_n(2)
     shifted = xv(1, deg, 1).shift_x(2, 3)
     assert shifted == xv(3, deg, 3)
+    with pytest.raises(ContextMismatch):
+        p.with_n(2)
+    with pytest.raises(ContextMismatch):
+        p.shift_x(1, 3)
+    # parameter fields stay where they are
+    q = xv(n, deg, 2) * av(n, deg, 12) + xv(n, deg, 3) * bv(n, deg, 1)
+    assert q.shift_x(2, 5) == \
+        xv(5, deg, 4) * av(5, deg, 12) + xv(5, deg, 5) * bv(5, deg, 1)
+    assert q.restrict_n(2) == xv(2, deg, 2) * av(2, deg, 12)
 
 
 def test_swap_x_symmetry_probe():
     n, deg = 2, 3
     sym = xv(n, deg, 1) + xv(n, deg, 2)
     asym = xv(n, deg, 1) - xv(n, deg, 2)
-    assert sym.swap_x(1, 2) == sym
-    assert asym.swap_x(1, 2) != asym
+    assert swap_x(sym, 1, 2) == sym
+    assert swap_x(asym, 1, 2) != asym
 
 
 def test_mono_cmp_order():
@@ -382,3 +456,103 @@ def test_mono_key_orders_like_mono_cmp(seed):
         want = mono_cmp(m1, m2)
         assert (k1 < k2) == (want > 0)
         assert (k1 == k2) == (want == 0)
+
+
+# The packed kernel against the tuple oracles.  Parameter indices past 10
+# put fields far above the x-degree field.
+ORACLE_VARS = [(X, 1), (X, 2), (X, 3), (ALPHA, 1), (ALPHA, 11), (BETA, 2),
+               (BETA, 12)]
+tuple_monos = st.dictionaries(
+    st.sampled_from(ORACLE_VARS), st.integers(1, 3), max_size=3,
+).map(lambda exps: tuple(sorted(exps.items())))
+tuple_polys = st.dictionaries(tuple_monos, st.sampled_from([-2, -1, 1, 3]),
+                              max_size=6)
+
+
+def oracle_product(a, b, deg):
+    """The product of two {mono: c} dicts by tuple merges, truncated at
+    x-degree deg."""
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = mono_mul(m1, m2)
+            if mono_xdeg(m) <= deg:
+                out[m] = out.get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+@settings(max_examples=100, deadline=None)
+@given(tuple_polys, tuple_polys)
+# (x1^2 + b12)(x1^2 - b12): x-degree exactly deg, and the cross terms cancel
+@example({(((X, 1), 2),): 1, (((BETA, 12), 1),): 1},
+         {(((X, 1), 2),): 1, (((BETA, 12), 1),): -1})
+def test_packed_product_matches_tuple_merge(a, b):
+    n, deg = 3, 4
+    a = {m: c for m, c in a.items() if mono_xdeg(m) <= deg}
+    b = {m: c for m, c in b.items() if mono_xdeg(m) <= deg}
+    p = TruncPoly.from_monomials(n, deg, a.items())
+    q = TruncPoly.from_monomials(n, deg, b.items())
+    assert dict(p.monomials()) == a
+    want = oracle_product(a, b, deg)
+    assert dict((p * q).monomials()) == want
+    # the Laplace expansion adds signed products into one accumulator
+    square = oracle_product(a, a, deg)
+    for m, c in oracle_product(b, b, deg).items():
+        square[m] = square.get(m, 0) - c
+    assert dict(det([[p, q], [q, p]], n, deg).monomials()) == \
+        {m: c for m, c in square.items() if c}
+    rule = {(ALPHA, 11): (-1, (BETA, 12)), (BETA, 2): (2, None)}.get
+    assert p.specialize(rule) == product_specialize(p, rule)
+
+
+@settings(max_examples=60, deadline=None)
+@given(tuple_monos, tuple_monos)
+def test_exact_divide_monomials_matches_tuple_divide(a, b):
+    # exact_divide tests divisibility on the packed ints
+    n, deg = 3, 9
+    num = TruncPoly.from_monomials(n, deg, [(a, 6)])
+    den = TruncPoly.from_monomials(n, deg, [(b, 3)])
+    want = mono_divide(a, b)
+    if want is None:
+        with pytest.raises(DivisibilityError):
+            exact_divide(num, den, 0)
+    else:
+        assert list(exact_divide(num, den, 0).monomials()) == [(want, 2)]
+
+
+def test_product_past_the_field_width_raises():
+    n, deg = 1, 3
+    top = LIMIT - deg  # the largest parameter degree the context holds
+    b1 = TruncPoly.var(n, deg, BETA, 1, top)
+    assert list((b1 * xv(n, deg, 1)).monomials()) == \
+        [((((X, 1), 1), ((BETA, 1), top)), 1)]
+    half = TruncPoly.var(n, deg, BETA, 1, top // 2)
+    assert list((half * half * bv(n, deg, 1) ** (top % 2)).monomials()) == \
+        [((((BETA, 1), top),), 1)]
+    with pytest.raises(OverflowError):
+        b1 * av(n, deg, 1)
+    with pytest.raises(OverflowError):
+        TruncPoly.var(n, deg, ALPHA, 2, top + 1)
+    with pytest.raises(OverflowError):
+        det([[b1, one(n, deg)], [one(n, deg), av(n, deg, 1)]], n, deg)
+    with pytest.raises(OverflowError):
+        TruncPoly.const(n, LIMIT + 1, 1)
+
+
+def test_monomials_round_trip_and_coeff():
+    n, deg = 2, 3
+    items = {(((X, 1), 2), ((ALPHA, 11), 1)): 3,
+             (((X, 2), 1), ((BETA, 1), 1), ((BETA, 12), 2)): -1,
+             (): 5}
+    p = TruncPoly.from_monomials(n, deg, items.items())
+    assert dict(p.monomials()) == items
+    assert TruncPoly.from_monomials(n, deg, p.monomials()) == p
+    # coeff reads a monomial given in any factor order
+    assert p.coeff((((BETA, 12), 2), ((X, 2), 1), ((BETA, 1), 1))) == -1
+    assert p.coeff((((ALPHA, 11), 1), ((X, 1), 2))) == 3
+    assert p.coeff(()) == 5
+    assert p.coeff((((X, 1), 1),)) == 0
+    # the constructor truncates, and keeps x inside the context
+    assert TruncPoly.from_monomials(n, deg, [((((X, 1), 4),), 1)]).is_zero()
+    with pytest.raises(ContextMismatch):
+        TruncPoly.from_monomials(n, deg, [((((X, 3), 1),), 1)])

@@ -154,9 +154,9 @@ def test_mmsvt_flagged_enum_matches_explicit_generation():
 
 
 def x_only(p):
-    return TruncPoly(p.n, p.deg, {
-        m: c for m, c in p.terms.items()
-        if all(fam == X for (fam, _), _ in m)})
+    return TruncPoly.from_monomials(p.n, p.deg, (
+        (m, c) for m, c in p.monomials()
+        if all(fam == X for (fam, _), _ in m)))
 
 
 def test_mmsvt_lowest_degree_layer_is_schur():
