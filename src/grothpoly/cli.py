@@ -29,7 +29,7 @@ from .grothendieck import (C_coeff, FlagSweep, G_bialternant, G_flagged_det,
                            G_jt, G_jt_modified, G_schur, c_coeff,
                            cauchy_check, col_monotone, g_bialternant,
                            g_flagged_det, g_jt, g_jt_modified, g_marked_det,
-                           g_schur, hall_pairing, matsumura_det, omega_check,
+                           g_schur, hall_pairing, omega_check,
                            row_monotone, schur_in_grothendieck,
                            skew_schur_expansion, valid_mark_sets)
 from .lgv import nonintersecting_coeff
@@ -284,30 +284,33 @@ def cmd_compute(args):
     deg = _default_deg(args, outer, inner)
     _require_rows(n, outer)
     _warn_degree(deg, outer, inner)
+    # flags, marks and col (the conjugate shape) need the determinant path
+    flagged = (args.flags_r is not None or args.flags_s is not None
+               or args.mark_set is not None or args.orientation == "col")
     if args.target == "s":
+        if flagged:
+            raise ShapeError("compute s takes no flags, marks or orientation")
         value = schur_jt(outer, inner, n, deg)
+    elif not (flagged or inner):
+        value = G_schur(outer, n, deg) if args.target == "G" \
+            else g_schur(outer, n, deg)
     else:
-        flagged = (args.flags_r is not None or args.flags_s is not None
-                   or inner or args.mark_set is not None)
-        if not flagged:
-            value = G_schur(outer, n, deg) if args.target == "G" \
-                else g_schur(outer, n, deg)
+        m = max(len(outer), len(inner), 1)
+        r = _parse_flag_list(args.flags_r, m, 1)
+        s = _parse_flag_list(args.flags_s, m, n)
+        s = tuple(n if v == INF else v for v in s)
+        if args.mark_set is not None:
+            if (args.target, args.orientation) != ("g", "row"):
+                raise ShapeError("mark sets apply to the row-flagged dual "
+                                 "family only")
+            value = g_marked_det(tuple(outer), inner, r, s,
+                                 _parse_mark_set(args.mark_set), n, deg)
+        elif args.target == "G":
+            value = G_flagged_det(outer, inner, r, s,
+                                  args.orientation, n, deg)
         else:
-            m = max(len(outer), len(inner), 1)
-            r = _parse_flag_list(args.flags_r, m, 1)
-            s = _parse_flag_list(args.flags_s, m, n)
-            s = tuple(n if v == INF else v for v in s)
-            if args.mark_set is not None:
-                if args.target != "g":
-                    raise ShapeError("mark sets apply to the dual family only")
-                value = g_marked_det(tuple(outer), inner, r, s,
-                                     _parse_mark_set(args.mark_set), n, deg)
-            elif args.target == "G":
-                value = G_flagged_det(outer, inner, r, s,
-                                      args.orientation, n, deg)
-            else:
-                value = g_flagged_det(outer, inner, r, s,
-                                      args.orientation, n, deg)
+            value = g_flagged_det(outer, inner, r, s,
+                                  args.orientation, n, deg)
     value = _apply_spec(value, _parse_spec(args.spec or ""))
     return render_poly(value, args.format), 0
 
@@ -393,40 +396,32 @@ def cmd_enumerate(args):
     deg = args.deg if args.deg is not None else \
         size(partition(outer)) - size(partition(inner)) + 2
     m = max(len(tuple(outer)), len(partition(inner)), 1)
-    blocks = []
     flags = None
     if args.flags_r is not None or args.flags_s is not None:
         # a column-flagged tableau bounds cell (i, j) by the flags of column j
         k = max((*outer, *inner, 1)) if args.orientation == "col" else m
         flags = (_parse_flag_list(args.flags_r, k, 1),
                  _parse_flag_list(args.flags_s, k, INF))
+    # each generator checks the shapes (a dented outer only for g)
     if args.target == "G":
-        for filling in gen_mmsvt(outer, inner, n, deg, flags=flags,
-                                 orientation=args.orientation):
-            text = {cell: "".join(str(v) + ("*" if marked else "")
-                                  for v, marked in elems)
-                    for cell, elems in filling.items()}
-            blocks.append(_grid_lines(partition(outer), partition(inner),
-                                      text))
+        fillings = gen_mmsvt(outer, inner, n, deg, flags=flags,
+                             orientation=args.orientation)
+        label = lambda elems: "".join(str(v) + ("*" if marked else "")
+                                      for v, marked in elems)
     elif args.target == "g":
         mark_set = _parse_mark_set(args.mark_set) \
             if args.mark_set is not None else None
-        for filling in gen_mrpp(outer, inner, n, variant=args.variant,
-                                flags=flags, orientation=args.orientation,
-                                mark_set=mark_set):
-            text = {cell: str(v) + ("*" if marked else "")
-                    for cell, (v, marked) in filling.items()}
-            blocks.append(_grid_lines(tuple(outer), partition(inner), text))
-    elif args.target == "matsumura":
-        f = _parse_flag_list(args.flags_s, m, n)
-        g = _parse_flag_list(args.flags_r, m, 1)
-        for filling in gen_fsvt(outer, inner, f, g, n, deg):
-            text = {cell: "".join(str(v) for v in st)
-                    for cell, st in filling.items()}
-            blocks.append(_grid_lines(partition(outer), partition(inner),
-                                      text))
+        fillings = gen_mrpp(outer, inner, n, variant=args.variant,
+                            flags=flags, orientation=args.orientation,
+                            mark_set=mark_set)
+        label = lambda elem: str(elem[0]) + ("*" if elem[1] else "")
     else:
-        raise ShapeError(f"cannot enumerate target {args.target!r}")
+        fillings = gen_fsvt(outer, inner, _parse_flag_list(args.flags_s, m, n),
+                            _parse_flag_list(args.flags_r, m, 1), n, deg)
+        label = lambda st: "".join(str(v) for v in st)
+    blocks = [_grid_lines(tuple(outer), partition(inner),
+                          {cell: label(v) for cell, v in filling.items()})
+              for filling in fillings]
     out = []
     for block in blocks:
         out.extend(block or ["(empty shape)"])
@@ -590,10 +585,11 @@ def verify_matsumura(max_outer):
                 continue
             deg = size(lam) - size(mu) + 2
             sweep = FlagSweep("G", lam, mu, "row", n, deg)
+            single_sweep = FlagSweep("M", lam, mu, "row", n, deg)
             for f, g in _flag_pairs(len(lam)):
                 if any(gi > fi for gi, fi in zip(g, f)):
                     continue
-                single = matsumura_det(lam, mu, f, g, n, deg)
+                single = single_sweep.value(g, f)
                 agree = single == enum_fsvt(lam, mu, f, g, n, deg)
                 if not row_monotone(lam, mu, g, f):
                     outside_agree += agree
@@ -833,7 +829,8 @@ def build_parser():
                    help="upper flags, one per shape row, e.g. 2,3,inf "
                         "(default all n)")
     p.add_argument("--orientation", choices=["row", "col"], default="row",
-                   help="flag orientation (default row)")
+                   help="flag orientation (default row); col evaluates the "
+                        "conjugate shape outer'/inner'")
     p.add_argument("--mark-set", default=None,
                    help="boundary mark rows for the marked dual determinant")
     p.add_argument("--spec", default=None,

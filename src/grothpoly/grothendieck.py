@@ -7,6 +7,11 @@ parameters is such an evaluation too, with Y one (scaled) letter: the row
 prefactor prod_l (1 - b_i x_l) is e_0[X (-) -b_i], the column prefactor
 prod_l 1/(1 - a_i x_l) is h_0[X (-) a_i], truncated at deg.
 
+Four flagged determinants share one direct builder (_flag_value) and one
+sweep (FlagSweep), each an entry rule of _FLAG_ENTRY: G, the dual g, the
+marked dual (g entries that see a mark set) and Matsumura's single-parameter
+M.  G and M carry the row factor F_i = f_0[X_[r_i,s_i] (-) Y_i].
+
 Conventions shared by all functions:
   - A_k = alpha_1 + ... + alpha_k and B_k = beta_1 + ... + beta_k as signed
     alphabets, empty for k <= 0.
@@ -24,7 +29,7 @@ from .shapes import (INF, ShapeError, contains, dent_index, minimal_cell,
                      partitions_of, size)
 from .symfunc import (a_prefix, alternant_quotient, b_prefix, cat, e_ominus,
                       e_pleth, h_ominus, h_pleth, neg, schur_branching,
-                      single, x_interval)
+                      schur_jt, single, x_interval)
 
 
 def _one(n, deg):
@@ -50,13 +55,15 @@ def _series_product(kind, rows, n, deg):
     return out
 
 
-def _G_prefactor(orientation, rows, n, deg):
-    """The G prefactor over rows (i, lo, hi): prod_{l=lo}^{hi}(1 - b_i x_l)
-    for row flags, prod_{l=lo}^{hi} 1/(1 - a_i x_l) for column flags."""
-    if orientation == "row":
-        return _series_product("e", [(lo, hi, neg(single(BETA, i, 1)))
+def _row_prefactor(kind, orientation, rows, n, deg):
+    """prod over rows (i, lo, hi) of the row factor F_i: prod_{l=lo}^{hi}
+    (1 - b_i x_l) for row G, prod_{l=lo}^{hi} 1/(1 - a_i x_l) for column G,
+    and prod_{l=lo}^{hi}(1 + b_1 x_l) for M, where b_i becomes -b_1."""
+    if orientation == "col":
+        return _series_product("h", [(lo, hi, single(ALPHA, i, 1))
                                      for i, lo, hi in rows], n, deg)
-    return _series_product("h", [(lo, hi, single(ALPHA, i, 1))
+    return _series_product("e", [(lo, hi, neg(_MINUS_B1 if kind == "M"
+                                              else single(BETA, i, 1)))
                                  for i, lo, hi in rows], n, deg)
 
 
@@ -299,9 +306,21 @@ def _warn_hypotheses(ok, label, stacklevel=3):
                       stacklevel=stacklevel)
 
 
+# The letter -b_1 of Matsumura's single-parameter series.
+_MINUS_B1 = single(BETA, 1, -1)
+
+
+def _binomial_shift(t):
+    """Y with sum_m h_m[Y] u^m = (1 + b_1 u)^t, i.e. h_m[Y] = C(t, m) b_1^m
+    for any integer t: |t| letters -b_1, negated when t >= 0."""
+    letters = _MINUS_B1 * abs(t)
+    return neg(letters) if t >= 0 else letters
+
+
 # Flagged entry (i, j) is f_{lam_i-mu_j-i+j}, with f = h for row flags and
-# f = e for column flags, of X_[r_j,s_i] (-) P for G and of X_[r_j,s_i] + P
-# for g.  The parameter alphabet P is given by (lam_i, mu_j, i, j).
+# f = e for column flags, of X_[r_j,s_i] (-) P for G and M and of
+# X_[r_j,s_i] + P for g.  The parameter alphabet P is given by
+# (lam_i, mu_j, i, j).
 
 _FLAG_ENTRY = {
     ("G", "row"): lambda li, mj, i, j: cat(a_prefix(li), neg(a_prefix(mj)),
@@ -317,6 +336,7 @@ _FLAG_ENTRY = {
                                            a_prefix(j - 1),
                                            b_prefix(li - 1),
                                            neg(b_prefix(mj))),
+    ("M", "row"): lambda li, mj, i, j: _binomial_shift(i - j - 1),
 }
 
 
@@ -333,11 +353,26 @@ def _flag_entry(kind, orientation, lam, mu, i, j, rj, si, n, deg, marks=None):
     params = _FLAG_ENTRY[kind, orientation](part(lam, i) + shift,
                                             part(mu, j), i, j)
     xs = x_interval(rj, si)
-    if kind == "G":
-        ominus = h_ominus if orientation == "row" else e_ominus
-        return ominus(m, xs, params, n, deg)
-    pleth = h_pleth if orientation == "row" else e_pleth
-    return pleth(m, cat(xs, params), n, deg)
+    if kind == "g":
+        pleth = h_pleth if orientation == "row" else e_pleth
+        return pleth(m, cat(xs, params), n, deg)
+    ominus = h_ominus if orientation == "row" else e_ominus
+    return ominus(m, xs, params, n, deg)
+
+
+def _flag_value(kind, orientation, lam, mu, r, s, n, deg, marks=None):
+    """The flagged determinant of size len(r) on checked arguments, times
+    the row prefactor prod_i F_i for G and M."""
+    m = len(r)
+    matrix = [[_flag_entry(kind, orientation, lam, mu, i, j, r[j - 1],
+                           s[i - 1], n, deg, marks)
+               for j in range(1, m + 1)] for i in range(1, m + 1)]
+    value = det(matrix, n=n, deg=deg)
+    if kind == "g":
+        return value
+    return _row_prefactor(kind, orientation, [(i, r[i - 1], s[i - 1])
+                                              for i in range(1, m + 1)],
+                          n, deg) * value
 
 
 def _flagged_det(kind, outer, inner, r, s, orientation, n, deg):
@@ -352,15 +387,7 @@ def _flagged_det(kind, outer, inner, r, s, orientation, n, deg):
     else:
         ok = contains(mu, lam) and col_monotone(lam, mu, r, s)
     _warn_hypotheses(ok, f"{orientation} {kind}", stacklevel=4)
-    m = len(r)
-    matrix = [[_flag_entry(kind, orientation, lam, mu, i, j, r[j - 1],
-                           s[i - 1], n, deg)
-               for j in range(1, m + 1)] for i in range(1, m + 1)]
-    if kind == "g":
-        return det(matrix, n=n, deg=deg)
-    pref = _G_prefactor(orientation, [(i, r[i - 1], s[i - 1])
-                                         for i in range(1, m + 1)], n, deg)
-    return pref * det(matrix, n=n, deg=deg)
+    return _flag_value(kind, orientation, lam, mu, r, s, n, deg)
 
 
 def G_flagged_det(outer, inner, r, s, orientation, n, deg):
@@ -390,25 +417,26 @@ def g_flagged_det(outer, inner, r, s, orientation, n, deg):
 class FlagSweep:
     """Evaluates a flagged determinant for many flag vectors of one shape
     pair, sharing entry values and column-prefix minors across calls.
-    value(r, s) equals G_flagged_det / g_flagged_det for the same
-    arguments, or g_marked_det with a mark set; hypothesis checking is left
-    to the caller.
+    Kinds G and g (row or col), the marked g (kind g, row, with a mark set)
+    and M (row only): value(r, s) equals G_flagged_det / g_flagged_det for
+    the same arguments, g_marked_det with a mark set, and for M, with flags
+    of length len(outer), matsumura_det(outer, inner, s, r).  Hypothesis
+    checking is left to the caller.
 
     Entry (i, j) depends on the flags only through (r_j, s_i), and because
     x variables beyond n vanish, only through (min(r_j, n + 1), min(s_i, n)).
-    The G prefactor is folded into the rows, det(diag(F) M) = prod F_i det M,
-    with F_i depending on (r_i, s_i), so entries are stored scaled.  value()
-    builds the matrix from the stored entries and evaluates it with
-    ring.det, passing the sweep's minor memo: a minor on rows R is keyed by
-    (R, r_1..r_|R|, the flags of R), which fix its entries.  With a mark set
-    (row-flagged g only; outer may be dented) the flags are used as given.
+    The row prefactor of G and M is folded into the rows, det(diag(F) M) =
+    prod F_i det M, with F_i depending on (r_i, s_i), so entries are stored
+    scaled.  value() builds the matrix from the stored entries and evaluates
+    it with ring.det, passing the sweep's minor memo: a minor on rows R is
+    keyed by (R, r_1..r_|R|, the flags of R), which fix its entries.  With a
+    mark set (outer may be dented) the flags are used as given.
     """
 
     def __init__(self, kind, outer, inner, orientation, n, deg, marks=None):
-        if kind not in ("G", "g"):
-            raise ShapeError(f"unknown kind {kind!r}")
-        if orientation not in ("row", "col"):
-            raise ShapeError(f"unknown orientation {orientation!r}")
+        if (kind, orientation) not in _FLAG_ENTRY:
+            raise ShapeError(f"no {orientation!r} flagged determinant of "
+                             f"kind {kind!r}")
         self.kind = kind
         if marks is None:
             self.lam, self.mu = partition(outer), partition(inner)
@@ -445,8 +473,8 @@ class FlagSweep:
         key = (i, ri, si)
         val = self._rowpref.get(key)
         if val is None:
-            val = self._rowpref[key] = _G_prefactor(
-                self.orientation, [key], self.n, self.deg)
+            val = self._rowpref[key] = _row_prefactor(
+                self.kind, self.orientation, [key], self.n, self.deg)
         return val
 
     def value(self, r, s):
@@ -514,36 +542,22 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     lam, mu, mark_set = _marked_shape(outer, inner, mark_set, m)
     _warn_hypotheses(mark_set in valid_mark_sets(lam)
                      and row_monotone(lam, mu, r, s), "marked g")
-    matrix = [[_flag_entry("g", "row", lam, mu, i, j, r[j - 1], s[i - 1],
-                           n, deg, mark_set)
-               for j in range(1, m + 1)] for i in range(1, m + 1)]
-    return det(matrix, n=n, deg=deg)
-
-
-# The letter -b_1 of Matsumura's single-parameter series.
-_MINUS_B1 = single(BETA, 1, -1)
+    return _flag_value("g", "row", lam, mu, r, s, n, deg, mark_set)
 
 
 def matsumura_Gpq(m, p, q, n, deg):
     """One-row flagged Grothendieck series in the collapsed parameter b_1:
-    prod_{l=q}^p (1 + b_1 x_l) * sum_{k>=0} (-b_1)^k h_{m+k}[X_[q,p]], that
-    is e_0[X_[q,p] (-) -(-b_1)] * h_m[X_[q,p] (-) (-b_1)]."""
-    return (_series_product("e", [(q, p, neg(_MINUS_B1))], n, deg)
-            * h_ominus(m, x_interval(q, p), _MINUS_B1, n, deg))
-
-
-def _binomial_shift(t):
-    """Y with sum_m h_m[Y] u^m = (1 + b_1 u)^t, i.e. h_m[Y] = C(t, m) b_1^m
-    for any integer t: |t| letters -b_1, negated when t >= 0."""
-    letters = _MINUS_B1 * abs(t)
-    return neg(letters) if t >= 0 else letters
+    prod_{l=q}^p (1 + b_1 x_l) * sum_{k>=0} (-b_1)^k h_{m+k}[X_[q,p]], which
+    is the one-row determinant of kind M at lam = (m) (m may be negative)."""
+    return _flag_value("M", "row", (m,), (), (q,), (p,), n, deg)
 
 
 def matsumura_det(lam, mu, f, g, n, deg):
     """Single-parameter flagged determinant: prod_{i<=l(lam)}
     prod_{l=g_i}^{f_i}(1 + b_1 x_l) times det over l(lam) rows of
     sum_m b_1^m C(i-j-1, m) h_{lam_i-mu_j-i+j+m}[X_[g_j,f_i]], which is
-    h_{lam_i-mu_j-i+j}[X_[g_j,f_i] (-) _binomial_shift(i-j-1)]."""
+    h_{lam_i-mu_j-i+j}[X_[g_j,f_i] (-) _binomial_shift(i-j-1)]: the
+    flagged kind M with r = g and s = f."""
     lam, mu = partition(lam), partition(mu)
     if not contains(mu, lam):
         raise ShapeError(f"{mu} is not contained in {lam}")
@@ -551,13 +565,7 @@ def matsumura_det(lam, mu, f, g, n, deg):
     f, g = tuple(f), tuple(g)
     if len(f) < ell or len(g) < ell:
         raise ShapeError("flag vectors shorter than the shape")
-    pref = _series_product("e", [(g[i - 1], f[i - 1], neg(_MINUS_B1))
-                                 for i in range(1, ell + 1)], n, deg)
-    matrix = [[h_ominus(part(lam, i) - part(mu, j) - i + j,
-                        x_interval(g[j - 1], f[i - 1]),
-                        _binomial_shift(i - j - 1), n, deg)
-               for j in range(1, ell + 1)] for i in range(1, ell + 1)]
-    return pref * det(matrix, n=n, deg=deg)
+    return _flag_value("M", "row", lam, mu, g[:ell], f[:ell], n, deg)
 
 
 # Skew Schur expansions.  The eight coefficient determinants are named after
@@ -611,17 +619,6 @@ def _coeff_det(rule, first, second, n, deg, rows=None):
     return det(matrix, n=n, deg=deg)
 
 
-def gpar_schur(nu, rho, basis, rows, n, deg):
-    """Jacobi-Trudi determinant det(f_{nu_i-rho_j-i+j}[X_n]) of size rows for
-    generalized partitions; basis "h" gives s_{nu/rho}, basis "e" gives
-    s_{nu'/rho'}."""
-    xs = x_interval(1, n)
-    fn = h_pleth if basis == "h" else e_pleth
-    matrix = [[fn(part(nu, i) - part(rho, j) - i + j, xs, n, deg)
-               for j in range(1, rows + 1)] for i in range(1, rows + 1)]
-    return det(matrix, n=n, deg=deg)
-
-
 class SchurExpansion:
     """prefactor times sum of entries[(nu, rho)] * s, where s is s_{nu/rho}
     for h-kinds and s_{nu'/rho'} for e-kinds.  Keys are trailing-zero-free
@@ -639,8 +636,8 @@ class SchurExpansion:
         basis = "h" if self.kind.endswith("_h") else "e"
         acc = TruncPoly.zero(self.n, self.deg)
         for (nu, rho), coef in self.entries.items():
-            acc = acc + coef * gpar_schur(nu, rho, basis, self.rows,
-                                          self.n, self.deg)
+            acc = acc + coef * schur_jt(nu, rho, self.n, self.deg,
+                                        self.rows, basis)
         return self.prefactor * acc
 
 
@@ -696,9 +693,9 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg):
                     continue
                 for rho, right in rhos:
                     entries[(nu, _strip(rho))] = left * right
-        pref = _G_prefactor("row" if kind == "G_h" else "col",
-                               [(i, 1, n) for i in range(1, rows + 1)],
-                               n, deg)
+        pref = _row_prefactor("G", "row" if kind == "G_h" else "col",
+                              [(i, 1, n) for i in range(1, rows + 1)],
+                              n, deg)
         return SchurExpansion(kind, n, deg, rows, entries, pref)
     if kind in ("g_h", "g_e"):
         rows = max(len(lam), len(mu), 1)

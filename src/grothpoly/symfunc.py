@@ -152,12 +152,15 @@ def vandermonde(n, deg):
     return out
 
 
-def schur_jt(outer, inner, n, deg, rows=None):
-    """s_{outer/inner}(x_n) = det(h_{lam_i - mu_j - i + j}[X_n])."""
+def schur_jt(outer, inner, n, deg, rows=None, basis="h"):
+    """s_{outer/inner}(x_n) = det(h_{lam_i - mu_j - i + j}[X_n]) of size rows
+    (default the longer shape); basis "e" takes e_m and gives
+    s_{outer'/inner'}.  Parts may be negative (generalized partitions)."""
     if rows is None:
         rows = max(len(outer), len(inner))
     xs = x_interval(1, n)
-    matrix = [[h_pleth(part(outer, i) - part(inner, j) - i + j, xs, n, deg)
+    pleth = h_pleth if basis == "h" else e_pleth
+    matrix = [[pleth(part(outer, i) - part(inner, j) - i + j, xs, n, deg)
                for j in range(1, rows + 1)] for i in range(1, rows + 1)]
     return det(matrix, n=n, deg=deg)
 

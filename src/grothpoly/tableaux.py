@@ -600,11 +600,11 @@ def gen_fsvt(outer, inner, f, g, n, deg):
     yield from rec(0, 0)
 
 
-def enum_fsvt(outer, inner, f, g, n, deg, beta=None):
+def enum_fsvt(outer, inner, f, g, n, deg):
     """Generating function of flagged set-valued fillings: each filling
-    contributes beta^(entries - cells) times the product of its x variables."""
-    if beta is None:
-        beta = TruncPoly.var(n, deg, BETA, 1)
+    contributes b_1^(entries - cells) times the product of its x
+    variables."""
+    beta = TruncPoly.var(n, deg, BETA, 1)
     ncells = len(cells(partition(outer), partition(inner)))
     total = TruncPoly.zero(n, deg)
     for filling in gen_fsvt(outer, inner, f, g, n, deg):

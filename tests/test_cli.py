@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from grothpoly import cli
 from grothpoly.grothendieck import G_flagged_det, G_jt, g_jt
 from grothpoly.ring import ALPHA, BETA, X, TruncPoly
+from grothpoly.shapes import conjugate
 from grothpoly.symfunc import schur_jt
 from grothpoly.tableaux import enum_mmsvt, enum_mrpp
 
@@ -51,6 +52,25 @@ def test_compute_defaults_match_tableau_enumeration():
     status, out = run(["compute", "g", "--shape", "3,2,1", "--n", "4"])
     assert status == 0
     assert out == cli.render_poly(enum_mrpp((3, 2, 1), (), 4, 6))
+
+
+def test_compute_col_orientation_without_flags_is_the_conjugate_shape():
+    # --orientation col takes the column-flagged determinant with or without
+    # explicit default flags; at r = 1, s = n that is the conjugate shape
+    for target, shape in (("G", "2"), ("g", "2"), ("G", "2,1"),
+                          ("g", "3,1")):
+        argv = ["compute", target, "--shape", shape, "--n", "3",
+                "--deg", "4", "--orientation", "col"]
+        rows = len(shape.split(","))
+        implicit = run(argv)
+        explicit = run(argv + ["--flags-r", ",".join(["1"] * rows),
+                               "--flags-s", ",".join(["3"] * rows)])
+        conjugate_shape = ",".join(
+            str(v) for v in conjugate(tuple(int(v) for v in shape.split(","))))
+        unflagged = run(["compute", target, "--shape", conjugate_shape,
+                         "--n", "3", "--deg", "4"])
+        assert implicit[0] == 0
+        assert implicit == explicit == unflagged, (target, shape)
 
 
 def test_compute_specialization_recovers_schur():
@@ -251,6 +271,20 @@ def test_usage_errors_exit_two():
         status, out = run(argv)
         assert status == 2, argv
         assert "expected 2" in out, argv
+    # compute s has no flagged form, and mark sets belong to the row g
+    for argv in (["compute", "s", "--shape", "2", "--n", "2",
+                  "--flags-r", "2"],
+                 ["compute", "s", "--shape", "2", "--n", "2",
+                  "--flags-s", "2"],
+                 ["compute", "s", "--shape", "2", "--n", "2",
+                  "--mark-set", "1"],
+                 ["compute", "s", "--shape", "2", "--n", "2",
+                  "--orientation", "col"],
+                 ["compute", "g", "--shape", "2,1", "--n", "2",
+                  "--mark-set", "1", "--orientation", "col"]):
+        status, out = run(argv)
+        assert status == 2, argv
+        assert out.startswith("error:"), argv
     # column-flagged tableaux take one flag per column of the shape
     for argv in (["enumerate", "G", "--shape", "3", "--n", "3",
                   "--orientation", "col", "--flags-r", "1"],

@@ -107,6 +107,8 @@ GOLDEN = [
      0, 'sha256:aadde0e93672f66a15ae74d1804258f26d3598b8b6bbe7e20792eddb2901d27e'),
     ('verify matsumura --max-size 3',
      0, 'matsumura: 606 flagged shapes match the set-valued enumeration; surviving convention: b = (-beta, -beta, ...)\noutside the flag hypothesis (reported, not asserted): 19 flag pairs agree, 275 differ'),
+    ('verify matsumura',
+     0, 'matsumura: 1804 flagged shapes match the set-valued enumeration; surviving convention: b = (-beta, -beta, ...)\noutside the flag hypothesis (reported, not asserted): 19 flag pairs agree, 499 differ'),
     ('verify omega --max-size 3',
      0, 'omega: 38 expansion-level involution checks pass'),
     ('verify cauchy --budget 2',

@@ -307,11 +307,51 @@ def test_flag_sweep_matches_tableau_enumeration_on_raw_flags(kind,
         assert checked
 
 
+def test_matsumura_sweep_matches_direct_determinant_on_raw_flags():
+    # FlagSweep("M").value(g, f) against matsumura_det(f, g) on flags past
+    # the variable count (g_j > n + 1, f_i > n) and with g_j > f_i; three
+    # rows reach the entries with i - j - 1 >= 1, and vectors that differ
+    # only in their last entry share minors.  Inside Matsumura's hypothesis
+    # with f <= n both must equal the set-valued enumeration, which shares
+    # no code with either, so a wrong row factor fails here too.
+    n, deg = 3, 4
+    two_rows = [(1, 1), (1, 2), (2, 3), (5, 1), (4, 5), (3, 2), (1, 3)]
+    three_rows = [(1, 1, 1), (1, 2, 2), (1, 2, 3), (2, 2, 3), (1, 2, 5),
+                  (5, 2, 1), (1, 1, 3)]
+    enumerated = 0
+    for lam, mu, flag_vectors in [((2, 1), (1,), two_rows),
+                                  ((2, 2), (), two_rows),
+                                  ((1, 1), (1,), two_rows),
+                                  ((1, 1, 1), (), three_rows),
+                                  ((2, 1, 1), (1,), three_rows),
+                                  ((3, 2, 1), (1, 1), three_rows)]:
+        sweep = FlagSweep("M", lam, mu, "row", n, deg)
+        for f in flag_vectors:
+            for g in flag_vectors:
+                got = sweep.value(g, f)
+                assert got == matsumura_det(lam, mu, f, g, n, deg), \
+                    (lam, mu, f, g)
+                if (max(f) <= n and all(gi <= fi for gi, fi in zip(g, f))
+                        and row_monotone(lam, mu, g, f)):
+                    assert got == enum_fsvt(lam, mu, f, g, n, deg), \
+                        (lam, mu, f, g)
+                    enumerated += 1
+    assert enumerated >= 20
+    with pytest.raises(ShapeError):
+        matsumura_det((1,), (2,), (1,), (1,), n, deg)
+    with pytest.raises(ShapeError):
+        matsumura_det((2, 1), (), (1,), (1, 1), n, deg)
+
+
 def test_flag_sweep_rejects_bad_arguments():
     with pytest.raises(ShapeError):
         FlagSweep("H", (1,), (), "row", 1, 1)
     with pytest.raises(ShapeError):
         FlagSweep("G", (1,), (), "diag", 1, 1)
+    with pytest.raises(ShapeError):
+        FlagSweep("M", (1,), (), "col", 1, 1)
+    with pytest.raises(ShapeError):
+        FlagSweep("M", (1, 2), (), "row", 1, 1, marks={1})
     with pytest.raises(ShapeError):
         FlagSweep("G", (1, 2), (), "row", 1, 1)
     with pytest.raises(ShapeError):

@@ -6,7 +6,7 @@ import random
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grothpoly.grothendieck import _G_prefactor
+from grothpoly.grothendieck import _row_prefactor
 from grothpoly.ring import ALPHA, BETA, X, TruncPoly, det
 from grothpoly.shapes import (ShapeError, part, partition, partitions_up_to,
                               size)
@@ -273,25 +273,28 @@ def test_generating_series_of_hAB():
             assert x1_coeff(series, t) == h_pleth(t, ab, n, deg), (r, s, t)
 
 
-def test_G_prefactor_matches_explicit_products():
+def test_row_prefactor_matches_explicit_products():
     # rows (i, lo, hi) with hi past n, lo past n and lo > hi; x_l for l > n
     # is zero, so only l in [lo, min(hi, n)] contributes
     n, deg = 2, 4
     rows = [(1, 1, 2), (2, 2, 4), (3, 3, 1), (2, 3, 5), (1, 1, 1)]
-    row_want = col_want = one(n, deg)
+    row_want = col_want = m_want = one(n, deg)
     for i, lo, hi in rows:
         for l in range(lo, min(hi, n) + 1):
             row_want = row_want * (one(n, deg) - bv(i, n, deg) * xv(l, n, deg))
+            m_want = m_want * (one(n, deg) + bv(1, n, deg) * xv(l, n, deg))
             geo = TruncPoly.zero(n, deg)
             for k in range(deg + 1):
                 geo = geo + (av(i, n, deg) * xv(l, n, deg)) ** k
             col_want = col_want * geo
-    assert _G_prefactor("row", rows, n, deg) == row_want
-    assert _G_prefactor("col", rows, n, deg) == col_want
-    for i, lo, hi in rows:
-        if lo > min(hi, n):
-            assert _G_prefactor("row", [(i, lo, hi)], n, deg) == one(n, deg)
-            assert _G_prefactor("col", [(i, lo, hi)], n, deg) == one(n, deg)
+    factors = [(("G", "row"), row_want), (("G", "col"), col_want),
+               (("M", "row"), m_want)]
+    for (kind, orientation), want in factors:
+        assert _row_prefactor(kind, orientation, rows, n, deg) == want
+        for i, lo, hi in rows:
+            if lo > min(hi, n):
+                assert _row_prefactor(kind, orientation, [(i, lo, hi)],
+                                      n, deg) == one(n, deg)
 
 
 @settings(max_examples=40, deadline=None)

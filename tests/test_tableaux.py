@@ -416,10 +416,13 @@ def test_fsvt_single_cell():
     assert enum_fsvt((1,), (1,), (1,), (1,), n, deg) == one(n, deg)
 
 
-def test_fsvt_custom_excess_parameter():
+def test_fsvt_negated_excess_parameter():
+    # the excess parameter is b_1; sending b_1 to -b_1 weighs each extra
+    # entry by -b_1
     n, deg = 2, 2
     x1, x2, b1 = xv(n, deg, 1), xv(n, deg, 2), bv(n, deg, 1)
-    got = enum_fsvt((1,), (), (2,), (1,), n, deg, beta=-b1)
+    got = enum_fsvt((1,), (), (2,), (1,), n, deg).specialize(
+        lambda var: (-1, var) if var == (BETA, 1) else None)
     assert got == x1 + x2 - b1 * x1 * x2
 
 
