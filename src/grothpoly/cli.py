@@ -346,10 +346,10 @@ def cmd_expand(args):
         kind = "G_h" if args.target == "G" else "g_h"
         expansion = skew_schur_expansion(outer, inner, kind, budget, n, deg)
         lines.append(f"prefactor: {render_poly(expansion.prefactor, args.format)}")
-        for nu, rho in sorted(expansion.entries):
-            coef = expansion.entries[(nu, rho)]
+        entries = expansion.entries
+        for nu, rho in sorted(entries):
             lines.append(f"{_shape_label(nu, rho)}: "
-                         f"{render_poly(coef, args.format)}")
+                         f"{render_poly(entries[(nu, rho)], args.format)}")
         return "\n".join(lines), 0
     lam = partition(outer)
     if args.target == "G":
@@ -390,7 +390,25 @@ def _grid_lines(outer, inner, cells_text):
     return lines
 
 
+# Options each enumerate target does not read: passing one is an error.
+_ENUMERATE_IGNORES = {"G": ("variant", "mark_set"), "g": ("deg",),
+                      "matsumura": ("variant", "mark_set")}
+
+
+def _refuse_ignored(args):
+    refused = [name for name in _ENUMERATE_IGNORES[args.target]
+               if getattr(args, name) is not None]
+    if args.target == "matsumura" and args.orientation == "col":
+        refused.append("orientation")  # its flags are per row
+    if args.format != "text":
+        refused.append("format")  # grids print as text only
+    if refused:
+        raise ShapeError(f"enumerate {args.target} takes no " + ", ".join(
+            "--" + name.replace("_", "-") for name in refused))
+
+
 def cmd_enumerate(args):
+    _refuse_ignored(args)
     outer, inner = _get_shapes(args)
     n = args.n
     deg = args.deg if args.deg is not None else \
@@ -411,7 +429,7 @@ def cmd_enumerate(args):
     elif args.target == "g":
         mark_set = _parse_mark_set(args.mark_set) \
             if args.mark_set is not None else None
-        fillings = gen_mrpp(outer, inner, n, variant=args.variant,
+        fillings = gen_mrpp(outer, inner, n, variant=args.variant or "left",
                             flags=flags, orientation=args.orientation,
                             mark_set=mark_set)
         label = lambda elem: str(elem[0]) + ("*" if elem[1] else "")
@@ -438,10 +456,11 @@ def verify_duality(max_size=4):
     determinant (the two are compared inside hall_pairing)."""
     n, deg = 1, 0  # the pairing has no x part
     shapes = list(partitions_up_to(max_size))
+    table = {}  # coefficient determinants, shared by every pair
     checked = 0
     for lam in shapes:
         for mu in shapes:
-            value = hall_pairing(lam, mu, n, deg)
+            value = hall_pairing(lam, mu, n, deg, table)
             want = TruncPoly.const(n, deg, 1 if lam == mu else 0)
             if value != want:
                 return False, [f"FAIL duality at lam={lam}, mu={mu}: "
@@ -536,13 +555,14 @@ def verify_omega(max_outer=4, budget=2):
     """omega_check for every outer shape up to max_outer cells and inner
     shape up to two cells, in two x variables truncated at degree 2."""
     n = deg = 2
+    table = {}  # coefficient determinants, shared by every shape pair
     checked = 0
     for lam in partitions_up_to(max_outer):
         for mu in partitions_up_to(2):
             if not contains(mu, lam):
                 continue
             for kind in ("G", "g"):
-                if not omega_check(lam, mu, kind, budget, n, deg):
+                if not omega_check(lam, mu, kind, budget, n, deg, table):
                     return False, [f"FAIL omega for {kind} at lam={lam}, "
                                    f"mu={mu}"]
                 checked += 1
@@ -885,9 +905,11 @@ def build_parser():
     p.add_argument("--flags-s", default=None,
                    help="upper flags, one per shape row (per column with "
                         "--orientation col)")
-    p.add_argument("--orientation", choices=["row", "col"], default="row")
+    p.add_argument("--orientation", choices=["row", "col"], default="row",
+                   help="flag orientation for G and g (default row)")
     p.add_argument("--variant", choices=["left", "right", "bottom"],
-                   default="left", help="marking rule for the dual family")
+                   default=None, help="marking rule (dual family only; "
+                                      "default left)")
     p.add_argument("--mark-set", default=None,
                    help="boundary mark rows (dual family only)")
     return parser

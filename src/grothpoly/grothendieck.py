@@ -182,15 +182,17 @@ def g_schur(lam, n, deg):
                                      if size(mu) <= deg], n, deg)
 
 
-def hall_pairing(lam, mu, n, deg):
+def hall_pairing(lam, mu, n, deg, table=None):
     """<G_lam, g_mu> computed two ways: the finite sum over lam <= nu <= mu
     of C_{lam,nu} c_{mu,nu}, and the closed determinant
     det(h_{mu_i-lam_j-i+j}[A_{lam_j} - B_{j-1} - A_{mu_i-1} + B_{i-1}]).
-    Both must agree (else InternalCheckError); the value is delta_{lam,mu}."""
+    Both must agree (else InternalCheckError); the value is delta_{lam,mu}.
+    table is passed on to the coefficient determinants (see _coeff_det)."""
     lam, mu = partition(lam), partition(mu)
     total = TruncPoly.zero(n, deg)
     for nu in partitions_between(lam, mu):
-        total = total + C_coeff(lam, nu, n, deg) * c_coeff(mu, nu, n, deg)
+        total = total + (_coeff_det("C", lam, nu, n, deg, table)
+                         * _coeff_det("c", mu, nu, n, deg, table))
     m = max(len(lam), len(mu))
     matrix = [[h_pleth(part(mu, i) - part(lam, j) - i + j,
                        cat(_g_right(part(lam, j), j),
@@ -592,7 +594,7 @@ _SKEW_COEFF = {
 }
 
 
-def skew_coeff(rule, first, second, n, deg, rows=None):
+def skew_coeff(rule, first, second, n, deg):
     """Skew Schur expansion coefficient named by its rule letter, with
     subscripts in display order: C/D/c/d take (lam, nu), the primed rules
     take (rho, mu).  Capital rules index the determinant by the second
@@ -600,13 +602,20 @@ def skew_coeff(rule, first, second, n, deg, rows=None):
     rules by the first (c gives h_{lam_i - nu_j - i + j})."""
     if rule not in _SKEW_COEFF:
         raise ShapeError(f"unknown coefficient rule {rule!r}")
-    return _coeff_det(rule, first, second, n, deg, rows)
+    return _coeff_det(rule, first, second, n, deg)
 
 
-def _coeff_det(rule, first, second, n, deg, rows=None):
+def _coeff_det(rule, first, second, n, deg, table=None):
+    """The determinant on max(len(first), len(second), 1) rows.  Padding it
+    with rows past both shapes leaves it unchanged: their entries are
+    h_0 = e_0 = 1 on the diagonal and have m < 0 below it.  A generalized
+    rho with negative parts keeps every row, as its last part is nonzero.
+    table, when given, holds the values already computed by the caller."""
+    key = (rule, first, second, n, deg)
+    if table is not None and key in table:
+        return table[key]
     basis, alphabet = _SKEW_COEFF[rule]
-    if rows is None:
-        rows = max(len(first), len(second), 1)
+    rows = max(len(first), len(second), 1)
     if rule in ("C", "D", "C'", "D'"):
         top, bot = second, first
     else:
@@ -616,21 +625,37 @@ def _coeff_det(rule, first, second, n, deg, rows=None):
     matrix = [[fn(part(top, i) - part(bot, j) - i + j,
                   alphabet(fixed, i, j), n, deg)
                for j in range(1, rows + 1)] for i in range(1, rows + 1)]
-    return det(matrix, n=n, deg=deg)
+    value = det(matrix, n=n, deg=deg)
+    if table is not None:
+        table[key] = value
+    return value
 
 
 class SchurExpansion:
-    """prefactor times sum of entries[(nu, rho)] * s, where s is s_{nu/rho}
-    for h-kinds and s_{nu'/rho'} for e-kinds.  Keys are trailing-zero-free
+    """prefactor times the sum over (nu, rho) of left[nu] * right[rho] * s,
+    where s is s_{nu/rho} for h-kinds and s_{nu'/rho'} for e-kinds.  left
+    and right are the nonzero factor families; the sum runs over every pair
+    for G-kinds and over rho <= nu for g-kinds.  Keys are trailing-zero-free
     tuples; rho may have negative parts (G-kinds only)."""
 
-    def __init__(self, kind, n, deg, rows, entries, prefactor):
+    def __init__(self, kind, n, deg, rows, left, right, prefactor):
         self.kind = kind
         self.n = n
         self.deg = deg
         self.rows = rows
-        self.entries = entries
+        self.left = left
+        self.right = right
         self.prefactor = prefactor
+
+    @property
+    def entries(self):
+        """{(nu, rho): left[nu] * right[rho]} over the summed pairs, the
+        factors multiplied out."""
+        every = self.kind.startswith("G")
+        return {(nu, rho): lcoef * rcoef
+                for nu, lcoef in self.left.items()
+                for rho, rcoef in self.right.items()
+                if every or contains(rho, nu)}
 
     def total(self):
         basis = "h" if self.kind.endswith("_h") else "e"
@@ -661,7 +686,20 @@ def _gen_rho_below(mu, budget, rows):
     return out
 
 
-def skew_schur_expansion(outer, inner, kind, budget, n, deg):
+def _family(rule, keys, fixed, n, deg, table):
+    """{key: coefficient} over keys, keeping the nonzero ones in order.  An
+    unprimed rule takes (fixed, key) as (lam, nu), a primed one (key, fixed)
+    as (rho, mu)."""
+    out = {}
+    for key in keys:
+        first, second = (key, fixed) if rule.endswith("'") else (fixed, key)
+        coef = _coeff_det(rule, first, second, n, deg, table)
+        if not coef.is_zero():
+            out[key] = coef
+    return out
+
+
+def skew_schur_expansion(outer, inner, kind, budget, n, deg, table=None):
     """Skew Schur expansion of the skew polynomial of the given kind.
 
     kind "G_h": G_{outer/inner} = C * sum C_{lam,nu} s_{nu/rho} C'_{rho,mu}
@@ -669,49 +707,40 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg):
     kind "g_h": g_{outer/inner} = sum c_{lam,nu} s_{nu/rho} c'_{rho,mu}
     kind "g_e": g_{outer'/inner'} = sum d_{lam,nu} s_{nu'/rho'} d'_{rho,mu}
 
-    G-kinds run over nu >= outer with |nu/outer| <= budget and generalized
-    rho <= inner with deficiency <= budget, so the multiplied-out total is
-    exact to x-degree budget.  g-kinds are finite and exact.  The prefactors
+    The result keeps the two factor families {nu: C_{lam,nu}} and
+    {rho: C'_{rho,mu}} (likewise for D, c, d) and the prefactor.  G-kinds
+    run over nu >= outer with |nu/outer| <= budget and generalized rho <=
+    inner with deficiency <= budget, so the multiplied-out total is exact
+    to x-degree budget.  g-kinds are finite and exact.  The prefactors
     C = prod_{i<=rows}prod_{l<=n}(1 - b_i x_l) and the geometric series
-    D = prod prod (1 - a_i x_l)^{-1} use the same row count as the entries.
+    D = prod prod (1 - a_i x_l)^{-1} run over rows = max(l(outer),
+    l(inner)) + budget, the row count of the Schur functions in the total.
+    table is passed on to the coefficient determinants (see _coeff_det).
     """
     lam, mu = partition(outer), partition(inner)
     if kind in ("G_h", "G_e"):
         rows = max(len(lam), len(mu)) + budget
-        entries = {}
+        left, right = {}, {}
         if contains(mu, lam):
-            left_rule = "C" if kind == "G_h" else "D"
-            right_rule = "C'" if kind == "G_h" else "D'"
-            rhos = [(rho, skew_coeff(right_rule, _strip(rho), mu, n, deg,
-                                     rows=rows))
-                    for rho in _gen_rho_below(mu, budget, rows)]
-            rhos = [(rho, coef) for rho, coef in rhos if not coef.is_zero()]
-            for nu in partitions_above(lam, size(lam) + budget,
-                                       max_len=rows):
-                left = skew_coeff(left_rule, lam, nu, n, deg, rows=rows)
-                if left.is_zero():
-                    continue
-                for rho, right in rhos:
-                    entries[(nu, _strip(rho))] = left * right
+            left = _family("C" if kind == "G_h" else "D",
+                           partitions_above(lam, size(lam) + budget,
+                                            max_len=rows),
+                           lam, n, deg, table)
+            right = _family("C'" if kind == "G_h" else "D'",
+                            map(_strip, _gen_rho_below(mu, budget, rows)),
+                            mu, n, deg, table)
         pref = _row_prefactor("G", "row" if kind == "G_h" else "col",
                               [(i, 1, n) for i in range(1, rows + 1)],
                               n, deg)
-        return SchurExpansion(kind, n, deg, rows, entries, pref)
+        return SchurExpansion(kind, n, deg, rows, left, right, pref)
     if kind in ("g_h", "g_e"):
-        rows = max(len(lam), len(mu), 1)
-        left_rule = "c" if kind == "g_h" else "d"
-        right_rule = "c'" if kind == "g_h" else "d'"
-        entries = {}
-        for nu in partitions_between(mu, lam):
-            left = skew_coeff(left_rule, lam, nu, n, deg, rows=rows)
-            if left.is_zero():
-                continue
-            for rho in partitions_between(mu, nu):
-                right = skew_coeff(right_rule, rho, mu, n, deg, rows=rows)
-                if right.is_zero():
-                    continue
-                entries[(nu, rho)] = left * right
-        return SchurExpansion(kind, n, deg, rows, entries, _one(n, deg))
+        between = partitions_between(mu, lam)
+        left = _family("c" if kind == "g_h" else "d", between, lam,
+                       n, deg, table)
+        right = _family("c'" if kind == "g_h" else "d'", between, mu,
+                        n, deg, table)
+        return SchurExpansion(kind, n, deg, max(len(lam), len(mu), 1),
+                              left, right, _one(n, deg))
     raise ShapeError(f"unknown expansion kind {kind!r}")
 
 
@@ -721,27 +750,29 @@ def dual_parameters(p):
         lambda var: (-1, (BETA if var[0] == ALPHA else ALPHA, var[1])))
 
 
-def omega_check(outer, inner, kind, budget, n, deg):
-    """Entrywise omega involution test: the h-expansion of outer/inner at
-    (a, b) must match the e-expansion data at (-b, -a) key by key, and the
-    omega image of the h-prefactor (e-series to h-series swap) must equal
-    the substituted e-prefactor."""
-    if kind == "G":
-        left = skew_schur_expansion(outer, inner, "G_h", budget, n, deg)
-        right = skew_schur_expansion(outer, inner, "G_e", budget, n, deg)
-    elif kind == "g":
-        left = skew_schur_expansion(outer, inner, "g_h", budget, n, deg)
-        right = skew_schur_expansion(outer, inner, "g_e", budget, n, deg)
-    else:
+def _duals_match(h, e):
+    """h and e share their keys, and h[key] = dual_parameters(e[key])."""
+    return h.keys() == e.keys() and all(
+        coef == dual_parameters(e[key]) for key, coef in h.items())
+
+
+def omega_check(outer, inner, kind, budget, n, deg, table=None):
+    """omega involution test, factor by factor: the h-expansion of
+    outer/inner at (a, b) must match the e-expansion data at (-b, -a) in
+    each factor family (C_{lam,nu} = D_{lam,nu}(-b, -a), and so on), and
+    the omega image of the h-prefactor (e-series to h-series swap) must
+    equal the substituted e-prefactor.  dual_parameters is a ring
+    homomorphism, so matching factors imply matching entries; no entry is
+    multiplied out.  table is passed on to the coefficient determinants."""
+    if kind not in ("G", "g"):
         raise ShapeError(f"unknown kind {kind!r}")
-    if set(left.entries) != set(right.entries):
+    h, e = (skew_schur_expansion(outer, inner, f"{kind}_{basis}", budget,
+                                 n, deg, table) for basis in "he")
+    if not (_duals_match(h.left, e.left) and _duals_match(h.right, e.right)):
         return False
-    for key, coef in left.entries.items():
-        if coef != dual_parameters(right.entries[key]):
-            return False
     if kind == "g":
-        return left.prefactor == right.prefactor
+        return h.prefactor == e.prefactor
     omega_pref = _series_product("h", [(1, n, single(BETA, i, -1))
-                                       for i in range(1, left.rows + 1)],
+                                       for i in range(1, h.rows + 1)],
                                  n, deg)
-    return omega_pref == dual_parameters(right.prefactor)
+    return omega_pref == dual_parameters(e.prefactor)

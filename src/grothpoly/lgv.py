@@ -35,27 +35,6 @@ class WeightedLatticeGraph:
         return pvar(n, deg, BETA, b) - pvar(n, deg, ALPHA, a + b + 1)
 
 
-def path_weight_sum(graph, u, v, n, deg):
-    """Exact sum of path weights over all monotone paths from u to v."""
-    (au, bu), (av, bv) = tuple(u), tuple(v)
-    dx = graph.dx
-    memo = {}
-
-    def weight_from(a, b):
-        if (a, b) == (av, bv):
-            return TruncPoly.const(n, deg, 1)
-        if b > bv or (av - a) * dx < 0:
-            return TruncPoly.zero(n, deg)
-        if (a, b) not in memo:
-            north = weight_from(a, b + 1)
-            horiz = graph.horizontal_weight(n, deg, a, b) * \
-                weight_from(a + dx, b)
-            memo[(a, b)] = north + horiz
-        return memo[(a, b)]
-
-    return weight_from(au, bu)
-
-
 def gen_paths(graph, u, v):
     """Yield every monotone path from u to v as a tuple of vertices."""
     (au, bu), (av, bv) = tuple(u), tuple(v)
@@ -150,16 +129,3 @@ def nonintersecting_coeff(lam, mu, kind, n, deg):
             w = w * path_weight(family.graph, path, n, deg)
         total = total + w
     return total
-
-
-def family_to_tableau(family, paths):
-    """Read the filling off a family: the heights of the horizontal steps of
-    path i fill row i, right to left for kind C and left to right for c."""
-    out = {}
-    for i, path in enumerate(paths, start=1):
-        heights = [b for (a, b), (a2, _) in zip(path, path[1:]) if a2 != a]
-        mu_i = part(family.mu, i)
-        for j, b in enumerate(heights, start=1):
-            col = mu_i + 1 - j if family.kind == "C" else mu_i + j
-            out[(i, col)] = b
-    return out

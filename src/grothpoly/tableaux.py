@@ -96,33 +96,6 @@ def _markable_positions(ms):
     return [p for p in range(1, len(ms)) if ms[p - 1] < ms[p]]
 
 
-def mmsvt_weight(entries, n, deg):
-    """Weight of an explicit filling {(i,j): ((value, marked), ...)}.
-
-    Each element contributes x_value; every unmarked element beyond the first
-    unmarked one contributes alpha_col, and every marked element -beta_row.
-    """
-    w = TruncPoly.const(n, deg, 1)
-    for (i, j), elems in entries.items():
-        if not elems:
-            raise ShapeError("cells hold nonempty multisets")
-        vals = [v for v, _ in elems]
-        if any(a > b for a, b in zip(vals, vals[1:])):
-            raise ShapeError(f"multiset not weakly increasing: {vals}")
-        unmarked = 0
-        for p, (v, marked) in enumerate(elems):
-            w = w * _xvar(n, deg, v)
-            if marked:
-                if p == 0 or vals[p - 1] >= v:
-                    raise ShapeError("marks need a strictly smaller "
-                                     f"predecessor: {elems}")
-                w = w * (-TruncPoly.var(n, deg, BETA, i))
-            else:
-                unmarked += 1
-        w = w * TruncPoly.var(n, deg, ALPHA, j) ** (unmarked - 1)
-    return w
-
-
 def _mmsvt_state(outer, inner, orientation):
     _check_orientation(orientation)
     outer, inner = skew(outer, inner)
@@ -164,6 +137,22 @@ def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
     cell by cell: a markable element contributes alpha_col - beta_row."""
     order = _mmsvt_state(outer, inner, orientation)
     ends = {}
+    # a cell's factor depends only on (i, j, ms): build each one once
+    factors = {}
+
+    def cell_factor(i, j, ms):
+        factor = factors.get((i, j, ms))
+        if factor is None:
+            alpha = TruncPoly.var(n, deg, ALPHA, j)
+            factor = TruncPoly.const(n, deg, 1)
+            for v in ms:
+                factor = factor * _xvar(n, deg, v)
+            markable = len(_markable_positions(ms))
+            factor = factor * alpha ** (len(ms) - 1 - markable)
+            factor = factor * (alpha - TruncPoly.var(n, deg, BETA, i)) \
+                ** markable
+            factors[(i, j, ms)] = factor
+        return factor
 
     def rec(k, used, acc):
         if k == len(order):
@@ -173,17 +162,10 @@ def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
         lo, hi = _cell_bounds(flags, orientation, n, i, j)
         lo, hi = _between_neighbors(ends, i, j, lo, hi)
         max_len = deg - used - (len(order) - k - 1)
-        alpha = TruncPoly.var(n, deg, ALPHA, j)
-        beta = TruncPoly.var(n, deg, BETA, i)
         for ms in _increasing(lo, hi, max_len, False):
-            factor = TruncPoly.const(n, deg, 1)
-            for v in ms:
-                factor = factor * _xvar(n, deg, v)
-            markable = len(_markable_positions(ms))
-            factor = factor * alpha ** (len(ms) - 1 - markable)
-            factor = factor * (alpha - beta) ** markable
             ends[(i, j)] = (ms[0], ms[-1])
-            yield from rec(k + 1, used + len(ms), acc * factor)
+            yield from rec(k + 1, used + len(ms),
+                           acc * cell_factor(i, j, ms))
             del ends[(i, j)]
 
     yield from rec(0, 0, TruncPoly.const(n, deg, 1))
@@ -329,31 +311,6 @@ def markable_cells(outer, inner, values, variant, mark_set=None, flags=None,
         if _compare_value(values, tuple(outer), mark_set, s_flags, mcell) == v:
             out.append((i, j))
     return sorted(out)
-
-
-def mrpp_weight(outer, inner, filling, variant, n, deg,
-                mark_set=None, flags=None):
-    """Weight of an explicit marked filling {(i,j): (value, marked)}.
-
-    A marked cell contributes -alpha indexed by the marking rule; an unmarked
-    cell repeating its beta-neighbor contributes the matching beta, any other
-    unmarked cell contributes x_value.
-    """
-    outer = tuple(outer)
-    s_flags = _resolve_s_flags(outer, flags, n) if mark_set is not None else ()
-    values = {c: v for c, (v, _) in filling.items()}
-    w = TruncPoly.const(n, deg, 1)
-    for (i, j), (v, marked) in filling.items():
-        (mcell, midx), (bcell, bidx) = _mrpp_neighbors(variant, i, j)
-        if marked:
-            if _compare_value(values, outer, mark_set, s_flags, mcell) != v:
-                raise ShapeError(f"cell {(i, j)} is not markable")
-            w = w * (-pvar(n, deg, ALPHA, midx))
-        elif _compare_value(values, outer, mark_set, s_flags, bcell) == v:
-            w = w * pvar(n, deg, BETA, bidx)
-        else:
-            w = w * _xvar(n, deg, v)
-    return w
 
 
 def _mrpp_summed_weight(values, variant, outer, mark_set, s_flags, n, deg):

@@ -168,6 +168,35 @@ def test_enumerate_respects_flags():
     assert flagged[1].endswith("total: 1")
 
 
+def test_enumerate_refuses_options_its_target_ignores():
+    for argv, option in (
+            (["enumerate", "matsumura", "--shape", "2", "--n", "2",
+              "--orientation", "col"], "--orientation"),
+            (["enumerate", "matsumura", "--shape", "2", "--n", "2",
+              "--variant", "right"], "--variant"),
+            (["enumerate", "matsumura", "--shape", "2", "--n", "2",
+              "--mark-set", "1"], "--mark-set"),
+            (["enumerate", "G", "--shape", "2", "--n", "2", "--mark-set", "1",
+              "--variant", "right"], "--variant, --mark-set"),
+            (["enumerate", "G", "--shape", "2", "--n", "2",
+              "--variant", "left"], "--variant"),
+            (["enumerate", "g", "--shape", "2", "--n", "2", "--deg", "4"],
+             "--deg"),
+            (["enumerate", "g", "--shape", "2", "--n", "2",
+              "--format", "latex"], "--format")):
+        status, out = run(argv)
+        assert status == 2, argv
+        assert out == f"error: enumerate {argv[1]} takes no {option}", argv
+    # the options a target reads are still accepted
+    for argv in (["enumerate", "g", "--shape", "2", "--n", "2",
+                  "--variant", "right"],
+                 ["enumerate", "matsumura", "--shape", "2", "--n", "2",
+                  "--orientation", "row", "--format", "text"]):
+        status, out = run(argv)
+        assert status == 0, argv
+        assert out.endswith("total: 5"), argv
+
+
 def test_expand_one_box():
     status, out = run(["expand", "G", "--shape", "1", "--budget", "1"])
     assert status == 0

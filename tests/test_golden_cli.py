@@ -111,6 +111,10 @@ GOLDEN = [
      0, 'matsumura: 1804 flagged shapes match the set-valued enumeration; surviving convention: b = (-beta, -beta, ...)\noutside the flag hypothesis (reported, not asserted): 19 flag pairs agree, 499 differ'),
     ('verify omega --max-size 3',
      0, 'omega: 38 expansion-level involution checks pass'),
+    ('verify omega',
+     0, 'omega: 74 expansion-level involution checks pass'),
+    ('verify duality',
+     0, 'duality: 144 pairs equal delta'),
     ('verify cauchy --budget 2',
      0, 'cauchy: kernel matches the G*g sum to bidegree 2'),
 ]

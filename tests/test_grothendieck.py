@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import warnings
 
@@ -7,12 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grothpoly import symfunc
-from grothpoly.grothendieck import (C_coeff, FlagSweep, G_bialternant,
-                                    G_flagged_det, G_jt, G_jt_modified,
-                                    G_schur, c_coeff,
-                                    cauchy_check, col_monotone,
-                                    dual_parameters,
+from grothpoly import grothendieck, symfunc
+from grothpoly.cli import render_poly
+from grothpoly.grothendieck import (_SKEW_COEFF, C_coeff, FlagSweep,
+                                    G_bialternant, G_flagged_det, G_jt,
+                                    G_jt_modified, G_schur, _gen_rho_below,
+                                    _strip, c_coeff, cauchy_check,
+                                    col_monotone, dual_parameters,
                                     g_bialternant, g_flagged_det, g_jt,
                                     g_jt_modified, g_marked_det, g_schur,
                                     hall_pairing,
@@ -20,7 +22,7 @@ from grothpoly.grothendieck import (C_coeff, FlagSweep, G_bialternant,
                                     row_monotone, schur_in_grothendieck,
                                     skew_coeff, skew_schur_expansion,
                                     valid_mark_sets)
-from grothpoly.ring import ALPHA, BETA, TruncPoly, X
+from grothpoly.ring import ALPHA, BETA, TruncPoly, X, det
 from grothpoly.shapes import (ShapeError, conjugate, contains,
                               partitions_between, partitions_up_to)
 from grothpoly.tableaux import (TableauSweep, enum_elegant, enum_fsvt,
@@ -613,6 +615,126 @@ def test_omega_dual_entry_values():
     expansion = skew_schur_expansion((2,), (), "g_e", 0, 1, 0)
     assert expansion.entries[((1,), ())] == bv(1, 0, 1)
     assert dual_parameters(expansion.entries[((1,), ())]) == -av(1, 0, 1)
+
+
+# (outer, inner, kind, budget, n, deg), the entry count and the sha256 of
+# the lines "key: entry" of skew_schur_expansion(...).entries in iteration
+# order, recorded when the expansion stored its entries multiplied out.
+RECORDED_ENTRIES = [
+    (((3, 2), (1,), "G_h", 2, 2, 2), 60,
+     "62aeb1ac7cb35a66f53cfb1639427fdec14fc73c25cac754697c0c774b6bb149"),
+    (((3, 2), (1,), "G_e", 2, 2, 2), 60,
+     "364fd534158a11dda022328323268c6bbc5a2c2dc2f82e10d0f872087eca6d65"),
+    (((2, 1), (1,), "G_h", 3, 1, 3), 198,
+     "43d4f652de29ecb331439741cd40f4dc653f3d5281b63b794fd2447bb51e944d"),
+    (((2, 2), (1,), "G_e", 3, 1, 3), 176,
+     "44e2397a8ed333d2b82a285487d7a03f912096964dea0847ae60ee86692f75fd"),
+    (((3, 2, 1), (1,), "g_h", 0, 2, 4), 61,
+     "937b35781e4c493c4764a3214cf8e0364eb3619700cac18fc678d258e7a654da"),
+    (((3, 2, 1), (1,), "g_e", 0, 2, 4), 61,
+     "541d1013e4a0cb030e20fb26bbaaa6cbb4d43f0dfa88608d9d4402e3ae455711"),
+    (((3, 3, 1), (2, 1), "g_h", 0, 3, 4), 42,
+     "bf8f51afeaa135eb211961b98d3c904d5c44e8ac832d506c2b332ce82f7e7570"),
+    (((2, 2, 2), (1,), "g_e", 0, 2, 3), 34,
+     "af8ae12006db9d445b0e957be05b5b3030e77e8e9a2321071f608d43e32e834e"),
+]
+
+
+@pytest.mark.parametrize("case, count, digest", RECORDED_ENTRIES,
+                         ids=[f"{c[2]}-{c[0]}/{c[1]}"
+                              for c, _, _ in RECORDED_ENTRIES])
+def test_factor_families_multiply_back_to_the_recorded_entries(case, count,
+                                                                digest):
+    expansion = skew_schur_expansion(*case)
+    families = expansion.left, expansion.right
+    assert all(not coef.is_zero()
+               for family in families for coef in family.values())
+    entries = expansion.entries
+    text = "\n".join(f"{key}: {render_poly(coef)}"
+                     for key, coef in entries.items())
+    assert len(entries) == count
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+    # the G-kinds reach generalized rho with negative parts
+    if case[2].startswith("G"):
+        assert any(min(rho) < 0 for rho in expansion.right)
+
+
+def padded_coeff(rule, first, second, n, deg, rows):
+    """ORACLE: the coefficient determinant of skew_coeff on exactly `rows`
+    rows.  Capital rules put the second subscript on rows, lowercase rules
+    the first; the unprimed rules read their alphabet off the first
+    subscript, the primed ones off the second."""
+    basis, alphabet = _SKEW_COEFF[rule]
+    top, bot = (second, first) if rule[0].isupper() else (first, second)
+    fixed = second if rule.endswith("'") else first
+    pleth = symfunc.h_pleth if basis == "h" else symfunc.e_pleth
+
+    def at(shape, i):
+        return shape[i - 1] if i <= len(shape) else 0
+
+    matrix = [[pleth(at(top, i) - at(bot, j) - i + j, alphabet(fixed, i, j),
+                     n, deg) for j in range(1, rows + 1)]
+              for i in range(1, rows + 1)]
+    return det(matrix, n, deg)
+
+
+def test_coefficient_determinant_ignores_padding_rows():
+    n, deg = 1, 0
+    rules = list(_SKEW_COEFF)
+    for big in partitions_up_to(3):
+        for small in partitions_between((), big):
+            for rule in rules:
+                first, second = ((small, big) if rule[0].isupper()
+                                 else (big, small))
+                want = skew_coeff(rule, first, second, n, deg)
+                least = max(len(first), len(second), 1)
+                for rows in range(least, least + 3):
+                    assert padded_coeff(rule, first, second, n, deg,
+                                        rows) == want, (rule, first, second)
+    # generalized rho: one with a negative part keeps all its rows
+    negative = 0
+    for mu in [(1,), (2, 1)]:
+        rows = len(mu) + 2
+        for rho in _gen_rho_below(mu, 2, rows):
+            for rule in ("C'", "D'"):
+                want = skew_coeff(rule, _strip(rho), mu, n, deg)
+                assert padded_coeff(rule, rho, mu, n, deg, rows) == want
+                if min(rho) < 0:
+                    negative += 1
+                    assert len(_strip(rho)) == rows
+    assert negative >= 10
+
+
+@pytest.mark.parametrize("wrong", ["D", "D'", "d", "d'"])
+def test_omega_check_compares_every_factor_family(monkeypatch, wrong):
+    # doubling every coefficient of one e-side family fails the check
+    coeff_det = grothendieck._coeff_det
+
+    def doubled(rule, first, second, n, deg, table=None):
+        value = coeff_det(rule, first, second, n, deg, table)
+        return value + value if rule == wrong else value
+
+    monkeypatch.setattr(grothendieck, "_coeff_det", doubled)
+    kind = "G" if wrong.isupper() else "g"
+    assert not omega_check((2, 1), (1,), kind, 1, 2, 2)
+
+
+def test_coefficient_table_changes_no_value():
+    table = {}
+    for lam, mu in [((2, 1), (1,)), ((3, 1), (1,)), ((2, 2), ())]:
+        for kind in ("G", "g"):
+            assert omega_check(lam, mu, kind, 2, 2, 2, table)
+    size = len(table)
+    assert size > 0
+    assert omega_check((2, 1), (1,), "G", 2, 2, 2, table)
+    assert len(table) == size
+    pairing = {}
+    for lam in partitions_up_to(3):
+        for mu in partitions_up_to(3):
+            assert (hall_pairing(lam, mu, 1, 0, pairing)
+                    == hall_pairing(lam, mu, 1, 0))
+    for (rule, first, second, n, deg), value in pairing.items():
+        assert value == skew_coeff(rule, first, second, n, deg)
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,11 +6,10 @@ import pytest
 
 from grothpoly import symfunc
 from grothpoly.lgv import (PathFamily, WeightedLatticeGraph,
-                           family_to_tableau, gen_nonintersecting, gen_paths,
-                           nonintersecting_coeff, path_weight,
-                           path_weight_sum)
+                           gen_nonintersecting, gen_paths,
+                           nonintersecting_coeff, path_weight)
 from grothpoly.ring import ALPHA, BETA, TruncPoly
-from grothpoly.shapes import ShapeError, contains, partitions_up_to
+from grothpoly.shapes import ShapeError, contains, part, partitions_up_to
 from grothpoly.tableaux import gen_elegant
 
 N, DEG = 1, 0
@@ -35,6 +34,40 @@ def pv(fam, i):
 
 def one():
     return TruncPoly.const(N, DEG, 1)
+
+
+def path_weight_sum(graph, u, v, n, deg):
+    """Exact sum of path weights over all monotone paths from u to v."""
+    (au, bu), (av, bv) = tuple(u), tuple(v)
+    dx = graph.dx
+    memo = {}
+
+    def weight_from(a, b):
+        if (a, b) == (av, bv):
+            return TruncPoly.const(n, deg, 1)
+        if b > bv or (av - a) * dx < 0:
+            return TruncPoly.zero(n, deg)
+        if (a, b) not in memo:
+            north = weight_from(a, b + 1)
+            horiz = graph.horizontal_weight(n, deg, a, b) * \
+                weight_from(a + dx, b)
+            memo[(a, b)] = north + horiz
+        return memo[(a, b)]
+
+    return weight_from(au, bu)
+
+
+def family_to_tableau(family, paths):
+    """Read the filling off a family: the heights of the horizontal steps of
+    path i fill row i, right to left for kind C and left to right for c."""
+    out = {}
+    for i, path in enumerate(paths, start=1):
+        heights = [b for (a, b), (a2, _) in zip(path, path[1:]) if a2 != a]
+        mu_i = part(family.mu, i)
+        for j, b in enumerate(heights, start=1):
+            col = mu_i + 1 - j if family.kind == "C" else mu_i + j
+            out[(i, col)] = b
+    return out
 
 
 def test_unknown_kinds_rejected():

@@ -317,6 +317,18 @@ def test_exact_divide_remainder_detected():
         exact_divide(x1 + one(n, deg), x1 * x1, 0)
 
 
+def test_exact_divide_refuses_non_divisors():
+    # a remainder in x, one in a parameter alone, and one mixing both
+    n, deg = 2, 4
+    x1, x2 = xv(n, deg, 1), xv(n, deg, 2)
+    a1 = TruncPoly.var(n, deg, ALPHA, 1)
+    b1 = TruncPoly.var(n, deg, BETA, 1)
+    for num, den in ((x1 + x2, x1 - x2), (a1, x1 - x2),
+                     (b1 * x2, x1 - b1)):
+        with pytest.raises(DivisibilityError):
+            exact_divide(num, den, 0)
+
+
 def has_mixed_term(p):
     # some monomial carries both an x and a parameter
     return any(len({fam == X for (fam, _), _ in mono}) == 2

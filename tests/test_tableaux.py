@@ -7,12 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import shapes, symfunc
-from grothpoly.ring import ALPHA, BETA, TruncPoly, X
+from grothpoly.ring import ALPHA, BETA, TruncPoly, X, pvar
 from grothpoly.shapes import ShapeError
-from grothpoly.tableaux import (TableauSweep, enum_elegant, enum_fsvt,
-                                enum_mmsvt, enum_mrpp, gen_elegant, gen_fsvt,
-                                gen_mmsvt, gen_mrpp, gen_rpp, markable_cells,
-                                mmsvt_weight, mrpp_weight, phi_left_to_right)
+from grothpoly.tableaux import (TableauSweep, _compare_value, _mrpp_neighbors,
+                                _resolve_s_flags, _xvar, enum_elegant,
+                                enum_fsvt, enum_mmsvt, enum_mrpp, gen_elegant,
+                                gen_fsvt, gen_mmsvt, gen_mrpp, gen_rpp,
+                                markable_cells, phi_left_to_right)
 
 
 def xv(n, deg, i):
@@ -36,6 +37,61 @@ def prod(polys, n, deg):
     for p in polys:
         out = out * p
     return out
+
+
+# Weights of explicit marked fillings: the oracles the summed-out
+# enumerations are checked against.
+
+def mmsvt_weight(entries, n, deg):
+    """Weight of an explicit filling {(i,j): ((value, marked), ...)}.
+
+    Each element contributes x_value; every unmarked element beyond the first
+    unmarked one contributes alpha_col, and every marked element -beta_row.
+    """
+    w = TruncPoly.const(n, deg, 1)
+    for (i, j), elems in entries.items():
+        if not elems:
+            raise ShapeError("cells hold nonempty multisets")
+        vals = [v for v, _ in elems]
+        if any(a > b for a, b in zip(vals, vals[1:])):
+            raise ShapeError(f"multiset not weakly increasing: {vals}")
+        unmarked = 0
+        for p, (v, marked) in enumerate(elems):
+            w = w * _xvar(n, deg, v)
+            if marked:
+                if p == 0 or vals[p - 1] >= v:
+                    raise ShapeError("marks need a strictly smaller "
+                                     f"predecessor: {elems}")
+                w = w * (-TruncPoly.var(n, deg, BETA, i))
+            else:
+                unmarked += 1
+        w = w * TruncPoly.var(n, deg, ALPHA, j) ** (unmarked - 1)
+    return w
+
+
+def mrpp_weight(outer, inner, filling, variant, n, deg,
+                mark_set=None, flags=None):
+    """Weight of an explicit marked filling {(i,j): (value, marked)}.
+
+    A marked cell contributes -alpha indexed by the marking rule; an unmarked
+    cell repeating its beta-neighbor contributes the matching beta, any other
+    unmarked cell contributes x_value.
+    """
+    outer = tuple(outer)
+    s_flags = _resolve_s_flags(outer, flags, n) if mark_set is not None else ()
+    values = {c: v for c, (v, _) in filling.items()}
+    w = TruncPoly.const(n, deg, 1)
+    for (i, j), (v, marked) in filling.items():
+        (mcell, midx), (bcell, bidx) = _mrpp_neighbors(variant, i, j)
+        if marked:
+            if _compare_value(values, outer, mark_set, s_flags, mcell) != v:
+                raise ShapeError(f"cell {(i, j)} is not markable")
+            w = w * (-pvar(n, deg, ALPHA, midx))
+        elif _compare_value(values, outer, mark_set, s_flags, bcell) == v:
+            w = w * pvar(n, deg, BETA, bidx)
+        else:
+            w = w * _xvar(n, deg, v)
+    return w
 
 
 # ORACLE: filter all value maps on the cells by the defining inequalities.
@@ -133,12 +189,16 @@ def test_mmsvt_empty_shape_is_one():
 
 
 def test_mmsvt_enum_matches_explicit_generation():
-    for outer, inner in [((2, 1), ()), ((2, 2), (1,)), ((3,), ())]:
-        n, deg = 2, 4
+    # enum_mmsvt builds each cell factor once per (row, column, multiset);
+    # at n = 3 the same markable multiset recurs in cells of different rows
+    # and columns, whose factors differ through beta_row and alpha_col
+    for outer, inner, n, deg in [((2, 1), (), 2, 4), ((2, 2), (1,), 2, 4),
+                                 ((3,), (), 2, 4), ((2, 2), (), 3, 6),
+                                 ((3, 2), (1,), 3, 6), ((2, 1, 1), (), 3, 6)]:
         total = TruncPoly.zero(n, deg)
         for entries in gen_mmsvt(outer, inner, n, deg):
             total = total + mmsvt_weight(entries, n, deg)
-        assert total == enum_mmsvt(outer, inner, n, deg)
+        assert total == enum_mmsvt(outer, inner, n, deg), (outer, inner)
 
 
 def test_mmsvt_flagged_enum_matches_explicit_generation():
