@@ -99,20 +99,6 @@ def poly_records(p):
     return {"schema": SCHEMA, "n": p.n, "deg": p.deg, "terms": terms}
 
 
-def parse_records(data):
-    """Inverse of poly_records; accepts the JSON text or the parsed dict."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    if data.get("schema") != SCHEMA:
-        raise ShapeError(f"unknown schema {data.get('schema')!r}")
-    terms = {}
-    for rec in data["terms"]:
-        mono = tuple(sorted(((FAMILY_CODES[name], idx), e)
-                            for name, idx, e in rec["powers"]))
-        terms[mono] = rec["coeff"]
-    return TruncPoly.from_monomials(data["n"], data["deg"], terms.items())
-
-
 def render_poly(p, fmt="text"):
     if fmt == "json-like":
         return json.dumps(poly_records(p))
@@ -268,6 +254,13 @@ def _require_rows(n, outer):
                          f"of {tuple(outer)}; pass a larger --n")
 
 
+def _refuse(command, names):
+    """Exit 2 naming the options, passed to command, that it does not read."""
+    if names:
+        raise ShapeError(f"{command} takes no " + ", ".join(
+            "--" + name.replace("_", "-") for name in names))
+
+
 def _warn_degree(deg, outer, inner):
     want = sum(outer) - sum(inner)
     if deg < want:
@@ -325,6 +318,10 @@ def _shape_label(nu, rho=()):
 
 def cmd_expand(args):
     outer, inner = _get_shapes(args)
+    # the g expansions are finite, so they have no budget
+    ignored = {"s": ["inner"] if inner else [],
+               "g": ["budget"] if args.budget is not None else []}
+    _refuse(f"expand {args.target}", ignored.get(args.target, []))
     n = args.n
     deg = _default_deg(args, outer, inner)
     budget = args.budget if args.budget is not None else deg
@@ -395,20 +392,14 @@ _ENUMERATE_IGNORES = {"G": ("variant", "mark_set"), "g": ("deg",),
                       "matsumura": ("variant", "mark_set")}
 
 
-def _refuse_ignored(args):
+def cmd_enumerate(args):
     refused = [name for name in _ENUMERATE_IGNORES[args.target]
                if getattr(args, name) is not None]
     if args.target == "matsumura" and args.orientation == "col":
         refused.append("orientation")  # its flags are per row
     if args.format != "text":
         refused.append("format")  # grids print as text only
-    if refused:
-        raise ShapeError(f"enumerate {args.target} takes no " + ", ".join(
-            "--" + name.replace("_", "-") for name in refused))
-
-
-def cmd_enumerate(args):
-    _refuse_ignored(args)
+    _refuse(f"enumerate {args.target}", refused)
     outer, inner = _get_shapes(args)
     n = args.n
     deg = args.deg if args.deg is not None else \
@@ -477,19 +468,17 @@ def five_way(kind, lam, n, deg):
     """The five equivalent evaluations of G or g for a shape fitting in n
     rows, in the order of _FIVE_WAY_LABELS.  The modified Jacobi-Trudi value
     is the flagged determinant with n rows; the flagged one here has
-    max(len(lam), 1) rows."""
+    max(len(lam), 1) rows, so it is the modified value when that is n."""
     lam = partition(lam)
     m = max(len(lam), 1)
-    r, s = (1,) * m, (n,) * m
-    if kind == "G":
-        return [G_bialternant(lam, n, deg), G_jt(lam, n, deg),
-                G_jt_modified(lam, n, deg),
-                G_flagged_det(lam, (), r, s, "row", n, deg),
-                enum_mmsvt(lam, (), n, deg)]
-    return [g_bialternant(lam, n, deg), g_jt(lam, n, deg),
-            g_jt_modified(lam, n, deg),
-            g_flagged_det(lam, (), r, s, "row", n, deg),
-            enum_mrpp(lam, (), n, deg)]
+    bialternant, jt, modified, flagged, enum = (
+        (G_bialternant, G_jt, G_jt_modified, G_flagged_det, enum_mmsvt)
+        if kind == "G" else
+        (g_bialternant, g_jt, g_jt_modified, g_flagged_det, enum_mrpp))
+    values = [bialternant(lam, n, deg), jt(lam, n, deg), modified(lam, n, deg)]
+    values.append(values[2] if m == n else
+                  flagged(lam, (), (1,) * m, (n,) * m, "row", n, deg))
+    return values + [enum(lam, (), n, deg)]
 
 
 # verify G/g: the values of n swept
@@ -514,7 +503,7 @@ def verify_concordance(kind, max_size=4, deg=6):
     return True, [f"{kind} concordance: {checked} shapes agree five ways"]
 
 
-def verify_coefficients(kind, max_size):
+def verify_coefficients(kind, max_size=4):
     """Determinant = tableau enumeration = lattice-path sum, plus the
     nonnegativity of the sign-adjusted specialization."""
     n, deg = 1, 0  # the coefficients have no x part
@@ -551,13 +540,13 @@ def verify_cauchy(budget=3):
     return False, ["FAIL cauchy: kernel and G*g sum differ"]
 
 
-def verify_omega(max_outer=4, budget=2):
-    """omega_check for every outer shape up to max_outer cells and inner
+def verify_omega(max_size=4, budget=2):
+    """omega_check for every outer shape up to max_size cells and inner
     shape up to two cells, in two x variables truncated at degree 2."""
     n = deg = 2
     table = {}  # coefficient determinants, shared by every shape pair
     checked = 0
-    for lam in partitions_up_to(max_outer):
+    for lam in partitions_up_to(max_size):
         for mu in partitions_up_to(2):
             if not contains(mu, lam):
                 continue
@@ -584,20 +573,20 @@ def _collapse_to_single_beta(p, sign):
         lambda var: (0, None) if var[0] == ALPHA else (sign, (BETA, 1)))
 
 
-def verify_matsumura(max_outer):
+def verify_matsumura(max_size=4):
     """Set-valued enumeration = single-beta determinant on every skew shape
     with at most 3 cells in three x variables, and exactly one sign of the
     collapsed flagged determinant reproduces it; the surviving convention is
     reported.  Only flags inside Matsumura's hypothesis (f and g weakly
     increase wherever mu_i < lam_{i+1}) are asserted; the others are
     evaluated and reported, never asserted."""
-    if max_outer < 1:
+    if max_size < 1:
         raise ShapeError("verify matsumura needs --max-size >= 1: it sweeps "
                          "skew shapes with at least one cell")
     n = 3
     checked = outside_agree = outside_differ = 0
     minus_ok = plus_ok = True
-    for lam in partitions_up_to(max_outer):
+    for lam in partitions_up_to(max_size):
         if len(lam) > n:
             continue
         for mu in partitions_between((), lam):
@@ -777,31 +766,36 @@ def verify_flagged(max_size=4):
     return True, lines
 
 
-VERIFY_SUITES = ("duality", "hall", "G", "g", "C", "c", "cauchy", "omega",
-                 "matsumura", "flagged")
+# The options each verify suite reads, named as the keyword arguments of its
+# function; an option not passed takes the function's default, and passing
+# one the suite does not read is an error.
+VERIFY_SUITES = {"duality": ("max_size",), "hall": ("max_size",),
+                 "G": ("max_size", "deg"), "g": ("max_size", "deg"),
+                 "C": ("max_size",), "c": ("max_size",),
+                 "cauchy": ("budget",), "omega": ("max_size", "budget"),
+                 "matsumura": ("max_size",), "flagged": ("max_size",)}
 
 
 def cmd_verify(args):
-    max_size = args.max_size
     suite = args.target
+    passed = {name: value for name, value in vars(args).items()
+              if name in ("max_size", "budget", "deg") and value is not None}
+    _refuse(f"verify {suite}",
+            [name for name in passed if name not in VERIFY_SUITES[suite]])
     if suite in ("duality", "hall"):
-        ok, lines = verify_duality(max_size=max_size)
+        ok, lines = verify_duality(**passed)
     elif suite in ("G", "g"):
-        deg = args.deg if args.deg is not None else 6
-        ok, lines = verify_concordance(suite, max_size=max_size, deg=deg)
+        ok, lines = verify_concordance(suite, **passed)
     elif suite in ("C", "c"):
-        ok, lines = verify_coefficients(suite, max_size=max_size)
+        ok, lines = verify_coefficients(suite, **passed)
     elif suite == "cauchy":
-        ok, lines = verify_cauchy(budget=args.budget
-                                  if args.budget is not None else 3)
+        ok, lines = verify_cauchy(**passed)
     elif suite == "omega":
-        ok, lines = verify_omega(max_outer=max_size,
-                                 budget=args.budget
-                                 if args.budget is not None else 2)
+        ok, lines = verify_omega(**passed)
     elif suite == "matsumura":
-        ok, lines = verify_matsumura(max_outer=max_size)
+        ok, lines = verify_matsumura(**passed)
     else:
-        ok, lines = verify_flagged(max_size=max_size)
+        ok, lines = verify_flagged(**passed)
     return "\n".join(lines), 0 if ok else 1
 
 
@@ -863,7 +857,7 @@ def build_parser():
     p.add_argument("--n", type=_nonnegative, default=1,
                    help="variable count for coefficient contexts (default 1)")
     p.add_argument("--budget", type=_nonnegative, default=None,
-                   help="extra size allowed above |shape| (default --deg)")
+                   help="extra size above |shape|, G and s (default --deg)")
 
     p = sub.add_parser("coeff", help="single expansion coefficients")
     p.add_argument("target", choices=["C", "c", "hall"],
@@ -885,12 +879,12 @@ def build_parser():
     p = sub.add_parser("verify", help="verification suites")
     p.add_argument("target", choices=list(VERIFY_SUITES),
                    help="which identity family to check")
-    p.add_argument("--max-size", type=_nonnegative, default=4,
-                   help="largest shape size swept (default 4)")
+    p.add_argument("--max-size", type=_nonnegative, default=None,
+                   help="largest shape size swept (default per suite)")
     p.add_argument("--budget", type=_nonnegative, default=None,
-                   help="series budget where applicable (default per suite)")
+                   help="budget of cauchy and omega (default per suite)")
     p.add_argument("--deg", type=_nonnegative, default=None,
-                   help="x-degree for the concordance suites (default 6)")
+                   help="x-degree of verify G and g (default per suite)")
 
     p = sub.add_parser("enumerate",
                        help="stream tableaux as text grids, one per block; "

@@ -547,13 +547,6 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     return _flag_value("g", "row", lam, mu, r, s, n, deg, mark_set)
 
 
-def matsumura_Gpq(m, p, q, n, deg):
-    """One-row flagged Grothendieck series in the collapsed parameter b_1:
-    prod_{l=q}^p (1 + b_1 x_l) * sum_{k>=0} (-b_1)^k h_{m+k}[X_[q,p]], which
-    is the one-row determinant of kind M at lam = (m) (m may be negative)."""
-    return _flag_value("M", "row", (m,), (), (q,), (p,), n, deg)
-
-
 def matsumura_det(lam, mu, f, g, n, deg):
     """Single-parameter flagged determinant: prod_{i<=l(lam)}
     prod_{l=g_i}^{f_i}(1 + b_1 x_l) times det over l(lam) rows of
@@ -699,6 +692,25 @@ def _family(rule, keys, fixed, n, deg, table):
     return out
 
 
+def _G_prefactor(kind, rows, n, deg, table):
+    """The "G_h" or "G_e" prefactor on rows rows, or for "omega" the omega
+    image of the "G_h" one, prod_{i<=rows} prod_{l<=n} 1/(1 + b_i x_l).
+    table, when given, keeps it under (kind, rows, n, deg)."""
+    key = (kind, rows, n, deg)
+    if table is not None and key in table:
+        return table[key]
+    if kind == "omega":
+        value = _series_product("h", [(1, n, single(BETA, i, -1))
+                                      for i in range(1, rows + 1)], n, deg)
+    else:
+        value = _row_prefactor("G", "row" if kind == "G_h" else "col",
+                               [(i, 1, n) for i in range(1, rows + 1)],
+                               n, deg)
+    if table is not None:
+        table[key] = value
+    return value
+
+
 def skew_schur_expansion(outer, inner, kind, budget, n, deg, table=None):
     """Skew Schur expansion of the skew polynomial of the given kind.
 
@@ -715,7 +727,8 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg, table=None):
     C = prod_{i<=rows}prod_{l<=n}(1 - b_i x_l) and the geometric series
     D = prod prod (1 - a_i x_l)^{-1} run over rows = max(l(outer),
     l(inner)) + budget, the row count of the Schur functions in the total.
-    table is passed on to the coefficient determinants (see _coeff_det).
+    table is passed on to the coefficient determinants (see _coeff_det)
+    and the G prefactors.
     """
     lam, mu = partition(outer), partition(inner)
     if kind in ("G_h", "G_e"):
@@ -729,10 +742,8 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg, table=None):
             right = _family("C'" if kind == "G_h" else "D'",
                             map(_strip, _gen_rho_below(mu, budget, rows)),
                             mu, n, deg, table)
-        pref = _row_prefactor("G", "row" if kind == "G_h" else "col",
-                              [(i, 1, n) for i in range(1, rows + 1)],
-                              n, deg)
-        return SchurExpansion(kind, n, deg, rows, left, right, pref)
+        return SchurExpansion(kind, n, deg, rows, left, right,
+                              _G_prefactor(kind, rows, n, deg, table))
     if kind in ("g_h", "g_e"):
         between = partitions_between(mu, lam)
         left = _family("c" if kind == "g_h" else "d", between, lam,
@@ -763,7 +774,7 @@ def omega_check(outer, inner, kind, budget, n, deg, table=None):
     the omega image of the h-prefactor (e-series to h-series swap) must
     equal the substituted e-prefactor.  dual_parameters is a ring
     homomorphism, so matching factors imply matching entries; no entry is
-    multiplied out.  table is passed on to the coefficient determinants."""
+    multiplied out.  table holds the coefficient determinants and factors."""
     if kind not in ("G", "g"):
         raise ShapeError(f"unknown kind {kind!r}")
     h, e = (skew_schur_expansion(outer, inner, f"{kind}_{basis}", budget,
@@ -772,7 +783,5 @@ def omega_check(outer, inner, kind, budget, n, deg, table=None):
         return False
     if kind == "g":
         return h.prefactor == e.prefactor
-    omega_pref = _series_product("h", [(1, n, single(BETA, i, -1))
-                                       for i in range(1, h.rows + 1)],
-                                 n, deg)
-    return omega_pref == dual_parameters(e.prefactor)
+    return _G_prefactor("omega", h.rows, n, deg, table) == \
+        dual_parameters(e.prefactor)

@@ -14,14 +14,13 @@ field reaches 2^W, so each polynomial keeps an O(1) bound on the parameter
 degree of its monomials, the sum of its operands' bounds for a product;
 every field then stays <= deg + bound, and a polynomial whose deg + bound
 exceeds LIMIT = 2^(W-1) - 1 raises OverflowError.  The top bit of each field
-stays clear, which exact_divide uses to test divisibility.
+stays clear, so even the sum of two valid monomials never carries.  The one
+division, exact_divide, is by a linear factor x_i - x_j.
 
 Outside this module a monomial is a sorted tuple of ((family, index),
 exponent) pairs with positive exponents: monomials() decodes to that form
 and from_monomials() encodes from it.
 """
-
-import heapq
 
 X = 0
 ALPHA = 1
@@ -86,13 +85,6 @@ def _x_fields(lo, hi):
     for idx in range(lo, hi + 1):
         mask |= FIELD << (_field(X, idx) * W)
     return mask
-
-
-def _lead_order(m):
-    # graded order, leading monomial first: higher total degree (the sum of
-    # fields 1.., which stays below FIELD, so a remainder mod 2^W - 1 gives
-    # it), then the larger packed int
-    return (-((m >> W) % FIELD), -m)
 
 
 def _add_product(terms, deg, p, q, sign):
@@ -334,7 +326,7 @@ class TruncPoly:
             return "0"
         parts = []
         pairs = {}
-        for m in sorted(self.terms, key=_lead_order):
+        for m in sorted(self.terms, reverse=True):
             c = self.terms[m]
             body = "*".join(
                 f"{FAMILY_NAMES[fam]}{idx}" + (f"^{e}" if e > 1 else "")
@@ -416,51 +408,32 @@ def _minor(matrix, rows, n, deg, memo, key):
     return TruncPoly(n, deg, terms, pbound)
 
 
-def exact_divide(num, den, guard_degree):
-    """Divide num by den by cancelling graded leading terms.
-
-    num must be exactly divisible within its context; the quotient is
-    returned truncated to num.deg - guard_degree.  A nonzero remainder means
-    an internal bug (the alternants are always divisible by the Vandermonde).
-    """
-    if den.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    num._check(den)
-    lead_den = min(den.terms, key=_lead_order)
-    cd = den.terms[lead_den]
-    # the top bit of every field: (lead | guard) - lead_den keeps a field's
-    # guard bit exactly when lead_den's exponent there is not larger
-    width = max(m.bit_length() for m in (*num.terms, *den.terms)) // W + 1
-    guard = ((1 << (width * W)) - 1) // FIELD << (W - 1)
-    rem = dict(num.terms)
-    # the remainder's monomials, leading term first; a monomial cancelled
-    # after it was pushed is skipped when popped (lazy deletion).  Every
-    # remainder monomial has total degree <= the leading one of num, so no
-    # field overflows.
-    heap = list(map(_lead_order, rem))
-    heapq.heapify(heap)
+def exact_divide(num, i, j):
+    """num / (x_i - x_j) by synthetic division in x_i, for i != j in num's
+    context: from the highest x_i exponent down, each term c*m puts c*m/x_i
+    into the quotient and adds c*m*x_j/x_i one exponent lower, and a term
+    left at exponent 0 raises DivisibilityError.  The divisor is homogeneous,
+    so the quotient, in num's context, is exact below x-degree num.deg."""
+    if i == j or not (1 <= i <= num.n and 1 <= j <= num.n):
+        raise ValueError(f"x{i} - x{j} is no divisor in context n={num.n}")
+    shift = _field(X, i) * W
+    xi = (1 << shift) + 1  # x_i, counted in the x-degree field too
+    swap = (1 << (_field(X, j) * W)) - (1 << shift)  # m -> m * x_j / x_i
+    levels = {}  # x_i exponent -> {mono: c}
+    for m, c in num.terms.items():
+        levels.setdefault((m >> shift) & FIELD, {})[m] = c
     quot = {}
-    while heap:
-        lead = -heapq.heappop(heap)[1]
-        c = rem.get(lead)
-        if c is None:
-            continue
-        m = (lead | guard) - lead_den
-        if m & guard != guard or c % cd:
-            raise DivisibilityError(
-                f"leading term {_decode(lead, {})} not divisible")
-        m ^= guard
-        q = c // cd
-        quot[m] = quot.get(m, 0) + q
-        for mono, dc in den.terms.items():
-            mm = m + mono
-            old = rem.get(mm)
-            if old is None:
-                rem[mm] = -q * dc
-                heapq.heappush(heap, _lead_order(mm))
-            elif old == q * dc:
-                del rem[mm]
+    for e in range(max(levels, default=0), 0, -1):
+        below = levels.setdefault(e - 1, {})
+        for m, c in levels.pop(e, {}).items():
+            quot[m - xi] = c
+            m += swap
+            s = below.get(m, 0) + c
+            if s:
+                below[m] = s
             else:
-                rem[mm] = old - q * dc
-    result = TruncPoly(num.n, num.deg, quot, num.pbound)
-    return result.truncate(num.deg - guard_degree)
+                del below[m]
+    if levels.get(0):
+        raise DivisibilityError(f"remainder term {_decode(min(levels[0]), {})}"
+                                f" in the division by x{i} - x{j}")
+    return TruncPoly(num.n, num.deg, quot, num.pbound)

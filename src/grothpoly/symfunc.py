@@ -143,15 +143,6 @@ def e_ominus(m, left, right, n, deg):
     return _ominus("e", m, left, right, n, deg)
 
 
-def vandermonde(n, deg):
-    out = TruncPoly.const(n, deg, 1)
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            out = out * (TruncPoly.var(n, deg, X, i)
-                         - TruncPoly.var(n, deg, X, j))
-    return out
-
-
 def schur_jt(outer, inner, n, deg, rows=None, basis="h"):
     """s_{outer/inner}(x_n) = det(h_{lam_i - mu_j - i + j}[X_n]) of size rows
     (default the longer shape); basis "e" takes e_m and gives
@@ -199,18 +190,13 @@ def schur_branching(shapes, n, deg):
 
 def alternant_quotient(entry, n, deg):
     """det(entry(i, j, work))_{i,j<=n} / prod_{i<j}(x_i - x_j), computed in
-    degree work = deg + n(n-1)/2 so that the division has a guard of the
-    Vandermonde's degree."""
-    guard = n * (n - 1) // 2
-    work = deg + guard
+    degree work = deg + n(n-1)/2: each linear factor divided out leaves the
+    quotient exact one degree lower."""
+    work = deg + n * (n - 1) // 2
     matrix = [[entry(i, j, work) for j in range(1, n + 1)]
               for i in range(1, n + 1)]
-    num = det(matrix, n=n, deg=work)
-    return exact_divide(num, vandermonde(n, work), guard)
-
-
-def schur_bialternant(lam, n, deg):
-    """det(x_j^{lam_i + n - i}) / prod_{i<j}(x_i - x_j)."""
-    return alternant_quotient(
-        lambda i, j, work: TruncPoly.var(n, work, X, j, part(lam, i) + n - i),
-        n, deg)
+    quot = det(matrix, n=n, deg=work)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            quot = exact_divide(quot, i, j)
+    return quot.truncate(deg)

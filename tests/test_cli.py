@@ -8,13 +8,28 @@ from hypothesis import given, settings, strategies as st
 from grothpoly import cli
 from grothpoly.grothendieck import G_flagged_det, G_jt, g_jt
 from grothpoly.ring import ALPHA, BETA, X, TruncPoly
-from grothpoly.shapes import conjugate
+from grothpoly.shapes import ShapeError, conjugate
 from grothpoly.symfunc import schur_jt
 from grothpoly.tableaux import enum_mmsvt, enum_mrpp
 
 
 def run(argv):
     return cli.run(argv)
+
+
+def parse_records(data):
+    """ORACLE: the inverse of cli.poly_records, from the JSON text or the
+    parsed dict."""
+    if isinstance(data, str):
+        data = json.loads(data)
+    if data.get("schema") != cli.SCHEMA:
+        raise ShapeError(f"unknown schema {data.get('schema')!r}")
+    terms = {}
+    for rec in data["terms"]:
+        mono = tuple(sorted(((cli.FAMILY_CODES[name], idx), e)
+                            for name, idx, e in rec["powers"]))
+        terms[mono] = rec["coeff"]
+    return TruncPoly.from_monomials(data["n"], data["deg"], terms.items())
 
 
 def test_compute_g_one_box_exact_text():
@@ -105,15 +120,14 @@ def test_json_round_trip():
         blob = cli.render_poly(p, "json-like")
         data = json.loads(blob)
         assert data["schema"] == cli.SCHEMA
-        assert cli.parse_records(blob) == p
-        assert cli.parse_records(data) == p
+        assert parse_records(blob) == p
+        assert parse_records(data) == p
 
 
 def test_parse_records_rejects_unknown_schema():
-    from grothpoly.shapes import ShapeError
     with pytest.raises(ShapeError):
-        cli.parse_records({"schema": "something-else", "n": 1, "deg": 0,
-                           "terms": []})
+        parse_records({"schema": "something-else", "n": 1, "deg": 0,
+                       "terms": []})
 
 
 @settings(max_examples=40, deadline=None)
@@ -126,7 +140,7 @@ def test_round_trip_random_polynomials(spec):
     p = TruncPoly.zero(n, deg)
     for fam, idx, exp, coeff in spec:
         p = p + coeff * TruncPoly.var(n, deg, fam, idx) ** exp
-    assert cli.parse_records(cli.render_poly(p, "json-like")) == p
+    assert parse_records(cli.render_poly(p, "json-like")) == p
 
 
 def test_render_zero_and_constants():
@@ -197,6 +211,29 @@ def test_enumerate_refuses_options_its_target_ignores():
         assert out.endswith("total: 5"), argv
 
 
+def test_verify_and_expand_refuse_options_they_ignore():
+    for argv, option in (
+            (["verify", "duality", "--budget", "3"], "--budget"),
+            (["verify", "C", "--deg", "4"], "--deg"),
+            (["verify", "cauchy", "--max-size", "9"], "--max-size"),
+            (["verify", "matsumura", "--budget", "2"], "--budget"),
+            (["verify", "omega", "--deg", "9", "--max-size", "1"], "--deg"),
+            (["expand", "s", "--shape", "1", "--inner", "1"], "--inner"),
+            (["expand", "g", "--shape", "2", "--budget", "3"], "--budget"),
+            (["expand", "g", "--shape", "2", "--inner", "1", "--budget",
+              "0"], "--budget")):
+        status, out = run(argv)
+        assert status == 2, argv
+        assert out == f"error: {argv[0]} {argv[1]} takes no {option}", argv
+    # the options a suite reads are still accepted, each on its own
+    for argv in (["verify", "omega", "--max-size", "1", "--budget", "1"],
+                 ["verify", "G", "--deg", "2", "--max-size", "1"],
+                 ["verify", "g", "--deg", "2"],
+                 ["expand", "s", "--shape", "1", "--budget", "0"]):
+        status, out = run(argv)
+        assert status == 0, (argv, out)
+
+
 def test_expand_one_box():
     status, out = run(["expand", "G", "--shape", "1", "--budget", "1"])
     assert status == 0
@@ -252,7 +289,7 @@ def test_verify_matsumura_reports_flags_outside_the_hypothesis():
 
 def test_verify_failure_exits_one(monkeypatch):
     monkeypatch.setattr(cli, "verify_duality",
-                        lambda max_size: (False, ["FAIL duality"]))
+                        lambda **options: (False, ["FAIL duality"]))
     status, out = run(["verify", "duality"])
     assert status == 1
     assert "FAIL" in out

@@ -17,8 +17,7 @@ from grothpoly.grothendieck import (_SKEW_COEFF, C_coeff, FlagSweep,
                                     col_monotone, dual_parameters,
                                     g_bialternant, g_flagged_det, g_jt,
                                     g_jt_modified, g_marked_det, g_schur,
-                                    hall_pairing,
-                                    matsumura_Gpq, matsumura_det, omega_check,
+                                    hall_pairing, matsumura_det, omega_check,
                                     row_monotone, schur_in_grothendieck,
                                     skew_coeff, skew_schur_expansion,
                                     valid_mark_sets)
@@ -84,6 +83,15 @@ def test_jacobi_trudi_matches_bialternant():
         for lam in partitions_up_to(3, max_len=n):
             assert G_jt(lam, n, deg) == G_bialternant(lam, n, deg)
             assert g_jt(lam, n, deg) == g_bialternant(lam, n, deg)
+
+
+def test_jacobi_trudi_matches_bialternant_in_four_variables():
+    # six linear factors, divided out in turn
+    n = 4
+    for lam in [(), (1,), (2, 1), (1, 1, 1, 1)]:
+        deg = sum(lam) + 1
+        assert G_jt(lam, n, deg) == G_bialternant(lam, n, deg), lam
+        assert g_jt(lam, n, deg) == g_bialternant(lam, n, deg), lam
 
 
 def test_schur_expansion_matches_jacobi_trudi():
@@ -472,6 +480,14 @@ def test_flagged_rejects_bad_input():
         G_flagged_det((1,), (), (1,), (1,), "diag", 2, 2)
     with pytest.raises(ShapeError):
         g_flagged_det((1,), (), (1, 1), (1,), "row", 2, 2)
+
+
+def matsumura_Gpq(m, p, q, n, deg):
+    """ORACLE: one-row flagged Grothendieck series in the collapsed
+    parameter b_1, prod_{l=q}^p (1 + b_1 x_l) * sum_{k>=0} (-b_1)^k
+    h_{m+k}[X_[q,p]], which is the one-row determinant of kind M at
+    lam = (m) (m may be negative)."""
+    return grothendieck._flag_value("M", "row", (m,), (), (q,), (p,), n, deg)
 
 
 def test_matsumura_series_examples():

@@ -4,7 +4,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grothpoly.ring import (
     ALPHA, BETA, LIMIT, X, ContextMismatch, DivisibilityError, TruncPoly, det,
@@ -57,24 +57,6 @@ def mono_key(mono):
     # the higher exponent on the earliest variable (X < ALPHA < BETA, index
     # ascending).  At equal degree neither tuple is a prefix of the other.
     return (-mono_deg(mono), tuple((fam, idx, -e) for (fam, idx), e in mono))
-
-
-def mono_divide(m1, m2):
-    """m1 / m2 as a monomial, or None if m2 does not divide m1."""
-    exps = dict(m1)
-    for var, e in m2:
-        have = exps.get(var, 0)
-        if have < e:
-            return None
-        if have == e:
-            del exps[var]
-        else:
-            exps[var] = have - e
-    return tuple(sorted(exps.items()))
-
-
-def max_xdeg(p):
-    return max((mono_xdeg(m) for m, _ in p.monomials()), default=0)
 
 
 def xv(n, deg, i):
@@ -297,8 +279,8 @@ def test_det_matches_permutation_sum():
 def test_exact_divide_trivial():
     n, deg = 2, 4
     x1, x2 = xv(n, deg, 1), xv(n, deg, 2)
-    q = exact_divide(x1 * x1 - x2 * x2, x1 - x2, 0)
-    assert q == (x1 + x2).truncate(deg)
+    assert exact_divide(x1 * x1 - x2 * x2, 1, 2) == x1 + x2
+    assert exact_divide(x1 * x1 - x2 * x2, 2, 1) == -x1 - x2
 
 
 def test_exact_divide_schur_base_case():
@@ -306,56 +288,35 @@ def test_exact_divide_schur_base_case():
     n, deg = 2, 4
     x1, x2 = xv(n, deg, 1), xv(n, deg, 2)
     num = det([[x1 ** 2, x2 ** 2], [one(n, deg), one(n, deg)]], n, deg)
-    q = exact_divide(num, x1 - x2, 1)
-    assert q == (x1 + x2).truncate(deg - 1)
-
-
-def test_exact_divide_remainder_detected():
-    n, deg = 1, 4
-    x1 = xv(n, deg, 1)
-    with pytest.raises(DivisibilityError):
-        exact_divide(x1 + one(n, deg), x1 * x1, 0)
+    q = exact_divide(num, 1, 2)
+    assert q.truncate(deg - 1) == (x1 + x2).truncate(deg - 1)
 
 
 def test_exact_divide_refuses_non_divisors():
-    # a remainder in x, one in a parameter alone, and one mixing both
+    # a remainder in x, one in a parameter alone, one mixing both, and one
+    # that shows only once x1^2 has carried down to x2^2
     n, deg = 2, 4
     x1, x2 = xv(n, deg, 1), xv(n, deg, 2)
-    a1 = TruncPoly.var(n, deg, ALPHA, 1)
-    b1 = TruncPoly.var(n, deg, BETA, 1)
-    for num, den in ((x1 + x2, x1 - x2), (a1, x1 - x2),
-                     (b1 * x2, x1 - b1)):
-        with pytest.raises(DivisibilityError):
-            exact_divide(num, den, 0)
-
-
-def has_mixed_term(p):
-    # some monomial carries both an x and a parameter
-    return any(len({fam == X for (fam, _), _ in mono}) == 2
-               for mono, _ in p.monomials())
+    for num in (x1 + x2, av(n, deg, 1), bv(n, deg, 1) * x2, x1 * x1):
+        for i, j in ((1, 2), (2, 1)):
+            with pytest.raises(DivisibilityError):
+                exact_divide(num, i, j)
+    for i, j in ((1, 1), (1, 3), (0, 1)):
+        with pytest.raises(ValueError):
+            exact_divide(x1, i, j)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_polys, small_polys)
-def test_exact_divide_roundtrip(sa, sb):
-    p = poly_from_seed(sa, deg=8)
-    q = poly_from_seed(sb, deg=8)
-    assume(not q.is_zero())
-    # keep the product below the truncation bound so it is exact
-    assume(max_xdeg(p) + max_xdeg(q) <= 8)
-    # graded-lex order must interleave x with the parameters
-    assume(has_mixed_term(p * q))
-    assert exact_divide(p * q, q, 0) == p
-
-
-def test_exact_divide_recreates_a_cancelled_term():
-    # den leads with x1*x3.  Step x1 cancels the remainder's x1*x3, step x3
-    # creates it again, so the heap holds it twice and pops a stale copy
+@given(small_polys, small_polys,
+       st.sampled_from(list(itertools.permutations((1, 2, 3), 2))))
+def test_exact_divide_roundtrip(sa, sb, factor):
+    # p reaches x-degree deg, so the product loses its top degrees to the
+    # truncation; each x-degree divides on its own, so p comes back below deg
     n, deg = 3, 4
-    x1, x3 = xv(n, deg, 1), xv(n, deg, 3)
-    den = x1 * x3 + x1 - x3
-    quot = x1 - x3 + one(n, deg)
-    assert exact_divide(quot * den, den, 0) == quot
+    p = poly_from_seed(sa, n, deg) * poly_from_seed(sb, n, deg)
+    i, j = factor
+    num = p * (xv(n, deg, i) - xv(n, deg, j))
+    assert exact_divide(num, i, j).truncate(deg - 1) == p.truncate(deg - 1)
 
 
 def test_specialize_basic():
@@ -515,21 +476,6 @@ def test_packed_product_matches_tuple_merge(a, b):
         {m: c for m, c in square.items() if c}
     rule = {(ALPHA, 11): (-1, (BETA, 12)), (BETA, 2): (2, None)}.get
     assert p.specialize(rule) == product_specialize(p, rule)
-
-
-@settings(max_examples=60, deadline=None)
-@given(tuple_monos, tuple_monos)
-def test_exact_divide_monomials_matches_tuple_divide(a, b):
-    # exact_divide tests divisibility on the packed ints
-    n, deg = 3, 9
-    num = TruncPoly.from_monomials(n, deg, [(a, 6)])
-    den = TruncPoly.from_monomials(n, deg, [(b, 3)])
-    want = mono_divide(a, b)
-    if want is None:
-        with pytest.raises(DivisibilityError):
-            exact_divide(num, den, 0)
-    else:
-        assert list(exact_divide(num, den, 0).monomials()) == [(want, 2)]
 
 
 def test_product_past_the_field_width_raises():

@@ -12,6 +12,7 @@ from grothpoly.shapes import (ShapeError, part, partition, partitions_up_to,
                               size)
 from grothpoly.symfunc import (
     a_prefix,
+    alternant_quotient,
     b_prefix,
     cat,
     e_ominus,
@@ -19,11 +20,9 @@ from grothpoly.symfunc import (
     h_ominus,
     h_pleth,
     neg,
-    schur_bialternant,
     schur_branching,
     schur_jt,
     single,
-    vandermonde,
     x_interval,
 )
 
@@ -45,6 +44,24 @@ def bv(i, n, deg):
 
 def one(n, deg):
     return TruncPoly.const(n, deg, 1)
+
+
+# ORACLES: the Vandermonde product and Schur's bialternant a_{lam+delta} /
+# a_delta, which the branching rule and Jacobi-Trudi are compared with.
+
+def vandermonde(n, deg):
+    out = one(n, deg)
+    for i in range(1, n + 1):
+        for j in range(i + 1, n + 1):
+            out = out * (xv(i, n, deg) - xv(j, n, deg))
+    return out
+
+
+def schur_bialternant(lam, n, deg):
+    """det(x_j^{lam_i + n - i}) / prod_{i<j}(x_i - x_j)."""
+    return alternant_quotient(
+        lambda i, j, work: TruncPoly.var(n, work, X, j, part(lam, i) + n - i),
+        n, deg)
 
 
 # Independent oracle: semistandard tableaux of a skew shape by backtracking.

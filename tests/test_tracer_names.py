@@ -61,10 +61,10 @@ def test_traced_methods_resolve(tracer):
     assert inspect.isfunction(sweep.__dict__.get("value"))
 
 
-def test_traced_run_matches_plain_cli():
-    # traced_op.py installs the tracer and runs the CLI; its stdout must be
-    # the plain CLI's, and its report must have counted determinants
-    argv = ["verify", "flagged", "--max-size", "2"]
+def traced_report(argv):
+    """Run argv through traced_op.py, which installs the tracer and runs the
+    CLI, and through the plain CLI; assert both exit 0 with the same stdout
+    and return the tracer's report."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     traced = subprocess.run(
         [sys.executable, str(ROOT / "perfbench" / "traced_op.py"), *argv],
@@ -78,5 +78,15 @@ def test_traced_run_matches_plain_cli():
     marker = "@@perfbench-trace "
     last = traced.stderr.splitlines()[-1]
     assert last.startswith(marker)
-    report = json.loads(last[len(marker):])
+    return json.loads(last[len(marker):])
+
+
+def test_traced_run_matches_plain_cli():
+    report = traced_report(["verify", "flagged", "--max-size", "2"])
     assert report["ring.det.calls"] > 0
+
+
+def test_traced_run_counts_divisions():
+    # the bialternants are the only callers of exact_divide
+    report = traced_report(["verify", "G", "--max-size", "2"])
+    assert report["ring.exact_divide.calls"] > 0
