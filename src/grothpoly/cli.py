@@ -11,16 +11,19 @@ Unflagged straight-shape `compute G`/`compute g` sum the paper's Schur
 expansions G_lam = sum C_{lam,mu} s_mu and g_lam = sum c_{lam,mu} s_mu, with
 s_mu(x_n) by the branching rule; flagged, marked and skew inputs evaluate
 their determinants.  The other evaluations stay as independent checks:
-`verify G`/`verify g` compare bialternant, Jacobi-Trudi, modified
-Jacobi-Trudi, flagged determinant and tableau enumeration, `verify cauchy`
+`verify G`/`verify g` compare Jacobi-Trudi, modified Jacobi-Trudi, flagged
+determinant and tableau enumeration with the bialternant, `verify cauchy`
 multiplies out the Jacobi-Trudi G and g, and the tests compare the Schur
-expansion with Jacobi-Trudi and tableau enumeration.
+expansion with Jacobi-Trudi and tableau enumeration.  Each suite yields its
+cases to one driver, which stops at the first failing case and prints its
+label, then the difference got - want when the values are polynomials.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or argument error,
 3 internal inconsistency (two formulas that must agree disagreed).
 """
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -272,6 +275,13 @@ def _warn_degree(deg, outer, inner):
 # compute / expand / coeff / enumerate
 
 def cmd_compute(args):
+    if args.target == "s":
+        # a Schur polynomial has no flagged or marked form and no parameters
+        refused = [name for name in ("flags_r", "flags_s", "mark_set", "spec")
+                   if getattr(args, name) is not None]
+        if args.orientation == "col":
+            refused.append("orientation")
+        _refuse("compute s", refused)
     outer, inner = _get_shapes(args)
     n = args.n
     deg = _default_deg(args, outer, inner)
@@ -281,8 +291,6 @@ def cmd_compute(args):
     flagged = (args.flags_r is not None or args.flags_s is not None
                or args.mark_set is not None or args.orientation == "col")
     if args.target == "s":
-        if flagged:
-            raise ShapeError("compute s takes no flags, marks or orientation")
         value = schur_jt(outer, inner, n, deg)
     elif not (flagged or inner):
         value = G_schur(outer, n, deg) if args.target == "G" \
@@ -441,6 +449,11 @@ def cmd_enumerate(args):
 
 # ---------------------------------------------------------------------------
 # verification suites (shared with the acceptance tests)
+#
+# Each suite is a generator: it yields (label, got, want) for every identity
+# it asserts, with want = True for a predicate, and returns its summary
+# lines.  Checks outside a theorem's hypotheses are counted in the summary,
+# never yielded.  _run_suite does the comparing.
 
 def verify_duality(max_size=4):
     """<G_lam, g_mu> = delta, both as the coefficient sum and the closed
@@ -448,37 +461,12 @@ def verify_duality(max_size=4):
     n, deg = 1, 0  # the pairing has no x part
     shapes = list(partitions_up_to(max_size))
     table = {}  # coefficient determinants, shared by every pair
-    checked = 0
     for lam in shapes:
         for mu in shapes:
-            value = hall_pairing(lam, mu, n, deg, table)
-            want = TruncPoly.const(n, deg, 1 if lam == mu else 0)
-            if value != want:
-                return False, [f"FAIL duality at lam={lam}, mu={mu}: "
-                               f"got {render_poly(value)}"]
-            checked += 1
-    return True, [f"duality: {checked} pairs equal delta"]
-
-
-_FIVE_WAY_LABELS = ("bialternant", "jacobi-trudi", "modified jacobi-trudi",
-                    "flagged determinant", "tableau enumeration")
-
-
-def five_way(kind, lam, n, deg):
-    """The five equivalent evaluations of G or g for a shape fitting in n
-    rows, in the order of _FIVE_WAY_LABELS.  The modified Jacobi-Trudi value
-    is the flagged determinant with n rows; the flagged one here has
-    max(len(lam), 1) rows, so it is the modified value when that is n."""
-    lam = partition(lam)
-    m = max(len(lam), 1)
-    bialternant, jt, modified, flagged, enum = (
-        (G_bialternant, G_jt, G_jt_modified, G_flagged_det, enum_mmsvt)
-        if kind == "G" else
-        (g_bialternant, g_jt, g_jt_modified, g_flagged_det, enum_mrpp))
-    values = [bialternant(lam, n, deg), jt(lam, n, deg), modified(lam, n, deg)]
-    values.append(values[2] if m == n else
-                  flagged(lam, (), (1,) * m, (n,) * m, "row", n, deg))
-    return values + [enum(lam, (), n, deg)]
+            yield (f"duality at lam={lam}, mu={mu}",
+                   hall_pairing(lam, mu, n, deg, table),
+                   TruncPoly.const(n, deg, 1 if lam == mu else 0))
+    return [f"duality: {len(shapes) ** 2} pairs equal delta"]
 
 
 # verify G/g: the values of n swept
@@ -486,21 +474,32 @@ CONCORDANCE_NS = (1, 2, 3)
 
 
 def verify_concordance(kind, max_size=4, deg=6):
-    """Bialternant = Jacobi-Trudi = modified = flagged (r=1, s=n) = tableau
-    enumeration, for every shape with at most max_size cells fitting in n
-    rows."""
+    """Jacobi-Trudi, modified Jacobi-Trudi, flagged determinant (r=1, s=n)
+    and tableau enumeration against the bialternant, for every shape with at
+    most max_size cells fitting in n rows.  The modified value is the flagged
+    determinant with n rows, so the flagged one, with max(len(lam), 1) rows,
+    is evaluated only when that is fewer than n."""
+    bialternant, jt, modified, flagged, enum = (
+        (G_bialternant, G_jt, G_jt_modified, G_flagged_det, enum_mmsvt)
+        if kind == "G" else
+        (g_bialternant, g_jt, g_jt_modified, g_flagged_det, enum_mrpp))
     checked = 0
     for n in CONCORDANCE_NS:
         for k in range(max_size + 1):
             for lam in partitions_of(k, max_len=n):
-                values = five_way(kind, lam, n, deg)
-                for label, value in zip(_FIVE_WAY_LABELS[1:], values[1:]):
-                    if value != values[0]:
-                        return False, [
-                            f"FAIL {kind} concordance at lam={lam}, n={n}: "
-                            f"{label} differs from bialternant"]
+                at = f"{kind} concordance at lam={lam}, n={n}"
+                want = bialternant(lam, n, deg)
+                yield f"{at}: jacobi-trudi", jt(lam, n, deg), want
+                yield (f"{at}: modified jacobi-trudi", modified(lam, n, deg),
+                       want)
+                m = max(len(lam), 1)
+                if m < n:
+                    yield (f"{at}: flagged determinant",
+                           flagged(lam, (), (1,) * m, (n,) * m, "row", n,
+                                   deg), want)
+                yield f"{at}: tableau enumeration", enum(lam, (), n, deg), want
                 checked += 1
-    return True, [f"{kind} concordance: {checked} shapes agree five ways"]
+    return [f"{kind} concordance: {checked} shapes agree five ways"]
 
 
 def verify_coefficients(kind, max_size=4):
@@ -520,24 +519,21 @@ def verify_coefficients(kind, max_size=4):
                 tab = enum_elegant(big, small, n, deg, "elegant", "c")
                 paths = nonintersecting_coeff(big, small, "c", n, deg)
                 flip_fam = ALPHA
-            if not (det_value == tab == paths):
-                return False, [f"FAIL {kind} at lam={small}, mu={big}: "
-                               "determinant, tableaux and paths disagree"]
+            at = f"lam={small}, mu={big}"
+            yield f"{kind} at {at}: tableaux", tab, det_value
+            yield f"{kind} at {at}: lattice paths", paths, det_value
             signed = det_value.specialize(
                 lambda var: (-1, var) if var[0] == flip_fam else None)
-            if any(c < 0 for c in signed.terms.values()):
-                return False, [f"FAIL {kind} positivity at lam={small}, "
-                               f"mu={big}"]
+            yield (f"{kind} positivity at {at}",
+                   all(c >= 0 for c in signed.terms.values()), True)
             checked += 1
-    return True, [f"{kind}: {checked} pairs agree three ways and the "
-                  "sign-adjusted values are nonnegative"]
+    return [f"{kind}: {checked} pairs agree three ways and the "
+            "sign-adjusted values are nonnegative"]
 
 
 def verify_cauchy(budget=3):
-    if cauchy_check(2, 2, budget):
-        return True, [f"cauchy: kernel matches the G*g sum to bidegree "
-                      f"{budget}"]
-    return False, ["FAIL cauchy: kernel and G*g sum differ"]
+    yield "cauchy kernel against the G*g sum", cauchy_check(2, 2, budget), True
+    return [f"cauchy: kernel matches the G*g sum to bidegree {budget}"]
 
 
 def verify_omega(max_size=4, budget=2):
@@ -551,11 +547,10 @@ def verify_omega(max_size=4, budget=2):
             if not contains(mu, lam):
                 continue
             for kind in ("G", "g"):
-                if not omega_check(lam, mu, kind, budget, n, deg, table):
-                    return False, [f"FAIL omega for {kind} at lam={lam}, "
-                                   f"mu={mu}"]
+                yield (f"omega for {kind} at lam={lam}, mu={mu}",
+                       omega_check(lam, mu, kind, budget, n, deg, table), True)
                 checked += 1
-    return True, [f"omega: {checked} expansion-level involution checks pass"]
+    return [f"omega: {checked} expansion-level involution checks pass"]
 
 
 # Largest flag value swept by the flagged and Matsumura suites.
@@ -599,31 +594,25 @@ def verify_matsumura(max_size=4):
                 if any(gi > fi for gi, fi in zip(g, f)):
                     continue
                 single = single_sweep.value(g, f)
-                agree = single == enum_fsvt(lam, mu, f, g, n, deg)
+                enum = enum_fsvt(lam, mu, f, g, n, deg)
                 if not row_monotone(lam, mu, g, f):
-                    outside_agree += agree
-                    outside_differ += not agree
+                    outside_agree += single == enum
+                    outside_differ += single != enum
                     continue
-                if not agree:
-                    return False, [f"FAIL matsumura at {lam}/{mu}, "
-                                   f"f={f}, g={g}: determinant differs "
-                                   "from the enumeration"]
+                yield f"matsumura at {lam}/{mu}, f={f}, g={g}", single, enum
                 flagged = sweep.value(g, f)
                 if single != _collapse_to_single_beta(flagged, -1):
                     minus_ok = False
                 if single != _collapse_to_single_beta(flagged, +1):
                     plus_ok = False
                 checked += 1
-    if minus_ok == plus_ok:
-        return False, [f"FAIL matsumura: expected exactly one sign "
-                       f"convention to survive, got minus={minus_ok}, "
-                       f"plus={plus_ok}"]
+    yield (f"matsumura: expected exactly one sign convention to survive, "
+           f"got minus={minus_ok}, plus={plus_ok}", minus_ok != plus_ok, True)
     sign = "b = (-beta, -beta, ...)" if minus_ok else "b = (beta, beta, ...)"
-    return True, [f"matsumura: {checked} flagged shapes match the set-valued "
-                  f"enumeration; surviving convention: {sign}",
-                  f"outside the flag hypothesis (reported, not asserted): "
-                  f"{outside_agree} flag pairs agree, {outside_differ} "
-                  "differ"]
+    return [f"matsumura: {checked} flagged shapes match the set-valued "
+            f"enumeration; surviving convention: {sign}",
+            f"outside the flag hypothesis (reported, not asserted): "
+            f"{outside_agree} flag pairs agree, {outside_differ} differ"]
 
 
 def _dented_shapes(max_size, max_len):
@@ -716,11 +705,9 @@ def verify_flagged(max_size=4):
                         if not holds[hypothesis] or eff in seen:
                             continue
                         seen.add(eff)
+                        at = f"lam={lam}, mu={mu}, n={n}, r={r}, s={s}"
                         value = sweep.value(r, s)
-                        if value != reference(r, s):
-                            return False, [
-                                f"FAIL {key} at lam={lam}, mu={mu}, "
-                                f"n={n}, r={r}, s={s}"]
+                        yield f"{key} at {at}", value, reference(r, s)
                         counts[key if contained
                                else "dual without containment"] += 1
                         tick += 1
@@ -728,11 +715,7 @@ def verify_flagged(max_size=4):
                             direct = (G_flagged_det if kind == "G" else
                                       g_flagged_det)(
                                 lam, mu, r, s, orientation, n, deg)
-                            if direct != value:
-                                return False, [
-                                    f"FAIL cross-check {key} at "
-                                    f"lam={lam}, mu={mu}, n={n}, "
-                                    f"r={r}, s={s}"]
+                            yield f"cross-check {key} at {at}", direct, value
                             crosschecked += 1
     # boundary-marked duals; dented shapes included
     for lam in _dented_shapes(max_size, 3):
@@ -749,10 +732,9 @@ def verify_flagged(max_size=4):
                         continue
                     reference = enum_mrpp(lam, mu, MARKED_N, deg,
                                           flags=(r, s), mark_set=mark_set)
-                    if sweep.value(r, s) != reference:
-                        return False, [
-                            f"FAIL marked dual at lam={lam}, mu={mu}, "
-                            f"I={sorted(mark_set)}, r={r}, s={s}"]
+                    yield (f"marked dual at lam={lam}, mu={mu}, "
+                           f"I={sorted(mark_set)}, r={r}, s={s}",
+                           sweep.value(r, s), reference)
                     counts["marked dual"] += 1
                     if dented:
                         counts["marked dual on properly dented shapes"] += 1
@@ -763,40 +745,47 @@ def verify_flagged(max_size=4):
     lines.append(f"weakened col G condition (reported, not asserted): "
                  f"{weak_agree} extra flag pairs agree, {weak_differ} "
                  "differ")
-    return True, lines
+    return lines
 
 
-# The options each verify suite reads, named as the keyword arguments of its
-# function; an option not passed takes the function's default, and passing
-# one the suite does not read is an error.
-VERIFY_SUITES = {"duality": ("max_size",), "hall": ("max_size",),
-                 "G": ("max_size", "deg"), "g": ("max_size", "deg"),
-                 "C": ("max_size",), "c": ("max_size",),
-                 "cauchy": ("budget",), "omega": ("max_size", "budget"),
-                 "matsumura": ("max_size",), "flagged": ("max_size",)}
+def _run_suite(cases):
+    """(exit status, output lines) of one suite: its summary, or the label
+    of the first case with got != want and, for polynomials, got - want."""
+    while True:
+        try:
+            label, got, want = next(cases)
+        except StopIteration as done:
+            return 0, done.value
+        if got != want:
+            lines = [f"FAIL {label}"]
+            if isinstance(got, TruncPoly):
+                lines.append(f"difference: {render_poly(got - want)}")
+            return 1, lines
+
+
+# Each verify suite's function and the options it reads, named as its
+# keyword arguments; an option not passed takes the function's default, and
+# passing one the suite does not read is an error.
+VERIFY_SUITES = {
+    "duality": (verify_duality, ("max_size",)),
+    "G": (functools.partial(verify_concordance, "G"), ("max_size", "deg")),
+    "g": (functools.partial(verify_concordance, "g"), ("max_size", "deg")),
+    "C": (functools.partial(verify_coefficients, "C"), ("max_size",)),
+    "c": (functools.partial(verify_coefficients, "c"), ("max_size",)),
+    "cauchy": (verify_cauchy, ("budget",)),
+    "omega": (verify_omega, ("max_size", "budget")),
+    "matsumura": (verify_matsumura, ("max_size",)),
+    "flagged": (verify_flagged, ("max_size",))}
 
 
 def cmd_verify(args):
-    suite = args.target
+    suite, reads = VERIFY_SUITES[args.target]
     passed = {name: value for name, value in vars(args).items()
               if name in ("max_size", "budget", "deg") and value is not None}
-    _refuse(f"verify {suite}",
-            [name for name in passed if name not in VERIFY_SUITES[suite]])
-    if suite in ("duality", "hall"):
-        ok, lines = verify_duality(**passed)
-    elif suite in ("G", "g"):
-        ok, lines = verify_concordance(suite, **passed)
-    elif suite in ("C", "c"):
-        ok, lines = verify_coefficients(suite, **passed)
-    elif suite == "cauchy":
-        ok, lines = verify_cauchy(**passed)
-    elif suite == "omega":
-        ok, lines = verify_omega(**passed)
-    elif suite == "matsumura":
-        ok, lines = verify_matsumura(**passed)
-    else:
-        ok, lines = verify_flagged(**passed)
-    return "\n".join(lines), 0 if ok else 1
+    _refuse(f"verify {args.target}",
+            [name for name in passed if name not in reads])
+    status, lines = _run_suite(suite(**passed))
+    return "\n".join(lines), status
 
 
 # ---------------------------------------------------------------------------
@@ -876,9 +865,16 @@ def build_parser():
     p.add_argument("--spec", default=None,
                    help="parameter substitutions, e.g. a=0,b=1")
 
-    p = sub.add_parser("verify", help="verification suites")
+    p = sub.add_parser("verify", help="verification suites",
+                       description="Check one family of the paper's "
+                                   "identities and print the suite's "
+                                   "counts.  A failing suite prints its "
+                                   "first failing case, then got - want "
+                                   "when the values are polynomials, and "
+                                   "exits 1.")
     p.add_argument("target", choices=list(VERIFY_SUITES),
-                   help="which identity family to check")
+                   help="which identity family to check; duality checks "
+                        "the Hall pairing <G_lam, g_mu> = delta")
     p.add_argument("--max-size", type=_nonnegative, default=None,
                    help="largest shape size swept (default per suite)")
     p.add_argument("--budget", type=_nonnegative, default=None,

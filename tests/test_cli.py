@@ -256,11 +256,13 @@ def test_verify_exit_codes():
     status, out = run(["verify", "duality", "--max-size", "2"])
     assert status == 0
     assert "pairs equal delta" in out
+    # hall was a second name of duality; coeff hall is the pairing value
+    status, _ = run(["verify", "hall"])
+    assert status == 2
 
 
 @pytest.mark.parametrize("argv", [
     ["duality", "--max-size", "2"],
-    ["hall", "--max-size", "2"],
     ["G", "--max-size", "2", "--deg", "3"],
     ["g", "--max-size", "2", "--deg", "3"],
     ["C", "--max-size", "3"],
@@ -288,11 +290,25 @@ def test_verify_matsumura_reports_flags_outside_the_hypothesis():
 
 
 def test_verify_failure_exits_one(monkeypatch):
-    monkeypatch.setattr(cli, "verify_duality",
-                        lambda **options: (False, ["FAIL duality"]))
-    status, out = run(["verify", "duality"])
+    # one extra term in the tableau side at one shape: the driver stops
+    # there and prints got - want
+    def enum_with_extra_term(lam, mu, n, deg):
+        value = enum_mmsvt(lam, mu, n, deg)
+        if (lam, n) == ((2, 1), 3):
+            value = value + TruncPoly.var(n, deg, BETA, 1)
+        return value
+
+    monkeypatch.setattr(cli, "enum_mmsvt", enum_with_extra_term)
+    status, out = run(["verify", "G", "--max-size", "3"])
     assert status == 1
-    assert "FAIL" in out
+    assert out.splitlines() == [
+        "FAIL G concordance at lam=(2, 1), n=3: tableau enumeration",
+        "difference: b1"]
+    # a predicate case fails with its label alone
+    monkeypatch.setattr(cli, "omega_check", lambda *args: False)
+    status, out = run(["verify", "omega", "--max-size", "1"])
+    assert status == 1
+    assert out.splitlines() == ["FAIL omega for G at lam=(), mu=()"]
 
 
 def test_usage_errors_exit_two():
@@ -337,20 +353,21 @@ def test_usage_errors_exit_two():
         status, out = run(argv)
         assert status == 2, argv
         assert "expected 2" in out, argv
-    # compute s has no flagged form, and mark sets belong to the row g
-    for argv in (["compute", "s", "--shape", "2", "--n", "2",
-                  "--flags-r", "2"],
-                 ["compute", "s", "--shape", "2", "--n", "2",
-                  "--flags-s", "2"],
-                 ["compute", "s", "--shape", "2", "--n", "2",
-                  "--mark-set", "1"],
-                 ["compute", "s", "--shape", "2", "--n", "2",
-                  "--orientation", "col"],
-                 ["compute", "g", "--shape", "2,1", "--n", "2",
-                  "--mark-set", "1", "--orientation", "col"]):
-        status, out = run(argv)
-        assert status == 2, argv
-        assert out.startswith("error:"), argv
+    # compute s has no flagged or marked form and no parameters
+    for extra, option in ((["--flags-r", "2"], "--flags-r"),
+                          (["--flags-s", "2"], "--flags-s"),
+                          (["--mark-set", "1"], "--mark-set"),
+                          (["--spec", "a=5"], "--spec"),
+                          (["--orientation", "col"], "--orientation"),
+                          (["--spec", "b=1", "--flags-r", "1"],
+                           "--flags-r, --spec")):
+        argv = ["compute", "s", "--shape", "2", "--n", "2"] + extra
+        assert run(argv) == (2, f"error: compute s takes no {option}"), argv
+    # mark sets belong to the row-flagged g
+    status, out = run(["compute", "g", "--shape", "2,1", "--n", "2",
+                       "--mark-set", "1", "--orientation", "col"])
+    assert status == 2
+    assert out.startswith("error:")
     # column-flagged tableaux take one flag per column of the shape
     for argv in (["enumerate", "G", "--shape", "3", "--n", "3",
                   "--orientation", "col", "--flags-r", "1"],

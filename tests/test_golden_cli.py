@@ -97,12 +97,22 @@ GOLDEN = [
      0, '1 1\n2\n\n 1  1\n23\n\n1 1\n3\n\n 1 12\n 2\n\n 1 12\n23\n\n 1 12\n 3\n\n1 2\n2\n\n 1  2\n23\n\n1 2\n3\n\n12  2\n 3\n\n2 2\n3\n\ntotal: 11'),
     ('verify G --max-size 2 --deg 3',
      0, 'G concordance: 11 shapes agree five ways'),
+    ('verify G',
+     0, 'G concordance: 25 shapes agree five ways'),
+    ('verify g',
+     0, 'g concordance: 25 shapes agree five ways'),
     ('verify g --max-size 3',
      0, 'g concordance: 17 shapes agree five ways'),
     ('verify g --max-size 6',
      0, 'g concordance: 46 shapes agree five ways'),
     ('verify C --max-size 3',
      0, 'C: 22 pairs agree three ways and the sign-adjusted values are nonnegative'),
+    ('verify C',
+     0, 'C: 52 pairs agree three ways and the sign-adjusted values are nonnegative'),
+    ('verify c',
+     0, 'c: 52 pairs agree three ways and the sign-adjusted values are nonnegative'),
+    ('verify c --max-size 3',
+     0, 'c: 22 pairs agree three ways and the sign-adjusted values are nonnegative'),
     ('verify flagged --max-size 2',
      0, 'sha256:aadde0e93672f66a15ae74d1804258f26d3598b8b6bbe7e20792eddb2901d27e'),
     ('verify matsumura --max-size 3',
@@ -117,6 +127,8 @@ GOLDEN = [
      0, 'duality: 144 pairs equal delta'),
     ('verify cauchy --budget 2',
      0, 'cauchy: kernel matches the G*g sum to bidegree 2'),
+    ('verify cauchy',
+     0, 'cauchy: kernel matches the G*g sum to bidegree 3'),
 ]
 
 
