@@ -410,8 +410,8 @@ def cmd_enumerate(args):
     _refuse(f"enumerate {args.target}", refused)
     outer, inner = _get_shapes(args)
     n = args.n
-    deg = args.deg if args.deg is not None else \
-        size(partition(outer)) - size(partition(inner)) + 2
+    # sum, not size: g takes a dented outer shape
+    deg = args.deg if args.deg is not None else sum(outer) - sum(inner) + 2
     m = max(len(tuple(outer)), len(partition(inner)), 1)
     flags = None
     if args.flags_r is not None or args.flags_s is not None:
@@ -460,11 +460,10 @@ def verify_duality(max_size=4):
     determinant (the two are compared inside hall_pairing)."""
     n, deg = 1, 0  # the pairing has no x part
     shapes = list(partitions_up_to(max_size))
-    table = {}  # coefficient determinants, shared by every pair
     for lam in shapes:
         for mu in shapes:
             yield (f"duality at lam={lam}, mu={mu}",
-                   hall_pairing(lam, mu, n, deg, table),
+                   hall_pairing(lam, mu, n, deg),
                    TruncPoly.const(n, deg, 1 if lam == mu else 0))
     return [f"duality: {len(shapes) ** 2} pairs equal delta"]
 
@@ -540,7 +539,6 @@ def verify_omega(max_size=4, budget=2):
     """omega_check for every outer shape up to max_size cells and inner
     shape up to two cells, in two x variables truncated at degree 2."""
     n = deg = 2
-    table = {}  # coefficient determinants, shared by every shape pair
     checked = 0
     for lam in partitions_up_to(max_size):
         for mu in partitions_up_to(2):
@@ -548,7 +546,7 @@ def verify_omega(max_size=4, budget=2):
                 continue
             for kind in ("G", "g"):
                 yield (f"omega for {kind} at lam={lam}, mu={mu}",
-                       omega_check(lam, mu, kind, budget, n, deg, table), True)
+                       omega_check(lam, mu, kind, budget, n, deg), True)
                 checked += 1
     return [f"omega: {checked} expansion-level involution checks pass"]
 

@@ -21,15 +21,16 @@ Conventions shared by all functions:
     evaluated, since those values are meaningful counterexample data.
 """
 
+import functools
 import warnings
 
 from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
 from .shapes import (INF, ShapeError, contains, dent_index, minimal_cell,
                      part, partition, partitions_above, partitions_between,
                      partitions_of, size)
-from .symfunc import (a_prefix, alternant_quotient, b_prefix, cat, e_ominus,
-                      e_pleth, h_ominus, h_pleth, neg, schur_branching,
-                      schur_jt, single, x_interval)
+from .symfunc import (CACHE_SIZE, a_prefix, alternant_quotient, b_prefix,
+                      cat, e_ominus, e_pleth, h_ominus, h_pleth, neg,
+                      schur_branching, schur_jt, single, x_interval)
 
 
 def _one(n, deg):
@@ -182,17 +183,16 @@ def g_schur(lam, n, deg):
                                      if size(mu) <= deg], n, deg)
 
 
-def hall_pairing(lam, mu, n, deg, table=None):
+def hall_pairing(lam, mu, n, deg):
     """<G_lam, g_mu> computed two ways: the finite sum over lam <= nu <= mu
     of C_{lam,nu} c_{mu,nu}, and the closed determinant
     det(h_{mu_i-lam_j-i+j}[A_{lam_j} - B_{j-1} - A_{mu_i-1} + B_{i-1}]).
-    Both must agree (else InternalCheckError); the value is delta_{lam,mu}.
-    table is passed on to the coefficient determinants (see _coeff_det)."""
+    Both must agree (else InternalCheckError); the value is delta_{lam,mu}."""
     lam, mu = partition(lam), partition(mu)
     total = TruncPoly.zero(n, deg)
     for nu in partitions_between(lam, mu):
-        total = total + (_coeff_det("C", lam, nu, n, deg, table)
-                         * _coeff_det("c", mu, nu, n, deg, table))
+        total = total + (_coeff_det("C", lam, nu, n, deg)
+                         * _coeff_det("c", mu, nu, n, deg))
     m = max(len(lam), len(mu))
     matrix = [[h_pleth(part(mu, i) - part(lam, j) - i + j,
                        cat(_g_right(part(lam, j), j),
@@ -595,18 +595,16 @@ def skew_coeff(rule, first, second, n, deg):
     rules by the first (c gives h_{lam_i - nu_j - i + j})."""
     if rule not in _SKEW_COEFF:
         raise ShapeError(f"unknown coefficient rule {rule!r}")
-    return _coeff_det(rule, first, second, n, deg)
+    return _coeff_det(rule, tuple(first), tuple(second), n, deg)
 
 
-def _coeff_det(rule, first, second, n, deg, table=None):
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _coeff_det(rule, first, second, n, deg):
     """The determinant on max(len(first), len(second), 1) rows.  Padding it
     with rows past both shapes leaves it unchanged: their entries are
     h_0 = e_0 = 1 on the diagonal and have m < 0 below it.  A generalized
     rho with negative parts keeps every row, as its last part is nonzero.
-    table, when given, holds the values already computed by the caller."""
-    key = (rule, first, second, n, deg)
-    if table is not None and key in table:
-        return table[key]
+    Values are memoized in one bounded LRU per process (CACHE_SIZE)."""
     basis, alphabet = _SKEW_COEFF[rule]
     rows = max(len(first), len(second), 1)
     if rule in ("C", "D", "C'", "D'"):
@@ -618,10 +616,7 @@ def _coeff_det(rule, first, second, n, deg, table=None):
     matrix = [[fn(part(top, i) - part(bot, j) - i + j,
                   alphabet(fixed, i, j), n, deg)
                for j in range(1, rows + 1)] for i in range(1, rows + 1)]
-    value = det(matrix, n=n, deg=deg)
-    if table is not None:
-        table[key] = value
-    return value
+    return det(matrix, n=n, deg=deg)
 
 
 class SchurExpansion:
@@ -679,39 +674,32 @@ def _gen_rho_below(mu, budget, rows):
     return out
 
 
-def _family(rule, keys, fixed, n, deg, table):
+def _family(rule, keys, fixed, n, deg):
     """{key: coefficient} over keys, keeping the nonzero ones in order.  An
     unprimed rule takes (fixed, key) as (lam, nu), a primed one (key, fixed)
     as (rho, mu)."""
     out = {}
     for key in keys:
         first, second = (key, fixed) if rule.endswith("'") else (fixed, key)
-        coef = _coeff_det(rule, first, second, n, deg, table)
+        coef = _coeff_det(rule, first, second, n, deg)
         if not coef.is_zero():
             out[key] = coef
     return out
 
 
-def _G_prefactor(kind, rows, n, deg, table):
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _G_prefactor(kind, rows, n, deg):
     """The "G_h" or "G_e" prefactor on rows rows, or for "omega" the omega
     image of the "G_h" one, prod_{i<=rows} prod_{l<=n} 1/(1 + b_i x_l).
-    table, when given, keeps it under (kind, rows, n, deg)."""
-    key = (kind, rows, n, deg)
-    if table is not None and key in table:
-        return table[key]
+    Values are memoized in one bounded LRU per process (CACHE_SIZE)."""
     if kind == "omega":
-        value = _series_product("h", [(1, n, single(BETA, i, -1))
+        return _series_product("h", [(1, n, single(BETA, i, -1))
                                       for i in range(1, rows + 1)], n, deg)
-    else:
-        value = _row_prefactor("G", "row" if kind == "G_h" else "col",
-                               [(i, 1, n) for i in range(1, rows + 1)],
-                               n, deg)
-    if table is not None:
-        table[key] = value
-    return value
+    return _row_prefactor("G", "row" if kind == "G_h" else "col",
+                          [(i, 1, n) for i in range(1, rows + 1)], n, deg)
 
 
-def skew_schur_expansion(outer, inner, kind, budget, n, deg, table=None):
+def skew_schur_expansion(outer, inner, kind, budget, n, deg):
     """Skew Schur expansion of the skew polynomial of the given kind.
 
     kind "G_h": G_{outer/inner} = C * sum C_{lam,nu} s_{nu/rho} C'_{rho,mu}
@@ -727,8 +715,6 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg, table=None):
     C = prod_{i<=rows}prod_{l<=n}(1 - b_i x_l) and the geometric series
     D = prod prod (1 - a_i x_l)^{-1} run over rows = max(l(outer),
     l(inner)) + budget, the row count of the Schur functions in the total.
-    table is passed on to the coefficient determinants (see _coeff_det)
-    and the G prefactors.
     """
     lam, mu = partition(outer), partition(inner)
     if kind in ("G_h", "G_e"):
@@ -738,18 +724,16 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg, table=None):
             left = _family("C" if kind == "G_h" else "D",
                            partitions_above(lam, size(lam) + budget,
                                             max_len=rows),
-                           lam, n, deg, table)
+                           lam, n, deg)
             right = _family("C'" if kind == "G_h" else "D'",
                             map(_strip, _gen_rho_below(mu, budget, rows)),
-                            mu, n, deg, table)
+                            mu, n, deg)
         return SchurExpansion(kind, n, deg, rows, left, right,
-                              _G_prefactor(kind, rows, n, deg, table))
+                              _G_prefactor(kind, rows, n, deg))
     if kind in ("g_h", "g_e"):
         between = partitions_between(mu, lam)
-        left = _family("c" if kind == "g_h" else "d", between, lam,
-                       n, deg, table)
-        right = _family("c'" if kind == "g_h" else "d'", between, mu,
-                        n, deg, table)
+        left = _family("c" if kind == "g_h" else "d", between, lam, n, deg)
+        right = _family("c'" if kind == "g_h" else "d'", between, mu, n, deg)
         return SchurExpansion(kind, n, deg, max(len(lam), len(mu), 1),
                               left, right, _one(n, deg))
     raise ShapeError(f"unknown expansion kind {kind!r}")
@@ -767,21 +751,20 @@ def _duals_match(h, e):
         coef == dual_parameters(e[key]) for key, coef in h.items())
 
 
-def omega_check(outer, inner, kind, budget, n, deg, table=None):
+def omega_check(outer, inner, kind, budget, n, deg):
     """omega involution test, factor by factor: the h-expansion of
     outer/inner at (a, b) must match the e-expansion data at (-b, -a) in
     each factor family (C_{lam,nu} = D_{lam,nu}(-b, -a), and so on), and
     the omega image of the h-prefactor (e-series to h-series swap) must
-    equal the substituted e-prefactor.  dual_parameters is a ring
-    homomorphism, so matching factors imply matching entries; no entry is
-    multiplied out.  table holds the coefficient determinants and factors."""
+    equal the substituted e-prefactor.  dual_parameters is a ring homomorphism,
+    so matching factors imply matching entries; none is multiplied out."""
     if kind not in ("G", "g"):
         raise ShapeError(f"unknown kind {kind!r}")
     h, e = (skew_schur_expansion(outer, inner, f"{kind}_{basis}", budget,
-                                 n, deg, table) for basis in "he")
+                                 n, deg) for basis in "he")
     if not (_duals_match(h.left, e.left) and _duals_match(h.right, e.right)):
         return False
     if kind == "g":
         return h.prefactor == e.prefactor
-    return _G_prefactor("omega", h.rows, n, deg, table) == \
+    return _G_prefactor("omega", h.rows, n, deg) == \
         dual_parameters(e.prefactor)

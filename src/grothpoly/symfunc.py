@@ -9,8 +9,11 @@ An alphabet is a tuple of (sign, block) atoms.  Blocks:
 
 The sign of an atom is plethystic: h_m[-Z] = (-1)^m e_m[Z].  Value negation
 of a letter v is the letter -1 * v, with h_m[-1 * v] = (-1)^m h_m[v].
+
+h_m and e_m values are memoized in one bounded LRU per process.
 """
 
+import functools
 import itertools
 
 from .ring import ALPHA, BETA, X, TruncPoly, det, exact_divide
@@ -71,24 +74,26 @@ def is_param_only(alphabet):
                for _, b in alphabet)
 
 
-_ALPHABET_CACHE = {}
+# Bound of each lru_cache memo.  Measured peaks, none evicted: 7,335 h/e values
+# (default `verify flagged`), 2,150 coefficient determinants, 21 G prefactors.
+CACHE_SIZE = 1 << 14
 
 
 def _pleth(kind, m, alphabet, n, deg):
-    """h_m[Z] (kind "h") or e_m[Z] (kind "e") for a signed alphabet Z.
-
-    The series cur[0..m] starts at 1 and takes one factor per letter z of
-    H(t) = prod (1 - z t)^-1 or E(t) = prod (1 + z t), with z -> -z and the
-    factor inverted for a negated letter.  A factor (1 - z t)^-1 (h of a
-    letter, e of a negated one) is cur[d] += z cur[d-1] with d running up;
-    a factor (1 + z t) (e of a letter, h of a negated one) is the same
-    update with d running down."""
-    if m < 0:
+    """h_m[Z] (kind "h") or e_m[Z] (kind "e") for a signed alphabet Z."""
+    if m < 0:  # cheap, so kept out of the cache
         return TruncPoly.zero(n, deg)
-    key = (kind, m, alphabet, n, deg)
-    got = _ALPHABET_CACHE.get(key)
-    if got is not None:
-        return got
+    return _pleth_series(kind, m, alphabet, n, deg)
+
+
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _pleth_series(kind, m, alphabet, n, deg):
+    """_pleth for m >= 0.  The series cur[0..m] starts at 1 and takes one
+    factor per letter z of H(t) = prod (1 - z t)^-1 or E(t) = prod (1 + z t),
+    with z -> -z and the factor inverted for a negated letter.  A factor
+    (1 - z t)^-1 (h of a letter, e of a negated one) is cur[d] += z cur[d-1]
+    with d running up; a factor (1 + z t) (e of a letter, h of a negated
+    one) is the same update with d running down."""
     cur = [TruncPoly.const(n, deg, 1)] + \
         [TruncPoly.zero(n, deg) for _ in range(m)]
     for sign, block in alphabet:
@@ -100,7 +105,6 @@ def _pleth(kind, m, alphabet, n, deg):
             for d in degrees:
                 if not cur[d - 1].is_zero():
                     cur[d] = cur[d] + z * cur[d - 1]
-    _ALPHABET_CACHE[key] = cur[m]
     return cur[m]
 
 

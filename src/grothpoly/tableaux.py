@@ -412,27 +412,6 @@ def gen_mrpp(outer, inner, n, variant="left", flags=None, orientation="row",
                 yield {c: (v, c in chosen) for c, v in values.items()}
 
 
-def phi_left_to_right(outer, inner, filling):
-    """Map a left-marked filling to the right-marked filling on the same
-    underlying values: within the rows where two adjacent columns share the
-    marked value, each mark moves up one row (wrapping at the top) and over
-    to the right column.  Weight is preserved."""
-    outer = tuple(outer)
-    values = {c: v for c, (v, _) in filling.items()}
-    new_marks = set()
-    for (i, j), (v, marked) in filling.items():
-        if not marked:
-            continue
-        rows = [r for r in range(1, len(outer) + 1)
-                if values.get((r, j)) == v and values.get((r, j + 1)) == v]
-        if i not in rows:
-            raise ShapeError(f"cell {(i, j)} is not left-markable")
-        idx = rows.index(i)
-        target = rows[idx - 1] if idx > 0 else rows[-1]
-        new_marks.add((target, j + 1))
-    return {c: (v, c in new_marks) for c, v in values.items()}
-
-
 # ---------------------------------------------------------------------------
 # elegant and inelegant tableaux
 

@@ -10,7 +10,7 @@ from grothpoly.grothendieck import G_flagged_det, G_jt, g_jt
 from grothpoly.ring import ALPHA, BETA, X, TruncPoly
 from grothpoly.shapes import ShapeError, conjugate
 from grothpoly.symfunc import schur_jt
-from grothpoly.tableaux import enum_mmsvt, enum_mrpp
+from grothpoly.tableaux import enum_mmsvt, enum_mrpp, gen_mrpp
 
 
 def run(argv):
@@ -180,6 +180,20 @@ def test_enumerate_respects_flags():
     assert unflagged[0] == flagged[0] == 0
     assert unflagged[1].endswith("total: 5")
     assert flagged[1].endswith("total: 1")
+
+
+def test_enumerate_g_takes_a_dented_shape_with_a_mark_set():
+    # the mark set makes a dented outer shape valid for g, which reads no
+    # --deg; without one the generator still refuses the shape
+    for text, mark_set, count in (("1", {1}, 7), ("1,2", {1, 2}, 14)):
+        status, out = run(["enumerate", "g", "--shape", "1,2", "--n", "2",
+                           "--mark-set", text])
+        assert status == 0
+        assert len(list(gen_mrpp((1, 2), (), 2, mark_set=mark_set))) == count
+        assert out.endswith(f"total: {count}")
+    status, out = run(["enumerate", "g", "--shape", "1,2", "--n", "2"])
+    assert status == 2
+    assert out == "error: not weakly decreasing: (1, 2)"
 
 
 def test_enumerate_refuses_options_its_target_ignores():

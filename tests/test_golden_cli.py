@@ -90,7 +90,7 @@ GOLDEN = [
     ('enumerate g --shape 2,2 --n 2',
      0, '1 1\n1 1\n\n1*  1\n 1  1\n\n 1  1\n1*  1\n\n1*  1\n1*  1\n\n1 1\n1 2\n\n1*  1\n 1  2\n\n1 1\n2 2\n\n1*  1\n 2  2\n\n 1  1\n2*  2\n\n1*  1\n2*  2\n\n1 2\n1 2\n\n1 2\n2 2\n\n 1  2\n2*  2\n\n2 2\n2 2\n\n2*  2\n 2  2\n\n 2  2\n2*  2\n\n2*  2\n2*  2\n\ntotal: 17'),
     ('enumerate g --shape 1,2 --n 2 --mark-set 1,2',
-     2, 'error: not weakly decreasing: (1, 2)'),
+     0, '1\n1 2\n\n 1\n 1 2*\n\n1\n2 2\n\n 1\n2*  2\n\n 1\n 2 2*\n\n 1\n2* 2*\n\n2\n2 2\n\n2*\n 2  2\n\n 2\n2*  2\n\n 2\n 2 2*\n\n2*\n2*  2\n\n2*\n 2 2*\n\n 2\n2* 2*\n\n2*\n2* 2*\n\ntotal: 14'),
     ('enumerate g --shape 2,1 --n 2 --mark-set 1',
      0, '1 1\n1\n\n1*  1\n 1\n\n1 1\n2\n\n1*  1\n 2\n\n1 2\n1\n\n 1 2*\n 1\n\n1 2\n2\n\n 1 2*\n 2\n\n2 2\n2\n\n2*  2\n 2\n\n 2 2*\n 2\n\n2* 2*\n 2\n\ntotal: 12'),
     ('enumerate matsumura --shape 2,1 --n 3 --flags-s 2,3 --flags-r 1,2',

@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import functools
 import hashlib
+import importlib
 import itertools
+import pkgutil
 import warnings
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grothpoly
 from grothpoly import grothendieck, symfunc
 from grothpoly.cli import render_poly
 from grothpoly.grothendieck import (_SKEW_COEFF, C_coeff, FlagSweep,
@@ -726,8 +730,8 @@ def test_omega_check_compares_every_factor_family(monkeypatch, wrong):
     # doubling every coefficient of one e-side family fails the check
     coeff_det = grothendieck._coeff_det
 
-    def doubled(rule, first, second, n, deg, table=None):
-        value = coeff_det(rule, first, second, n, deg, table)
+    def doubled(rule, first, second, n, deg):
+        value = coeff_det(rule, first, second, n, deg)
         return value + value if rule == wrong else value
 
     monkeypatch.setattr(grothendieck, "_coeff_det", doubled)
@@ -735,22 +739,61 @@ def test_omega_check_compares_every_factor_family(monkeypatch, wrong):
     assert not omega_check((2, 1), (1,), kind, 1, 2, 2)
 
 
-def test_coefficient_table_changes_no_value():
-    table = {}
-    for lam, mu in [((2, 1), (1,)), ((3, 1), (1,)), ((2, 2), ())]:
-        for kind in ("G", "g"):
-            assert omega_check(lam, mu, kind, 2, 2, 2, table)
-    size = len(table)
-    assert size > 0
-    assert omega_check((2, 1), (1,), "G", 2, 2, 2, table)
-    assert len(table) == size
-    pairing = {}
-    for lam in partitions_up_to(3):
-        for mu in partitions_up_to(3):
-            assert (hall_pairing(lam, mu, 1, 0, pairing)
-                    == hall_pairing(lam, mu, 1, 0))
-    for (rule, first, second, n, deg), value in pairing.items():
-        assert value == skew_coeff(rule, first, second, n, deg)
+MEMOS = (symfunc._pleth_series, grothendieck._coeff_det,
+         grothendieck._G_prefactor)
+
+
+def test_cleared_caches_change_no_value(monkeypatch):
+    # record every key the two argument-rich memos see, through the module
+    # globals their callers look up
+    keys = {memo: set() for memo in MEMOS[:2]}
+
+    def recording(memo):
+        def call(*args):
+            keys[memo].add(args)
+            return memo(*args)
+        return call
+
+    monkeypatch.setattr(symfunc, "_pleth_series", recording(MEMOS[0]))
+    monkeypatch.setattr(grothendieck, "_coeff_det", recording(MEMOS[1]))
+
+    def results():
+        omega = [omega_check(lam, mu, kind, 2, 2, 2)
+                 for lam, mu in [((2, 1), (1,)), ((3, 1), (1,)), ((2, 2), ())]
+                 for kind in ("G", "g")]
+        pairing = [hall_pairing(lam, mu, 1, 0)
+                   for lam in partitions_up_to(3)
+                   for mu in partitions_up_to(3)]
+        return omega, pairing
+
+    results()
+    warm = results()
+    assert all(warm[0])
+    for memo in MEMOS:
+        memo.cache_clear()
+    assert results() == warm
+    for memo, seen in keys.items():
+        assert memo.cache_info().currsize == len(seen) > 0
+        for key in seen:
+            assert memo.__wrapped__(*key) == memo(*key), key
+
+
+def test_every_memo_is_bounded():
+    found = set()
+    for info in pkgutil.iter_modules(grothpoly.__path__):
+        module = importlib.import_module(f"grothpoly.{info.name}")
+        for value in vars(module).values():
+            members = vars(value).values() if isinstance(value, type) \
+                else (value,)
+            for member in members:
+                if isinstance(member, functools._lru_cache_wrapper):
+                    maxsize = member.cache_parameters()["maxsize"]
+                    assert isinstance(maxsize, int), member
+                    assert maxsize == symfunc.CACHE_SIZE
+                    found.add(member)
+    assert found == set(MEMOS)
+    assert skew_coeff("C", [1], [2, 1], 1, 0) == \
+        skew_coeff("C", (1,), (2, 1), 1, 0)
 
 
 @settings(max_examples=20, deadline=None)
