@@ -224,8 +224,8 @@ def _get_shapes(args):
 
 
 def _parse_flag_list(text, length, fill):
-    """Exactly length flags, one per row of the shape (per column for
-    column-flagged tableaux); fill for each when the option is absent."""
+    """Exactly length positive flags, one per row of the shape (per column
+    for column-flagged tableaux); fill for each when the option is absent."""
     if text is None:
         return (fill,) * length
     out = []
@@ -235,6 +235,8 @@ def _parse_flag_list(text, length, fill):
     if len(out) != length:
         raise ShapeError(f"flag list {text!r} gives {len(out)} flags, "
                          f"expected {length}")
+    if min(out) < 1:
+        raise ShapeError("flags must be positive")
     return tuple(out)
 
 
@@ -551,8 +553,11 @@ def verify_omega(max_size=4, budget=2):
     return [f"omega: {checked} expansion-level involution checks pass"]
 
 
-# Largest flag value swept by the flagged and Matsumura suites.
+# Largest flag value swept by the flagged and Matsumura suites, and how
+# often they re-evaluate a raw flag vector through the direct determinant or
+# enumeration that backs a sweep.
 FLAG_MAX = 3
+CROSSCHECK_EVERY = 97
 
 
 def _flag_pairs(m):
@@ -572,12 +577,17 @@ def verify_matsumura(max_size=4):
     collapsed flagged determinant reproduces it; the surviving convention is
     reported.  Only flags inside Matsumura's hypothesis (f and g weakly
     increase wherever mu_i < lam_{i+1}) are asserted; the others are
-    evaluated and reported, never asserted."""
+    evaluated and reported, never asserted.
+
+    Per shape pair, FlagSweeps of kinds M and G give the determinants and
+    one TableauSweep of family "fsvt", an unflagged set-valued enumeration
+    filtered by the flags, gives the tableaux; every CROSSCHECK_EVERY-th
+    flag pair is re-enumerated through enum_fsvt as a cross-check."""
     if max_size < 1:
         raise ShapeError("verify matsumura needs --max-size >= 1: it sweeps "
                          "skew shapes with at least one cell")
     n = 3
-    checked = outside_agree = outside_differ = 0
+    checked = outside_agree = outside_differ = tick = 0
     minus_ok = plus_ok = True
     for lam in partitions_up_to(max_size):
         if len(lam) > n:
@@ -588,16 +598,22 @@ def verify_matsumura(max_size=4):
             deg = size(lam) - size(mu) + 2
             sweep = FlagSweep("G", lam, mu, "row", n, deg)
             single_sweep = FlagSweep("M", lam, mu, "row", n, deg)
+            tableaux = TableauSweep("fsvt", lam, mu, n, deg)
             for f, g in _flag_pairs(len(lam)):
                 if any(gi > fi for gi, fi in zip(g, f)):
                     continue
+                at = f"{lam}/{mu}, f={f}, g={g}"
                 single = single_sweep.value(g, f)
-                enum = enum_fsvt(lam, mu, f, g, n, deg)
+                enum = tableaux.value(g, f)
+                tick += 1
+                if tick % CROSSCHECK_EVERY == 0:
+                    yield (f"cross-check set-valued enumeration at {at}",
+                           enum_fsvt(lam, mu, f, g, n, deg), enum)
                 if not row_monotone(lam, mu, g, f):
                     outside_agree += single == enum
                     outside_differ += single != enum
                     continue
-                yield f"matsumura at {lam}/{mu}, f={f}, g={g}", single, enum
+                yield f"matsumura at {at}", single, enum
                 flagged = sweep.value(g, f)
                 if single != _collapse_to_single_beta(flagged, -1):
                     minus_ok = False
@@ -622,11 +638,9 @@ def _dented_shapes(max_size, max_len):
     return out
 
 
-# verify flagged: the values of n swept, the n of the marked duals, and how
-# often a raw flag vector is re-evaluated through the direct determinants
+# verify flagged: the values of n swept and the n of the marked duals
 FLAGGED_NS = (1, 2, 3)
 MARKED_N = 2
-CROSSCHECK_EVERY = 97
 
 # (counter key, kind, orientation, hypothesis) in evaluation order; the G
 # rows apply only when the inner shape is contained in the outer one
@@ -649,20 +663,38 @@ def _tableau_reference(kind, orientation, lam, mu, n, deg):
                         orientation).value
 
 
+def _flag_classes(flag_pairs, lam, mu, n):
+    """hypothesis -> [(r, s, label)] for the first raw flags, in raw order,
+    of each class of flags satisfying that hypothesis.  Determinant values
+    depend on the flags only through (min(r_i, n+1), min(s_i, n)), which
+    names the class."""
+    classes = {"row": [], "col": [], "weak": []}
+    seen = set()
+    for r, s, holds in flag_pairs:
+        eff = (tuple(min(v, n + 1) for v in r), tuple(min(v, n) for v in s))
+        for hypothesis in holds:
+            if (hypothesis, eff) not in seen:
+                seen.add((hypothesis, eff))
+                classes[hypothesis].append(
+                    (r, s, f"lam={lam}, mu={mu}, n={n}, r={r}, s={s}"))
+    return classes
+
+
 def verify_flagged(max_size=4):
     """Flagged determinants against tableau enumerations on every flag pair
     satisfying the respective monotonicity hypotheses.
 
     One (kind, orientation) job runs at a time per shape pair, with one
     FlagSweep for the determinants and one TableauSweep, an unflagged
-    enumeration filtered by the flags, for the tableaux.  Determinant values
-    depend on the flags only through (min(r_i, n+1), min(s_i, n)), so each
-    equivalence class is checked once, on the first raw flags of the class;
-    a sample of raw flag vectors is re-evaluated through the plain
-    determinant functions as a cross-check.  The weakened lower-flag
-    condition for column-flagged G (one extra unit of slack) is evaluated
-    and reported, never asserted.  The boundary-marked duals evaluate a
-    FlagSweep with the mark set against enum_mrpp.
+    enumeration filtered by the flags, for the tableaux.  Each class of
+    flags with equal determinant values is checked once, on its first raw
+    flags; the classes are found once per (lam, mu, n) and hypothesis and
+    shared by the jobs.  A sample of raw flag vectors is re-evaluated
+    through the plain determinant functions as a cross-check.  The weakened
+    lower-flag condition for column-flagged G (one extra unit of slack) is
+    evaluated and reported, never asserted.  The boundary-marked duals
+    evaluate a FlagSweep with the mark set against a TableauSweep with the
+    same mark set, and every CROSSCHECK_EVERY-th of them against enum_mrpp.
     """
     counts = {"row G": 0, "col G": 0, "row dual": 0, "col dual": 0,
               "dual without containment": 0, "marked dual": 0,
@@ -672,38 +704,32 @@ def verify_flagged(max_size=4):
         deg = size(lam) + 2
         for mu in partitions_up_to(max_size):
             contained = contains(mu, lam)
-            # the hypotheses do not depend on n; "weak" is the weakened col
-            # G condition where the col one fails
+            # the hypotheses that hold, which do not depend on n; "weak" is
+            # the weakened col G condition where the col one fails
             flag_pairs = []
             for r, s in _flag_pairs(max(len(lam), len(mu), 1)):
                 col = contained and col_monotone(lam, mu, r, s)
-                holds = {"row": row_monotone(lam, mu, r, s), "col": col,
-                         "weak": contained and not col
-                         and col_monotone(lam, mu, r, s, slack=1)}
-                flag_pairs.append((r, s, holds))
+                holds = [name for name, ok in (
+                    ("row", row_monotone(lam, mu, r, s)), ("col", col),
+                    ("weak", contained and not col
+                     and col_monotone(lam, mu, r, s, slack=1))) if ok]
+                if holds:
+                    flag_pairs.append((r, s, holds))
             for n in FLAGGED_NS:
-                pairs = [(r, s, (tuple(min(v, n + 1) for v in r),
-                                 tuple(min(v, n) for v in s)), holds)
-                         for r, s, holds in flag_pairs]
+                classes = _flag_classes(flag_pairs, lam, mu, n)
                 for key, kind, orientation, hypothesis in _FLAGGED_JOBS:
                     if not (contained or kind == "g"):
                         continue
                     sweep = FlagSweep(kind, lam, mu, orientation, n, deg)
                     reference = _tableau_reference(kind, orientation, lam,
                                                    mu, n, deg)
-                    seen, seen_weak = set(), set()
-                    for r, s, eff, holds in pairs:
-                        if key == "col G" and holds["weak"] \
-                                and eff not in seen_weak:
-                            seen_weak.add(eff)
+                    if key == "col G":
+                        for r, s, _ in classes["weak"]:
                             if sweep.value(r, s) == reference(r, s):
                                 weak_agree += 1
                             else:
                                 weak_differ += 1
-                        if not holds[hypothesis] or eff in seen:
-                            continue
-                        seen.add(eff)
-                        at = f"lam={lam}, mu={mu}, n={n}, r={r}, s={s}"
+                    for r, s, at in classes[hypothesis]:
                         value = sweep.value(r, s)
                         yield f"{key} at {at}", value, reference(r, s)
                         counts[key if contained
@@ -725,17 +751,22 @@ def verify_flagged(max_size=4):
             for mark_set in valid_mark_sets(lam):
                 sweep = FlagSweep("g", lam, mu, "row", MARKED_N, deg,
                                   marks=mark_set)
+                tableaux = TableauSweep("mrpp", lam, mu, MARKED_N, deg,
+                                        mark_set=mark_set)
                 for r, s in _flag_pairs(len(lam)):
                     if not row_monotone(lam, mu, r, s):
                         continue
-                    reference = enum_mrpp(lam, mu, MARKED_N, deg,
-                                          flags=(r, s), mark_set=mark_set)
-                    yield (f"marked dual at lam={lam}, mu={mu}, "
-                           f"I={sorted(mark_set)}, r={r}, s={s}",
-                           sweep.value(r, s), reference)
+                    at = f"lam={lam}, mu={mu}, I={sorted(mark_set)}, " \
+                         f"r={r}, s={s}"
+                    reference = tableaux.value(r, s)
+                    yield f"marked dual at {at}", sweep.value(r, s), reference
                     counts["marked dual"] += 1
                     if dented:
                         counts["marked dual on properly dented shapes"] += 1
+                    if counts["marked dual"] % CROSSCHECK_EVERY == 0:
+                        yield (f"cross-check marked dual at {at}",
+                               enum_mrpp(lam, mu, MARKED_N, deg, flags=(r, s),
+                                         mark_set=mark_set), reference)
     lines = [f"{key}: {count} flagged identities hold"
              for key, count in counts.items()]
     lines.append(f"cross-checked {crosschecked} raw flag vectors against "

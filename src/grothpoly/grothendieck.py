@@ -418,7 +418,7 @@ def g_flagged_det(outer, inner, r, s, orientation, n, deg):
 
 class FlagSweep:
     """Evaluates a flagged determinant for many flag vectors of one shape
-    pair, sharing entry values and column-prefix minors across calls.
+    pair, sharing matrix rows and column-prefix minors across calls.
     Kinds G and g (row or col), the marked g (kind g, row, with a mark set)
     and M (row only): value(r, s) equals G_flagged_det / g_flagged_det for
     the same arguments, g_marked_det with a mark set, and for M, with flags
@@ -428,11 +428,13 @@ class FlagSweep:
     Entry (i, j) depends on the flags only through (r_j, s_i), and because
     x variables beyond n vanish, only through (min(r_j, n + 1), min(s_i, n)).
     The row prefactor of G and M is folded into the rows, det(diag(F) M) =
-    prod F_i det M, with F_i depending on (r_i, s_i), so entries are stored
-    scaled.  value() builds the matrix from the stored entries and evaluates
-    it with ring.det, passing the sweep's minor memo: a minor on rows R is
-    keyed by (R, r_1..r_|R|, the flags of R), which fix its entries.  With a
-    mark set (outer may be dented) the flags are used as given.
+    prod F_i det M, with F_i depending on (r_i, s_i), so rows are stored
+    scaled.  Row i therefore depends on exactly (i, s_i, r), r the whole
+    capped lower-flag vector, and is cached under that key; value() builds
+    the matrix from len(r) cached rows and evaluates it with ring.det,
+    passing the sweep's minor memo: a minor on rows R is keyed by (R,
+    r_1..r_|R|, the flags of R), which fix its entries.  With a mark set
+    (outer may be dented) the flags are used as given.
     """
 
     def __init__(self, kind, outer, inner, orientation, n, deg, marks=None):
@@ -452,23 +454,22 @@ class FlagSweep:
         self._entries = {}
         self._scaled = {}
         self._rowpref = {}
+        self._rows = {}
         self._minors = {}
 
-    def _entry(self, i, j, r, s):
-        rj, si = r[j - 1], s[i - 1]
+    def _entry(self, i, j, ri, rj, si):
         key = (i, j, rj, si)
         val = self._entries.get(key)
         if val is None:
             val = self._entries[key] = _flag_entry(
                 self.kind, self.orientation, self.lam, self.mu, i, j, rj, si,
                 self.n, self.deg, self.marks)
-        if self.kind == "g":
+        if self.kind == "g" or val.is_zero():
             return val
-        key = (i, j, r[i - 1], rj, si)
+        key = (i, j, ri, rj, si)
         scaled = self._scaled.get(key)
         if scaled is None:
-            scaled = self._scaled[key] = val if val.is_zero() else \
-                self._row_factor(i, r[i - 1], si) * val
+            scaled = self._scaled[key] = self._row_factor(i, ri, si) * val
         return scaled
 
     def _row_factor(self, i, ri, si):
@@ -479,6 +480,14 @@ class FlagSweep:
                 self.kind, self.orientation, [key], self.n, self.deg)
         return val
 
+    def _row(self, i, r, si):
+        key = (i, si, r)
+        row = self._rows.get(key)
+        if row is None:
+            row = self._rows[key] = [self._entry(i, j, r[i - 1], rj, si)
+                                     for j, rj in enumerate(r, 1)]
+        return row
+
     def value(self, r, s):
         r, s = _flag_vectors(r, s, max(len(self.lam), len(self.mu)))
         if self.marks is None:
@@ -486,9 +495,7 @@ class FlagSweep:
             s = tuple(min(v, self.n) for v in s)
         elif max(self.marks, default=0) > len(r):
             raise ShapeError(f"mark set out of range: {sorted(self.marks)}")
-        m = len(r)
-        matrix = [[self._entry(i, j, r, s) for j in range(1, m + 1)]
-                  for i in range(1, m + 1)]
+        matrix = [self._row(i, r, si) for i, si in enumerate(s, 1)]
         # a row's entries depend on s_i, and once scaled by F_i on r_i too
         row_flags = s if self.kind == "g" else tuple(zip(r, s))
         return det(matrix, self.n, self.deg, self._minors,

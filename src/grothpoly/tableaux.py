@@ -16,6 +16,7 @@ so that the neighbors a cell is compared against are already placed.
 """
 
 import itertools
+import operator
 
 from .ring import ALPHA, BETA, X, TruncPoly, pvar
 from .shapes import (INF, ShapeError, cells, contains, dent_index, gen_cells,
@@ -350,49 +351,100 @@ class TableauSweep:
 
     A flagged filling is an unflagged one whose entries in row k (column k
     for column flags) lie in [r_k, s_k].  The fillings with values in 1..n
-    are enumerated once, by the rules of enum_mmsvt (family "mmsvt") or of
-    enum_mrpp's left variant ("mrpp"), and their weights are bucketed by
-    the (min, max) entry of each row or column.  value(r, s) sums the
-    buckets the flags admit; it equals enum_mmsvt / enum_mrpp with
-    flags=(r, s) and the same orientation.
+    are enumerated once, by the rules of enum_mmsvt (family "mmsvt"), of
+    enum_mrpp's left variant ("mrpp") or of enum_fsvt ("fsvt", row flags
+    only), and their weights are bucketed by the (min, max) entry of each
+    row or column.  value(r, s) sums the buckets the flags admit; it equals
+    enum_mmsvt / enum_mrpp with flags=(r, s) and the same orientation, and
+    enum_fsvt with f = s and g = r.
+
+    With a mark set (family "mrpp", row flags; outer may be dented) the
+    boundary entries and the uncapped values depend on s, so the fillings
+    are enumerated once per upper flag vector s, with r = 1, and bucketed
+    by row minima alone.  value(r, s) is zero when some r_k > s_k, as in
+    enum_mrpp, and otherwise equals enum_mrpp(..., flags=(r, s),
+    mark_set=mark_set).
     """
 
-    def __init__(self, family, outer, inner, n, deg, orientation="row"):
-        _check_orientation(orientation)
-        outer, inner = skew(outer, inner)
-        if family == "mmsvt":
-            fillings = _mmsvt_fillings(outer, inner, n, deg, None,
-                                       orientation)
-        elif family == "mrpp":
-            fillings = ((_mrpp_summed_weight(values, "left", outer, None,
-                                             (), n, deg),
-                         {c: (v, v) for c, v in values.items()})
-                        for values in gen_rpp(outer, inner, n,
-                                              orientation=orientation))
-        else:
+    def __init__(self, family, outer, inner, n, deg, orientation="row",
+                 mark_set=None):
+        if family not in ("mmsvt", "mrpp", "fsvt"):
             raise ShapeError(f"unknown tableau family {family!r}")
+        if family == "fsvt" and orientation != "row":
+            raise ShapeError("set-valued fillings use row flags")
+        if mark_set is None:
+            _check_orientation(orientation)
+            outer, inner = skew(outer, inner)
+        elif family != "mrpp":
+            raise ShapeError("mark sets apply to the mrpp family only")
+        else:
+            outer, inner, mark_set = _mrpp_validate(
+                outer, inner, "left", orientation, mark_set, None, n)
+        self.family, self.outer, self.inner = family, outer, inner
         self.n, self.deg = n, deg
-        axis = 0 if orientation == "row" else 1
-        # flags are needed up to the last row or column holding a cell
-        self._width = max((c[axis] for c in cells(outer, inner)), default=0)
-        self._buckets = {}
-        for weight, ends in fillings:
+        self.orientation, self.mark_set = orientation, mark_set
+        self._axis = 0 if orientation == "row" else 1
+        # flags are needed up to the last row or column holding a cell, and
+        # with a mark set for every row the boundary can reach
+        self._width = len(outer) if mark_set is not None else max(
+            (c[self._axis] for c in cells(outer, inner)), default=0)
+        self._buckets = {}  # s with a mark set, else None -> buckets
+
+    def _fillings(self, s):
+        """(weight, ends) of every filling of the sweep, ends mapping each
+        cell to its (first, last) entry; s is the upper flag vector of a
+        marked sweep and None otherwise."""
+        outer, inner, n, deg = self.outer, self.inner, self.n, self.deg
+        if self.family == "mmsvt":
+            yield from _mmsvt_fillings(outer, inner, n, deg, None,
+                                       self.orientation)
+            return
+        if self.family == "fsvt":
+            rows = len(outer)
+            yield from _fsvt_fillings(outer, inner, (n,) * rows, (1,) * rows,
+                                      n, deg)
+            return
+        flags = None if s is None else ((1,) * len(s), s)
+        s_flags = _resolve_s_flags(outer, flags, n)
+        for values in gen_rpp(outer, inner, n, flags, self.orientation,
+                              self.mark_set):
+            weight = _mrpp_summed_weight(values, "left", outer,
+                                         self.mark_set, s_flags, n, deg)
+            # a marked enumeration has applied s already: its last entries
+            # read 0, so that row minima alone split the buckets
+            yield weight, {c: (v, v if s is None else 0)
+                           for c, v in values.items()}
+
+    def _bucketed(self, s):
+        buckets = {}
+        for weight, ends in self._fillings(s):
             # an index without cells reads (INF, 0), which every flag admits
             lo, hi = [INF] * self._width, [0] * self._width
             for cell, (first, last) in ends.items():
-                k = cell[axis] - 1
+                k = cell[self._axis] - 1
                 lo[k], hi[k] = min(lo[k], first), max(hi[k], last)
-            key = tuple(zip(lo, hi))
-            got = self._buckets.get(key)
-            self._buckets[key] = weight if got is None else got + weight
+            key = (tuple(lo), tuple(hi))
+            got = buckets.get(key)
+            buckets[key] = weight if got is None else got + weight
+        return buckets
 
     def value(self, r, s):
+        r, s = tuple(r), tuple(s)
         if min(len(r), len(s)) < self._width:
             raise ShapeError("flag vectors shorter than the shape")
+        if min(r + s, default=1) < 1:
+            raise ShapeError("flags must be positive")
         total = TruncPoly.zero(self.n, self.deg)
-        for key, weight in self._buckets.items():
-            if all(rk <= lo and hi <= sk
-                   for (lo, hi), rk, sk in zip(key, r, s)):
+        key = None
+        if self.mark_set is not None:
+            if any(map(operator.gt, r, s)):
+                return total
+            key = s
+        buckets = self._buckets.get(key)
+        if buckets is None:
+            buckets = self._buckets[key] = self._bucketed(key)
+        for (lo, hi), weight in buckets.items():
+            if all(map(operator.le, r, lo)) and all(map(operator.le, hi, s)):
                 total = total + weight
         return total
 
@@ -536,19 +588,31 @@ def gen_fsvt(outer, inner, f, g, n, deg):
     yield from rec(0, 0)
 
 
+def _fsvt_fillings(outer, inner, f, g, n, deg):
+    """Yield (weight, ends) for every filling gen_fsvt yields: the weight is
+    b_1^(entries - cells) times the product of its x variables, a product
+    over cells of b_1^(|set| - 1) prod x_v, and ends maps each cell to its
+    (first, last) entry."""
+    beta = TruncPoly.var(n, deg, BETA, 1)
+    factors = {}
+    for filling in gen_fsvt(outer, inner, f, g, n, deg):
+        w = TruncPoly.const(n, deg, 1)
+        for st in filling.values():
+            factor = factors.get(st)
+            if factor is None:
+                factor = beta ** (len(st) - 1)
+                for v in st:
+                    factor = factor * _xvar(n, deg, v)
+                factors[st] = factor
+            w = w * factor
+        yield w, {c: (st[0], st[-1]) for c, st in filling.items()}
+
+
 def enum_fsvt(outer, inner, f, g, n, deg):
     """Generating function of flagged set-valued fillings: each filling
     contributes b_1^(entries - cells) times the product of its x
     variables."""
-    beta = TruncPoly.var(n, deg, BETA, 1)
-    ncells = len(cells(partition(outer), partition(inner)))
     total = TruncPoly.zero(n, deg)
-    for filling in gen_fsvt(outer, inner, f, g, n, deg):
-        w = TruncPoly.const(n, deg, 1)
-        count = 0
-        for st in filling.values():
-            count += len(st)
-            for v in st:
-                w = w * _xvar(n, deg, v)
-        total = total + w * beta ** (count - ncells)
+    for weight, _ in _fsvt_fillings(outer, inner, f, g, n, deg):
+        total = total + weight
     return total

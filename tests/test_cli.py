@@ -196,6 +196,22 @@ def test_enumerate_g_takes_a_dented_shape_with_a_mark_set():
     assert out == "error: not weakly decreasing: (1, 2)"
 
 
+def test_flags_below_one_exit_two():
+    # a lower flag of 0 would put the entry 0 into the fillings; every verb
+    # that reads flags refuses it as compute always did
+    for verb, target in (("enumerate", "G"), ("enumerate", "g"),
+                         ("enumerate", "matsumura"), ("compute", "G"),
+                         ("compute", "g")):
+        for flags in (["--flags-r", "0,1", "--flags-s", "2,2"],
+                      ["--flags-r", "1,1", "--flags-s", "2,0"]):
+            argv = [verb, target, "--shape", "2,1", "--n", "2", *flags]
+            assert run(argv) == (2, "error: flags must be positive"), argv
+    status, out = run(["enumerate", "G", "--shape", "2,1", "--n", "2",
+                       "--flags-r", "1,1", "--flags-s", "2,2"])
+    assert status == 0
+    assert out.endswith("total: 30")
+
+
 def test_enumerate_refuses_options_its_target_ignores():
     for argv, option in (
             (["enumerate", "matsumura", "--shape", "2", "--n", "2",

@@ -115,6 +115,10 @@ GOLDEN = [
      0, 'c: 22 pairs agree three ways and the sign-adjusted values are nonnegative'),
     ('verify flagged --max-size 2',
      0, 'sha256:aadde0e93672f66a15ae74d1804258f26d3598b8b6bbe7e20792eddb2901d27e'),
+    # the benchmark's op; its stdout plus the final newline hashes to
+    # b511137632cd20d5...
+    ('verify flagged --max-size 3',
+     0, 'sha256:0f3b9fea24897712005a1fabaf5b13a7afa6b7d189918b494522548aed58be85'),
     ('verify matsumura --max-size 3',
      0, 'matsumura: 606 flagged shapes match the set-valued enumeration; surviving convention: b = (-beta, -beta, ...)\noutside the flag hypothesis (reported, not asserted): 19 flag pairs agree, 275 differ'),
     ('verify matsumura',

@@ -409,6 +409,27 @@ def test_flag_sweep_with_marks_matches_marked_determinant_on_raw_flags():
                     assert sweep.value(r, s) == want, (lam, mu, marks, r, s)
 
 
+@pytest.mark.parametrize("kind, orientation, marks",
+                         [("G", "row", None), ("G", "col", None),
+                          ("g", "row", None), ("g", "col", None),
+                          ("M", "row", None), ("g", "row", {1, 2})])
+def test_flag_sweep_values_do_not_depend_on_call_order(kind, orientation,
+                                                       marks):
+    # one sweep fed the flag list forward and another fed it reversed must
+    # agree: a cached row or minor that depended on an earlier call, not
+    # on its key, would differ between them
+    n, deg = 2, 4
+    lam, mu = ((1, 1, 2), ()) if marks else ((2, 2, 1), (1,))
+    vectors = list(itertools.product([1, 2, 4], repeat=3))
+    pairs = [(r, s) for r in vectors for s in vectors]
+    forward = FlagSweep(kind, lam, mu, orientation, n, deg, marks=marks)
+    backward = FlagSweep(kind, lam, mu, orientation, n, deg, marks=marks)
+    got = [forward.value(r, s) for r, s in pairs]
+    back = [backward.value(r, s) for r, s in reversed(pairs)]
+    assert got == back[::-1]
+    assert sum(not v.is_zero() for v in got) > len(pairs) // 20
+
+
 def test_flagged_weaker_condition_counterexample():
     n, deg = 2, 3
     with pytest.warns(UserWarning):

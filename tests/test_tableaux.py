@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from grothpoly import shapes, symfunc
+from grothpoly.grothendieck import valid_mark_sets
 from grothpoly.ring import ALPHA, BETA, TruncPoly, X, pvar
 from grothpoly.shapes import ShapeError
 from grothpoly.tableaux import (TableauSweep, _compare_value, _mrpp_neighbors,
@@ -571,6 +572,45 @@ def test_tableau_sweep_matches_flagged_enumeration_on_raw_flags(family,
                 assert sweep.value(r, s) == want, (lam, mu, r, s)
 
 
+def test_marked_tableau_sweep_matches_enum_mrpp_on_raw_flags():
+    # every raw flag pair over the shapes and mark sets of the marked
+    # FlagSweep test: r_k > s_k, rows without cells ((1, 2)/(1)) and
+    # s_k > n included; the sweep enumerates once per s with r = 1
+    n = 2
+    flag_values = [1, 2, 4]
+    checked = nonzero = 0
+    for lam, mu in [((1, 2), ()), ((1, 2), (1,)), ((2, 2, 1), (1,)),
+                    ((1, 1, 2), ())]:
+        deg = sum(lam) + 1
+        flag_vectors = list(itertools.product(flag_values, repeat=len(lam)))
+        for marks in valid_mark_sets(lam):
+            sweep = TableauSweep("mrpp", lam, mu, n, deg, mark_set=marks)
+            for r in flag_vectors:
+                for s in flag_vectors:
+                    want = enum_mrpp(lam, mu, n, deg, flags=(r, s),
+                                     mark_set=marks)
+                    assert sweep.value(r, s) == want, (lam, mu, marks, r, s)
+                    checked += 1
+                    nonzero += not want.is_zero()
+    assert nonzero > checked // 10
+
+
+def test_fsvt_sweep_matches_enum_fsvt_on_raw_flags():
+    # raw flags with g <= f <= n; (2, 1)/(1, 1) has an empty second row
+    n, deg = 3, 5
+    for lam, mu in [((2, 1), ()), ((2, 1), (1, 1)), ((2, 2), (1,)),
+                    ((1, 1, 1), ()), ((2, 1, 1), (1,)), ((3,), (1,))]:
+        sweep = TableauSweep("fsvt", lam, mu, n, deg)
+        flag_vectors = list(itertools.product(range(1, n + 1),
+                                              repeat=len(lam)))
+        for f in flag_vectors:
+            for g in flag_vectors:
+                if any(gi > fi for gi, fi in zip(g, f)):
+                    continue
+                assert sweep.value(g, f) == enum_fsvt(lam, mu, f, g, n, deg), \
+                    (lam, mu, f, g)
+
+
 def test_tableau_sweep_rejects_bad_arguments():
     with pytest.raises(ShapeError):
         TableauSweep("svt", (1,), (), 1, 1)
@@ -580,3 +620,21 @@ def test_tableau_sweep_rejects_bad_arguments():
         TableauSweep("mrpp", (1,), (2,), 1, 1)
     with pytest.raises(ShapeError):
         TableauSweep("mmsvt", (2, 1), (), 2, 3).value((1,), (2,))
+    with pytest.raises(ShapeError):
+        TableauSweep("fsvt", (2, 1), (), 2, 3, orientation="col")
+    with pytest.raises(ShapeError):
+        TableauSweep("mmsvt", (1, 2), (), 2, 3, mark_set={1})
+    with pytest.raises(ShapeError):
+        TableauSweep("mrpp", (1, 2), (), 2, 3, mark_set={3})
+
+
+@pytest.mark.parametrize("family, mark_set",
+                         [("mmsvt", None), ("mrpp", None), ("fsvt", None),
+                          ("mrpp", {1})])
+def test_tableau_sweep_rejects_flags_below_one(family, mark_set):
+    # as FlagSweep.value does; a lower flag of 0 admits every bucket
+    outer = (1, 2) if mark_set else (2, 2)
+    sweep = TableauSweep(family, outer, (), 2, 4, mark_set=mark_set)
+    for r, s in (((0, 0), (2, 2)), ((1, 1), (2, 0))):
+        with pytest.raises(ShapeError):
+            sweep.value(r, s)
