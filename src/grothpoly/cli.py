@@ -663,21 +663,33 @@ def _tableau_reference(kind, orientation, lam, mu, n, deg):
                         orientation).value
 
 
-def _flag_classes(flag_pairs, lam, mu, n):
-    """hypothesis -> [(r, s, label)] for the first raw flags, in raw order,
-    of each class of flags satisfying that hypothesis.  Determinant values
-    depend on the flags only through (min(r_i, n+1), min(s_i, n)), which
-    names the class."""
-    classes = {"row": [], "col": [], "weak": []}
-    seen = set()
-    for r, s, holds in flag_pairs:
-        eff = (tuple(min(v, n + 1) for v in r), tuple(min(v, n) for v in s))
-        for hypothesis in holds:
-            if (hypothesis, eff) not in seen:
-                seen.add((hypothesis, eff))
-                classes[hypothesis].append(
-                    (r, s, f"lam={lam}, mu={mu}, n={n}, r={r}, s={s}"))
-    return classes
+def _flag_classes(lam, mu, contained):
+    """Yield (n, {hypothesis: [(r, s, label)]}) for each n in FLAGGED_NS:
+    the first raw flags, in raw order, of each class of flags satisfying
+    the hypothesis.  Determinant values depend on the flags only through
+    the class (min(r_i, n+1), min(s_i, n)).  The hypotheses do not depend
+    on n; "weak" is the weakened col G condition where the col one fails."""
+    flag_pairs = []
+    for r, s in _flag_pairs(max(len(lam), len(mu), 1)):
+        col = contained and col_monotone(lam, mu, r, s)
+        holds = [name for name, ok in (
+            ("row", row_monotone(lam, mu, r, s)), ("col", col),
+            ("weak", contained and not col
+             and col_monotone(lam, mu, r, s, slack=1))) if ok]
+        if holds:
+            flag_pairs.append((r, s, holds))
+    for n in FLAGGED_NS:
+        classes = {"row": [], "col": [], "weak": []}
+        seen = set()
+        for r, s, holds in flag_pairs:
+            eff = (tuple(min(v, n + 1) for v in r),
+                   tuple(min(v, n) for v in s))
+            for hypothesis in holds:
+                if (hypothesis, eff) not in seen:
+                    seen.add((hypothesis, eff))
+                    classes[hypothesis].append(
+                        (r, s, f"lam={lam}, mu={mu}, n={n}, r={r}, s={s}"))
+        yield n, classes
 
 
 def verify_flagged(max_size=4):
@@ -704,19 +716,7 @@ def verify_flagged(max_size=4):
         deg = size(lam) + 2
         for mu in partitions_up_to(max_size):
             contained = contains(mu, lam)
-            # the hypotheses that hold, which do not depend on n; "weak" is
-            # the weakened col G condition where the col one fails
-            flag_pairs = []
-            for r, s in _flag_pairs(max(len(lam), len(mu), 1)):
-                col = contained and col_monotone(lam, mu, r, s)
-                holds = [name for name, ok in (
-                    ("row", row_monotone(lam, mu, r, s)), ("col", col),
-                    ("weak", contained and not col
-                     and col_monotone(lam, mu, r, s, slack=1))) if ok]
-                if holds:
-                    flag_pairs.append((r, s, holds))
-            for n in FLAGGED_NS:
-                classes = _flag_classes(flag_pairs, lam, mu, n)
+            for n, classes in _flag_classes(lam, mu, contained):
                 for key, kind, orientation, hypothesis in _FLAGGED_JOBS:
                     if not (contained or kind == "g"):
                         continue
