@@ -10,9 +10,10 @@ marked fillings map a cell to (value, marked); multiset and set valued
 fillings map a cell to a tuple of (value, marked) pairs.  enum_* functions
 return exact TruncPoly sums of weights; gen_* generators yield the fillings
 themselves; TableauSweep gives the flagged sums of one shape for many flag
-vectors from one unflagged enumeration.  Enumeration runs depth-first over
-cells taken column by column from the right, top to bottom within a column,
-so that the neighbors a cell is compared against are already placed.
+vectors from one unflagged enumeration, or with a mark set from one
+enumeration per upper flag vector.  Enumeration runs depth-first over cells
+taken column by column from the right, top to bottom within a column, so
+that the neighbors a cell is compared against are already placed.
 """
 
 import itertools
