@@ -309,6 +309,9 @@ def cmd_compute(args):
             value = g_marked_det(tuple(outer), inner, r, s,
                                  _parse_mark_set(args.mark_set), n, deg)
         elif args.target == "G":
+            # G_{lam/mu} needs mu inside lam; the dual determinant and
+            # s_{lam/mu} of a pair without containment are 0
+            outer, inner = skew(outer, inner)
             value = G_flagged_det(outer, inner, r, s,
                                   args.orientation, n, deg)
         else:
@@ -414,6 +417,7 @@ def cmd_enumerate(args):
     n = args.n
     # sum, not size: g takes a dented outer shape
     deg = args.deg if args.deg is not None else sum(outer) - sum(inner) + 2
+    _warn_degree(deg, outer, inner)
     m = max(len(tuple(outer)), len(partition(inner)), 1)
     flags = None
     if args.flags_r is not None or args.flags_s is not None:
@@ -615,10 +619,12 @@ def verify_matsumura(max_size=4):
                     continue
                 yield f"matsumura at {at}", single, enum
                 flagged = sweep.value(g, f)
-                if single != _collapse_to_single_beta(flagged, -1):
-                    minus_ok = False
-                if single != _collapse_to_single_beta(flagged, +1):
-                    plus_ok = False
+                # a convention that failed once cannot survive: stop
+                # collapsing under it
+                minus_ok = minus_ok and \
+                    single == _collapse_to_single_beta(flagged, -1)
+                plus_ok = plus_ok and \
+                    single == _collapse_to_single_beta(flagged, +1)
                 checked += 1
     yield (f"matsumura: expected exactly one sign convention to survive, "
            f"got minus={minus_ok}, plus={plus_ok}", minus_ok != plus_ok, True)

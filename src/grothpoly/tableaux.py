@@ -11,9 +11,20 @@ fillings map a cell to a tuple of (value, marked) pairs.  enum_* functions
 return exact TruncPoly sums of weights; gen_* generators yield the fillings
 themselves; TableauSweep gives the flagged sums of one shape for many flag
 vectors from one unflagged enumeration, or with a mark set from one
-enumeration per upper flag vector.  Enumeration runs depth-first over cells
-taken column by column from the right, top to bottom within a column, so
-that the neighbors a cell is compared against are already placed.
+enumeration per upper flag vector.
+
+One depth-first walk, _fill, places the cells of the multiset-valued,
+set-valued and plane-partition families.  It takes the cells column by
+column from the right, top to bottom within a column, so that the neighbors
+a cell is compared against are already placed, and fills each cell with an
+increasing tuple from _increasing: a multiset, a set, or a single value.
+Its rules: rows weakly increase, so a cell's last entry is at most the first
+entry to its right; down a column the first entry exceeds the last one above
+by col_gap (1 for the tuple families, 0 for plane partitions); all cells
+together hold at most max_entries entries; and each family's bounds give a
+cell's flag range.  A family's choices turn a tuple into the cell's entry
+(adding marks, say) and its weight factor.  gen_elegant keeps its own walk:
+it runs row by row, and its inelegant rule decreases along rows and columns.
 """
 
 import itertools
@@ -81,68 +92,72 @@ def _increasing(lo, hi, max_len, strict):
     yield from rec(lo)
 
 
-def _between_neighbors(ends, i, j, lo, hi):
-    """Narrow [lo, hi] for cell (i, j) against the (first, last) entries of
-    the placed cells above and to the right: columns increase strictly and
-    rows weakly."""
-    above = ends.get((i - 1, j))
-    if above is not None:
-        lo = max(lo, above[1] + 1)
-    right = ends.get((i, j + 1))
-    if right is not None:
-        hi = min(hi, right[0])
-    return lo, hi
+def _fill(order, bounds, max_entries, strict, col_gap, choices, one):
+    """Yield (weight, filling) for every filling of the cells of order, a
+    _col_order list, by the rules of the module docstring; filling is a live
+    dict cell -> entry, copied to keep.  choices(i, j, t) yields the (entry,
+    factor) ways to fill cell (i, j) with the tuple t; the weight is one
+    times the factors along the walk, skipping None factors."""
+    tuples, filling = {}, {}
+
+    def rec(k, used, acc):
+        if k == len(order):
+            yield acc, filling
+            return
+        i, j = order[k]
+        lo, hi = bounds(i, j)
+        above = tuples.get((i - 1, j))
+        if above is not None:
+            lo = max(lo, above[-1] + col_gap)
+        right = tuples.get((i, j + 1))
+        if right is not None:
+            hi = min(hi, right[0])
+        # the neighbors a cell reads come before it in order, so entries that
+        # backtracking leaves behind are overwritten before they are read
+        for t in _increasing(lo, hi, max_entries - used - len(order) + k + 1,
+                             strict):
+            tuples[(i, j)] = t
+            for entry, factor in choices(i, j, t):
+                filling[(i, j)] = entry
+                yield from rec(k + 1, used + len(t),
+                               acc if factor is None else acc * factor)
+
+    yield from rec(0, 0, one)
 
 
 def _markable_positions(ms):
     return [p for p in range(1, len(ms)) if ms[p - 1] < ms[p]]
 
 
-def _mmsvt_state(outer, inner, orientation):
-    _check_orientation(orientation)
-    outer, inner = skew(outer, inner)
-    return _col_order(cells(outer, inner))
-
-
 def gen_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
     """Yield explicit fillings {(i,j): ((value, marked), ...)} whose total
     element count is at most deg."""
-    order = _mmsvt_state(outer, inner, orientation)
-    ends = {}
-    entries = {}
+    _check_orientation(orientation)
+    outer, inner = skew(outer, inner)
 
-    def rec(k, used):
-        if k == len(order):
-            yield dict(entries)
-            return
-        i, j = order[k]
-        lo, hi = _cell_bounds(flags, orientation, n, i, j)
-        lo, hi = _between_neighbors(ends, i, j, lo, hi)
-        max_len = deg - used - (len(order) - k - 1)
-        for ms in _increasing(lo, hi, max_len, False):
-            ends[(i, j)] = (ms[0], ms[-1])
-            positions = _markable_positions(ms)
-            for npick in range(len(positions) + 1):
-                for picked in itertools.combinations(positions, npick):
-                    entries[(i, j)] = tuple(
-                        (v, p in picked) for p, v in enumerate(ms))
-                    yield from rec(k + 1, used + len(ms))
-            del entries[(i, j)]
-            del ends[(i, j)]
+    def marks(i, j, ms):
+        positions = _markable_positions(ms)
+        for npick in range(len(positions) + 1):
+            for picked in itertools.combinations(positions, npick):
+                yield tuple((v, p in picked) for p, v in enumerate(ms)), None
 
-    yield from rec(0, 0)
+    for _, filling in _fill(
+            _col_order(cells(outer, inner)),
+            lambda i, j: _cell_bounds(flags, orientation, n, i, j),
+            deg, False, 1, marks, None):
+        yield dict(filling)
 
 
 def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
-    """Yield (weight, ends) for every filling of the underlying multisets,
-    ends mapping each cell to its (first, last) entry.  Marks are summed out
-    cell by cell: a markable element contributes alpha_col - beta_row."""
-    order = _mmsvt_state(outer, inner, orientation)
-    ends = {}
+    """Yield (weight, filling) for every filling of the underlying multisets,
+    filling mapping each cell to its multiset.  Marks are summed out cell by
+    cell: a markable element contributes alpha_col - beta_row."""
+    _check_orientation(orientation)
+    outer, inner = skew(outer, inner)
     # a cell's factor depends only on (i, j, ms): build each one once
     factors = {}
 
-    def cell_factor(i, j, ms):
+    def weighted(i, j, ms):
         factor = factors.get((i, j, ms))
         if factor is None:
             alpha = TruncPoly.var(n, deg, ALPHA, j)
@@ -154,23 +169,11 @@ def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
             factor = factor * (alpha - TruncPoly.var(n, deg, BETA, i)) \
                 ** markable
             factors[(i, j, ms)] = factor
-        return factor
+        return ((ms, factor),)
 
-    def rec(k, used, acc):
-        if k == len(order):
-            yield acc, ends
-            return
-        i, j = order[k]
-        lo, hi = _cell_bounds(flags, orientation, n, i, j)
-        lo, hi = _between_neighbors(ends, i, j, lo, hi)
-        max_len = deg - used - (len(order) - k - 1)
-        for ms in _increasing(lo, hi, max_len, False):
-            ends[(i, j)] = (ms[0], ms[-1])
-            yield from rec(k + 1, used + len(ms),
-                           acc * cell_factor(i, j, ms))
-            del ends[(i, j)]
-
-    yield from rec(0, 0, TruncPoly.const(n, deg, 1))
+    yield from _fill(_col_order(cells(outer, inner)),
+                     lambda i, j: _cell_bounds(flags, orientation, n, i, j),
+                     deg, False, 1, weighted, TruncPoly.const(n, deg, 1))
 
 
 def enum_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
@@ -253,32 +256,21 @@ def _rpp_fillings(outer, inner, n, flags, orientation, mark_set):
         r_flags = flags[0] if flags is not None else (1,) * len(s_flags)
         if any(a > b for a, b in zip(r_flags, s_flags)):
             return
-    order = _col_order(cells(outer, inner))
-    values = {}
 
-    def rec(k):
-        if k == len(order):
-            yield dict(values)
-            return
-        i, j = order[k]
+    def bounds(i, j):
         lo, hi = _cell_bounds(flags, orientation, n, i, j,
                               cap=mark_set is None)
-        if (i - 1, j) in values:
-            lo = max(lo, values[(i - 1, j)])
-        else:
-            vv = _virtual_value(outer, mark_set, s_flags, i - 1, j)
-            if vv == INF:
-                return
-            if vv is not None:
-                lo = max(lo, vv)
-        if (i, j + 1) in values:
-            hi = min(hi, values[(i, j + 1)])
-        for v in range(lo, hi + 1):
-            values[(i, j)] = v
-            yield from rec(k + 1)
-            del values[(i, j)]
+        # (i - 1, j) holds a boundary entry only past the end of its row,
+        # never a cell; an infinite one admits no value below it
+        vv = _virtual_value(outer, mark_set, s_flags, i - 1, j)
+        if vv == INF:
+            return 1, 0
+        return (lo if vv is None else max(lo, vv)), hi
 
-    yield from rec(0)
+    order = _col_order(cells(outer, inner))
+    for _, values in _fill(order, bounds, len(order), False, 0,
+                           lambda i, j, t: ((t[0], None),), None):
+        yield dict(values)
 
 
 def _mrpp_neighbors(variant, i, j):
@@ -392,9 +384,10 @@ class TableauSweep:
         self._buckets = {}  # s with a mark set, else None -> buckets
 
     def _fillings(self, s):
-        """(weight, ends) of every filling of the sweep, ends mapping each
-        cell to its (first, last) entry; s is the upper flag vector of a
-        marked sweep and None otherwise."""
+        """(weight, filling) of every filling of the sweep, filling mapping
+        each cell to a tuple whose first and last items are its first and
+        last entries; s is the upper flag vector of a marked sweep and None
+        otherwise."""
         outer, inner, n, deg = self.outer, self.inner, self.n, self.deg
         if self.family == "mmsvt":
             yield from _mmsvt_fillings(outer, inner, n, deg, None,
@@ -418,12 +411,12 @@ class TableauSweep:
 
     def _bucketed(self, s):
         buckets = {}
-        for weight, ends in self._fillings(s):
+        for weight, filling in self._fillings(s):
             # an index without cells reads (INF, 0), which every flag admits
             lo, hi = [INF] * self._width, [0] * self._width
-            for cell, (first, last) in ends.items():
+            for cell, t in filling.items():
                 k = cell[self._axis] - 1
-                lo[k], hi[k] = min(lo[k], first), max(hi[k], last)
+                lo[k], hi[k] = min(lo[k], t[0]), max(hi[k], t[-1])
             key = (tuple(lo), tuple(hi))
             got = buckets.get(key)
             buckets[key] = weight if got is None else got + weight
@@ -563,37 +556,22 @@ def gen_fsvt(outer, inner, f, g, n, deg):
     outer, inner = skew(outer, inner)
     if min(len(f), len(g)) < len(outer):
         raise ShapeError("flag vectors shorter than the shape")
-    order = _col_order(cells(outer, inner))
-    ends = {}
-    chosen = {}
 
-    def rec(k, used):
-        if k == len(order):
-            yield dict(chosen)
-            return
-        i, j = order[k]
-        lo, hi = g[i - 1], f[i - 1]
-        if hi == INF:
-            hi = n
+    def bounds(i, j):
+        hi = n if f[i - 1] == INF else f[i - 1]
         if hi > n:
             raise ShapeError(f"upper flag {hi} exceeds the variable count {n}")
-        lo, hi = _between_neighbors(ends, i, j, lo, hi)
-        max_len = deg - used - (len(order) - k - 1)
-        for st in _increasing(lo, hi, max_len, True):
-            ends[(i, j)] = (st[0], st[-1])
-            chosen[(i, j)] = st
-            yield from rec(k + 1, used + len(st))
-            del chosen[(i, j)]
-            del ends[(i, j)]
+        return g[i - 1], hi
 
-    yield from rec(0, 0)
+    for _, filling in _fill(_col_order(cells(outer, inner)), bounds, deg,
+                            True, 1, lambda i, j, st: ((st, None),), None):
+        yield dict(filling)
 
 
 def _fsvt_fillings(outer, inner, f, g, n, deg):
-    """Yield (weight, ends) for every filling gen_fsvt yields: the weight is
-    b_1^(entries - cells) times the product of its x variables, a product
-    over cells of b_1^(|set| - 1) prod x_v, and ends maps each cell to its
-    (first, last) entry."""
+    """Yield (weight, filling) for every filling gen_fsvt yields: the weight
+    is b_1^(entries - cells) times the product of its x variables, a product
+    over cells of b_1^(|set| - 1) prod x_v."""
     beta = TruncPoly.var(n, deg, BETA, 1)
     factors = {}
     for filling in gen_fsvt(outer, inner, f, g, n, deg):
@@ -606,7 +584,7 @@ def _fsvt_fillings(outer, inner, f, g, n, deg):
                     factor = factor * _xvar(n, deg, v)
                 factors[st] = factor
             w = w * factor
-        yield w, {c: (st[0], st[-1]) for c, st in filling.items()}
+        yield w, filling
 
 
 def enum_fsvt(outer, inner, f, g, n, deg):

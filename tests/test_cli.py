@@ -424,6 +424,29 @@ def test_low_degree_warning_on_stderr(capsys):
     assert "truncated" in capsys.readouterr().err
 
 
+def test_enumerate_warns_on_a_degree_below_the_cell_count(capsys):
+    for target in ("G", "matsumura"):
+        argv = ["enumerate", target, "--shape", "2", "--n", "2"]
+        assert run(argv + ["--deg", "0"]) == (0, "total: 0"), target
+        assert "--deg 0 is below the cell count 2" in \
+            capsys.readouterr().err, target
+        run(argv + ["--deg", "2"])
+        assert capsys.readouterr().err == "", target
+
+
+def test_compute_G_refuses_an_inner_shape_outside_the_outer():
+    want = (2, "error: (3,) not contained in (2,)")
+    for verb in ("compute", "enumerate", "expand"):
+        assert run([verb, "G", "--shape", "2", "--inner", "3",
+                    "--n", "2"]) == want, verb
+    assert run(["compute", "G", "--shape", "2", "--inner", "1,1",
+                "--n", "2"]) == (2, "error: (1, 1) not contained in (2,)")
+    # the dual determinant and the skew Schur polynomial vanish there
+    for target in ("g", "s"):
+        assert run(["compute", target, "--shape", "2", "--inner", "3",
+                    "--n", "2"]) == (0, "0"), target
+
+
 def test_mark_set_rejected_for_G():
     status, out = run(["compute", "G", "--shape", "1,2", "--n", "2",
                        "--mark-set", "1"])

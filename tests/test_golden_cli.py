@@ -1,6 +1,7 @@
 """Golden CLI outputs: exit status and stdout of fast ops that cover every
 formula path (flagged, marked and modified determinants, skew expansions,
-coefficients, enumerations and the verify suites).
+coefficients, enumerations and the verify suites), and the benchmark's ops
+against the goldens in perfbench/golden.json.
 
 The expected values were recorded from the CLI and must stay byte-identical
 under refactoring.  Outputs longer than a few lines are stored as a sha256
@@ -10,6 +11,8 @@ digest of the text.
 from __future__ import annotations
 
 import hashlib
+import json
+import pathlib
 import warnings
 
 import pytest
@@ -95,6 +98,23 @@ GOLDEN = [
      0, '1 1\n1\n\n1*  1\n 1\n\n1 1\n2\n\n1*  1\n 2\n\n1 2\n1\n\n 1 2*\n 1\n\n1 2\n2\n\n 1 2*\n 2\n\n2 2\n2\n\n2*  2\n 2\n\n 2 2*\n 2\n\n2* 2*\n 2\n\ntotal: 12'),
     ('enumerate matsumura --shape 2,1 --n 3 --flags-s 2,3 --flags-r 1,2',
      0, '1 1\n2\n\n 1  1\n23\n\n1 1\n3\n\n 1 12\n 2\n\n 1 12\n23\n\n 1 12\n 3\n\n1 2\n2\n\n 1  2\n23\n\n1 2\n3\n\n12  2\n 3\n\n2 2\n3\n\ntotal: 11'),
+    # skew and variant enumerations, one per generator and placement rule
+    ('enumerate G --shape 3,2 --inner 1 --n 3',
+     0, 'sha256:f5e0a4d74aea451ee9b7aeb8e008bd65bc30c87f4bdcb590f20e6d834e70447e'),
+    ('enumerate G --shape 3,2 --inner 1 --n 3 --orientation col --flags-r 1,1,2 --flags-s 2,3,3',
+     0, 'sha256:79df776effa02e4b51b65d8500a9e985ce2b44841d175c34532e233756837e5f'),
+    ('enumerate matsumura --shape 3,2 --inner 1 --n 3 --flags-r 1,2 --flags-s 2,3',
+     0, 'sha256:b1984033481df0b60889af32201c0130ad00c1a1893783568f9aac1b04d67086'),
+    ('enumerate g --shape 3,2 --inner 1 --n 3 --variant right',
+     0, 'sha256:ee02598c9dd46159055551907aad4ee07905a2a6bfd3d5d769da9ef9ab19133b'),
+    ('enumerate g --shape 3,2 --inner 1 --n 3 --variant bottom --flags-s 2,3',
+     0, 'sha256:e84ff4cd9af0373ba26f7a919945e7bacce9f501465c6758dc70631fb283acb7'),
+    ('enumerate g --shape 1,2 --inner 1 --n 3 --mark-set 1 --flags-s 2,3',
+     0, '.\n1 2\n\n.\n2 2\n\n .\n2*  2\n\n.\n1 3\n\n.\n2 3\n\n.\n3 3\n\n .\n3*  3\n\ntotal: 7'),
+    # row 1's boundary entry lies outside the mark set, so it is infinite and
+    # admits no entry in the cell below it
+    ('enumerate g --shape 1,2 --n 2 --mark-set 2',
+     0, 'total: 0'),
     ('verify G --max-size 2 --deg 3',
      0, 'G concordance: 11 shapes agree five ways'),
     ('verify G',
@@ -149,3 +169,20 @@ def test_golden_cli_output(op, status, expected):
         warnings.simplefilter("ignore")
         got_status, out = cli.run(op.split())
     assert (got_status, _digest(out)) == (status, expected)
+
+
+BENCH_GOLDEN = json.loads(
+    (pathlib.Path(__file__).resolve().parents[1] / "perfbench"
+     / "golden.json").read_text())["ops"]
+
+
+@pytest.mark.parametrize("op", sorted(BENCH_GOLDEN))
+def test_benchmark_op_matches_its_golden(op):
+    """The benchmark runs each op as a process and hashes its stdout, which
+    is the CLI's output plus the newline print adds."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        status, out = cli.run(op.split())
+    want = BENCH_GOLDEN[op]
+    assert (status, hashlib.sha256((out + "\n").encode()).hexdigest()) \
+        == (want["status"], want["sha256"])
