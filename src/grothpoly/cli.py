@@ -38,9 +38,10 @@ from .grothendieck import (C_coeff, FlagSweep, G_bialternant, G_flagged_det,
 from .lgv import nonintersecting_coeff
 from .ring import (ALPHA, BETA, FAMILY_NAMES, X, DivisibilityError,
                    InternalCheckError, TruncPoly)
-from .shapes import (INF, ShapeError, conjugate, contains, dent_index, part,
-                     partition, partitions_above, partitions_between,
-                     partitions_of, partitions_up_to, size, skew)
+from .shapes import (INF, ShapeError, conjugate, contains, dent_index,
+                     flag_class, part, partition, partitions_above,
+                     partitions_between, partitions_of, partitions_up_to,
+                     size, skew)
 from .symfunc import schur_jt
 from .tableaux import (TableauSweep, enum_elegant, enum_fsvt, enum_mmsvt,
                        enum_mrpp, gen_fsvt, gen_mmsvt, gen_mrpp)
@@ -240,6 +241,14 @@ def _parse_flag_list(text, length, fill):
     return tuple(out)
 
 
+def _parse_flags(args, length, n):
+    """The flags (r, s) of --flags-r and --flags-s, length of each: r
+    defaults to 1 and s to n, and an infinite upper flag reads as n."""
+    s = _parse_flag_list(args.flags_s, length, n)
+    return (_parse_flag_list(args.flags_r, length, 1),
+            tuple(n if v == INF else v for v in s))
+
+
 def _nonnegative(text):
     value = int(text)
     if value < 0:
@@ -298,10 +307,7 @@ def cmd_compute(args):
         value = G_schur(outer, n, deg) if args.target == "G" \
             else g_schur(outer, n, deg)
     else:
-        m = max(len(outer), len(inner), 1)
-        r = _parse_flag_list(args.flags_r, m, 1)
-        s = _parse_flag_list(args.flags_s, m, n)
-        s = tuple(n if v == INF else v for v in s)
+        r, s = _parse_flags(args, max(len(outer), len(inner), 1), n)
         if args.mark_set is not None:
             if (args.target, args.orientation) != ("g", "row"):
                 raise ShapeError("mark sets apply to the row-flagged dual "
@@ -418,13 +424,10 @@ def cmd_enumerate(args):
     # sum, not size: g takes a dented outer shape
     deg = args.deg if args.deg is not None else sum(outer) - sum(inner) + 2
     _warn_degree(deg, outer, inner)
-    m = max(len(tuple(outer)), len(partition(inner)), 1)
-    flags = None
-    if args.flags_r is not None or args.flags_s is not None:
-        # a column-flagged tableau bounds cell (i, j) by the flags of column j
-        k = max((*outer, *inner, 1)) if args.orientation == "col" else m
-        flags = (_parse_flag_list(args.flags_r, k, 1),
-                 _parse_flag_list(args.flags_s, k, INF))
+    # a column-flagged tableau bounds cell (i, j) by the flags of column j
+    k = max((*outer, *inner, 1)) if args.orientation == "col" \
+        else max(len(tuple(outer)), len(partition(inner)), 1)
+    flags = _parse_flags(args, k, n)
     # each generator checks the shapes (a dented outer only for g)
     if args.target == "G":
         fillings = gen_mmsvt(outer, inner, n, deg, flags=flags,
@@ -439,8 +442,7 @@ def cmd_enumerate(args):
                             mark_set=mark_set)
         label = lambda elem: str(elem[0]) + ("*" if elem[1] else "")
     else:
-        fillings = gen_fsvt(outer, inner, _parse_flag_list(args.flags_s, m, n),
-                            _parse_flag_list(args.flags_r, m, 1), n, deg)
+        fillings = gen_fsvt(outer, inner, n, deg, flags)
         label = lambda st: "".join(str(v) for v in st)
     blocks = [_grid_lines(tuple(outer), partition(inner),
                           {cell: label(v) for cell, v in filling.items()})
@@ -579,7 +581,7 @@ def verify_matsumura(max_size=4):
     """Set-valued enumeration = single-beta determinant on every skew shape
     with at most 3 cells in three x variables, and exactly one sign of the
     collapsed flagged determinant reproduces it; the surviving convention is
-    reported.  Only flags inside Matsumura's hypothesis (f and g weakly
+    reported.  Only flags inside Matsumura's hypothesis (r and s weakly
     increase wherever mu_i < lam_{i+1}) are asserted; the others are
     evaluated and reported, never asserted.
 
@@ -603,22 +605,22 @@ def verify_matsumura(max_size=4):
             sweep = FlagSweep("G", lam, mu, "row", n, deg)
             single_sweep = FlagSweep("M", lam, mu, "row", n, deg)
             tableaux = TableauSweep("fsvt", lam, mu, n, deg)
-            for f, g in _flag_pairs(len(lam)):
-                if any(gi > fi for gi, fi in zip(g, f)):
+            for s, r in _flag_pairs(len(lam)):
+                if any(a > b for a, b in zip(r, s)):
                     continue
-                at = f"{lam}/{mu}, f={f}, g={g}"
-                single = single_sweep.value(g, f)
-                enum = tableaux.value(g, f)
+                at = f"{lam}/{mu}, r={r}, s={s}"
+                single = single_sweep.value(r, s)
+                enum = tableaux.value(r, s)
                 tick += 1
                 if tick % CROSSCHECK_EVERY == 0:
                     yield (f"cross-check set-valued enumeration at {at}",
-                           enum_fsvt(lam, mu, f, g, n, deg), enum)
-                if not row_monotone(lam, mu, g, f):
+                           enum_fsvt(lam, mu, n, deg, (r, s)), enum)
+                if not row_monotone(lam, mu, r, s):
                     outside_agree += single == enum
                     outside_differ += single != enum
                     continue
                 yield f"matsumura at {at}", single, enum
-                flagged = sweep.value(g, f)
+                flagged = sweep.value(r, s)
                 # a convention that failed once cannot survive: stop
                 # collapsing under it
                 minus_ok = minus_ok and \
@@ -688,8 +690,7 @@ def _flag_classes(lam, mu, contained):
         classes = {"row": [], "col": [], "weak": []}
         seen = set()
         for r, s, holds in flag_pairs:
-            eff = (tuple(min(v, n + 1) for v in r),
-                   tuple(min(v, n) for v in s))
+            eff = flag_class(r, s, n)
             for hypothesis in holds:
                 if (hypothesis, eff) not in seen:
                     seen.add((hypothesis, eff))

@@ -25,9 +25,10 @@ import functools
 import warnings
 
 from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
-from .shapes import (INF, ShapeError, contains, dent_index, minimal_cell,
-                     part, partition, partitions_above, partitions_between,
-                     partitions_of, size)
+from .shapes import (INF, ShapeError, contains, dent_index, flag_class,
+                     flag_vectors, minimal_cell, part, partition,
+                     partitions_above, partitions_between, partitions_of,
+                     size)
 from .symfunc import (CACHE_SIZE, a_prefix, alternant_quotient, b_prefix,
                       cat, e_ominus, e_pleth, h_ominus, h_pleth, neg,
                       schur_branching, schur_jt, single, x_interval)
@@ -267,17 +268,6 @@ def schur_in_grothendieck(lam, basis, budget, n, deg):
     return out
 
 
-def _flag_vectors(r, s, low):
-    r, s = tuple(r), tuple(s)
-    if len(r) != len(s):
-        raise ShapeError("flag vectors must have equal length")
-    if len(r) < low:
-        raise ShapeError("flag vectors shorter than the shape")
-    if any(v < 1 for v in r + s):
-        raise ShapeError("flags must be positive")
-    return r, s
-
-
 def row_monotone(lam, mu, r, s):
     """Row-flag hypothesis: r_i <= r_{i+1} and s_i <= s_{i+1} wherever
     mu_i < lam_{i+1}."""
@@ -381,7 +371,7 @@ def _flagged_det(kind, outer, inner, r, s, orientation, n, deg):
     if orientation not in ("row", "col"):
         raise ShapeError(f"unknown orientation {orientation!r}")
     lam, mu = partition(outer), partition(inner)
-    r, s = _flag_vectors(r, s, max(len(lam), len(mu)))
+    r, s = flag_vectors(r, s, max(len(lam), len(mu)))
     if kind == "g":
         ok = row_monotone(lam, mu, r, s)
     elif orientation == "row":
@@ -422,11 +412,11 @@ class FlagSweep:
     Kinds G and g (row or col), the marked g (kind g, row, with a mark set)
     and M (row only): value(r, s) equals G_flagged_det / g_flagged_det for
     the same arguments, g_marked_det with a mark set, and for M, with flags
-    of length len(outer), matsumura_det(outer, inner, s, r).  Hypothesis
-    checking is left to the caller.
+    of length len(outer), matsumura_det.  Hypothesis checking is left to
+    the caller.
 
     Entry (i, j) depends on the flags only through (r_j, s_i), and because
-    x variables beyond n vanish, only through (min(r_j, n + 1), min(s_i, n)).
+    x variables beyond n vanish, only through their shapes.flag_class.
     The row prefactor of G and M is folded into the rows, det(diag(F) M) =
     prod F_i det M, with F_i depending on (r_i, s_i), so rows are stored
     scaled.  Row i therefore depends on exactly (i, s_i, r), r the whole
@@ -489,10 +479,9 @@ class FlagSweep:
         return row
 
     def value(self, r, s):
-        r, s = _flag_vectors(r, s, max(len(self.lam), len(self.mu)))
+        r, s = flag_vectors(r, s, max(len(self.lam), len(self.mu)))
         if self.marks is None:
-            r = tuple(min(v, self.n + 1) for v in r)
-            s = tuple(min(v, self.n) for v in s)
+            r, s = flag_class(r, s, self.n)
         elif max(self.marks, default=0) > len(r):
             raise ShapeError(f"mark set out of range: {sorted(self.marks)}")
         matrix = [self._row(i, r, si) for i, si in enumerate(s, 1)]
@@ -546,7 +535,7 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     outer may be dented; with I empty and an ordinary partition this reduces
     to the row g determinant whenever r <= s componentwise.
     """
-    r, s = _flag_vectors(r, s, len(tuple(outer)))
+    r, s = flag_vectors(r, s, len(tuple(outer)))
     m = len(r)
     lam, mu, mark_set = _marked_shape(outer, inner, mark_set, m)
     _warn_hypotheses(mark_set in valid_mark_sets(lam)
@@ -554,20 +543,18 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     return _flag_value("g", "row", lam, mu, r, s, n, deg, mark_set)
 
 
-def matsumura_det(lam, mu, f, g, n, deg):
+def matsumura_det(lam, mu, r, s, n, deg):
     """Single-parameter flagged determinant: prod_{i<=l(lam)}
-    prod_{l=g_i}^{f_i}(1 + b_1 x_l) times det over l(lam) rows of
-    sum_m b_1^m C(i-j-1, m) h_{lam_i-mu_j-i+j+m}[X_[g_j,f_i]], which is
-    h_{lam_i-mu_j-i+j}[X_[g_j,f_i] (-) _binomial_shift(i-j-1)]: the
-    flagged kind M with r = g and s = f."""
+    prod_{l=r_i}^{s_i}(1 + b_1 x_l) times det over l(lam) rows of
+    sum_m b_1^m C(i-j-1, m) h_{lam_i-mu_j-i+j+m}[X_[r_j,s_i]], which is
+    h_{lam_i-mu_j-i+j}[X_[r_j,s_i] (-) _binomial_shift(i-j-1)]: the
+    flagged kind M.  Matsumura's flags f and g are s and r."""
     lam, mu = partition(lam), partition(mu)
     if not contains(mu, lam):
         raise ShapeError(f"{mu} is not contained in {lam}")
     ell = len(lam)
-    f, g = tuple(f), tuple(g)
-    if len(f) < ell or len(g) < ell:
-        raise ShapeError("flag vectors shorter than the shape")
-    return _flag_value("M", "row", lam, mu, g[:ell], f[:ell], n, deg)
+    r, s = flag_vectors(r, s, ell)
+    return _flag_value("M", "row", lam, mu, r[:ell], s[:ell], n, deg)
 
 
 # Skew Schur expansions.  The eight coefficient determinants are named after

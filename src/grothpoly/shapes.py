@@ -109,6 +109,25 @@ def minimal_cell(seq):
     return k, tuple(seq)[k - 1]
 
 
+def flag_vectors(r, s, rows):
+    """The flag vectors (r, s) as tuples, checked: equal lengths, at least
+    rows flags each, all positive."""
+    r, s = tuple(r), tuple(s)
+    if len(r) != len(s):
+        raise ShapeError("flag vectors must have equal length")
+    if len(r) < rows:
+        raise ShapeError("flag vectors shorter than the shape")
+    if any(v < 1 for v in r + s):
+        raise ShapeError("flags must be positive")
+    return r, s
+
+
+def flag_class(r, s, n):
+    """The flags as n variables see them: x_l = 0 for l > n, so a lower flag
+    past n reads n + 1 and an upper flag past n (or infinite) reads n."""
+    return (tuple(min(v, n + 1) for v in r), tuple(min(v, n) for v in s))
+
+
 def partitions_of(k, max_len=None, max_part=None):
     """All partitions of k, largest part first."""
     if max_part is None:
@@ -121,9 +140,9 @@ def partitions_of(k, max_len=None, max_part=None):
         if remaining == 0:
             out.append(tuple(prefix))
             return
-        if len(prefix) == max_len:
-            return
         for p in range(min(cap, remaining), 0, -1):
+            if p * (max_len - len(prefix)) < remaining:
+                break  # the parts left, all <= p, cannot make up remaining
             prefix.append(p)
             rec(remaining - p, p, prefix)
             prefix.pop()

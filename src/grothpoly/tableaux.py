@@ -3,7 +3,11 @@
 Families covered: marked multiset-valued tableaux, marked reverse plane
 partitions (left, right and bottom marking variants, optionally with a
 virtual boundary column driven by a mark set), integer-entry elegant and
-inelegant tableaux, and flagged set-valued tableaux.
+inelegant tableaux, and flagged set-valued tableaux.  Every flagged family
+takes its flags as one pair (r, s) of lower and upper flags, checked by
+shapes.flag_vectors and read through shapes.flag_class, so an upper flag
+past n (or infinite) reads as n; only a mark set keeps its finite upper
+flags uncapped.
 
 Fillings are plain dicts keyed by 1-based (row, column) cells.  Single-valued
 marked fillings map a cell to (value, marked); multiset and set valued
@@ -14,25 +18,34 @@ vectors from one unflagged enumeration, or with a mark set from one
 enumeration per upper flag vector.
 
 One depth-first walk, _fill, places the cells of the multiset-valued,
-set-valued and plane-partition families.  It takes the cells column by
-column from the right, top to bottom within a column, so that the neighbors
-a cell is compared against are already placed, and fills each cell with an
-increasing tuple from _increasing: a multiset, a set, or a single value.
-Its rules: rows weakly increase, so a cell's last entry is at most the first
-entry to its right; down a column the first entry exceeds the last one above
-by col_gap (1 for the tuple families, 0 for plane partitions); all cells
-together hold at most max_entries entries; and each family's bounds give a
-cell's flag range.  A family's choices turn a tuple into the cell's entry
-(adding marks, say) and its weight factor.  gen_elegant keeps its own walk:
-it runs row by row, and its inelegant rule decreases along rows and columns.
+set-valued and plane-partition families.  It reads each cell's flag range
+from a dict that _cell_bounds builds once, before the walk.  It takes the
+cells column by column from the right, top to bottom within a column, so
+that the neighbors a cell is compared against are already placed, and fills
+each cell with an increasing tuple from _increasing: a multiset, a set, or
+a single value.  Its rules: rows weakly increase, so a cell's last entry is
+at most the first entry to its right; down a column the first entry exceeds
+the last one above by col_gap (1 for the tuple families, 0 for plane
+partitions); all cells together hold at most max_entries entries; and each
+cell's entries lie in its flag range.  A family's choices turn a tuple into
+the cell's entry (adding marks, say) and its weight factor.  gen_elegant
+keeps its own walk: it runs row by row, and its inelegant rule decreases
+along rows and columns.
+
+A mark set's boundary entries T(i, outer_i + 1), s_i for i in the set and
+infinite outside it, form one dict built by _boundary.  Plane partitions
+read a neighbor as values.get(cell, boundary.get(cell)), so a boundary
+entry bounds the cell below it and takes part in the marking and beta rules
+as a cell would.
 """
 
 import itertools
 import operator
 
 from .ring import ALPHA, BETA, X, TruncPoly, pvar
-from .shapes import (INF, ShapeError, cells, contains, dent_index, gen_cells,
-                     gen_contains, part, partition, skew)
+from .shapes import (INF, ShapeError, cells, contains, dent_index,
+                     flag_class, flag_vectors, gen_cells, gen_contains,
+                     partition, skew)
 
 
 def _xvar(n, deg, v):
@@ -46,24 +59,24 @@ def _col_order(cell_list):
     return sorted(cell_list, key=lambda c: (-c[1], c[0]))
 
 
-def _cell_bounds(flags, orientation, n, i, j, cap=True):
-    """Inclusive (lo, hi) value bounds for cell (i, j).
+def _cell_bounds(outer, inner, flags, orientation, n, cap=True):
+    """{cell: inclusive (lo, hi) value bounds} over the cells of outer/inner:
+    (r_k, s_k) for a cell in row k (column k with col flags), or (1, n)
+    without flags.
 
-    Values above n carry a zero x weight, so capped enumeration equals the
-    specialization at x_{n+1} = x_{n+2} = ... = 0; only boundary mark sets
-    need the uncapped bound, since their high values can be absorbed into
-    parameter weights.
+    Values above n carry a zero x weight, so capped enumeration, on the
+    flags' shapes.flag_class, equals the specialization at x_{n+1} =
+    x_{n+2} = ... = 0; only boundary mark sets need the uncapped flags,
+    since their high values can be absorbed into parameter weights.
     """
+    cell_list = cells(outer, inner)
     if flags is None:
-        return 1, n
-    r, s = flags
-    k = i if orientation == "row" else j
-    if not 1 <= k <= len(r):
-        raise ShapeError(f"flag vectors too short for index {k}")
-    hi = s[k - 1]
-    if hi == INF or (cap and hi > n):
-        hi = n
-    return r[k - 1], hi
+        return dict.fromkeys(cell_list, (1, n))
+    axis = 0 if orientation == "row" else 1
+    r, s = flag_vectors(*flags, max((c[axis] for c in cell_list), default=0))
+    if cap:
+        r, s = flag_class(r, s, n)
+    return {c: (r[c[axis] - 1], s[c[axis] - 1]) for c in cell_list}
 
 
 def _check_orientation(orientation):
@@ -92,12 +105,14 @@ def _increasing(lo, hi, max_len, strict):
     yield from rec(lo)
 
 
-def _fill(order, bounds, max_entries, strict, col_gap, choices, one):
-    """Yield (weight, filling) for every filling of the cells of order, a
-    _col_order list, by the rules of the module docstring; filling is a live
-    dict cell -> entry, copied to keep.  choices(i, j, t) yields the (entry,
-    factor) ways to fill cell (i, j) with the tuple t; the weight is one
-    times the factors along the walk, skipping None factors."""
+def _fill(bounds, max_entries, strict, col_gap, choices, one):
+    """Yield (weight, filling) for every filling of the cells of bounds, a
+    dict cell -> (lo, hi) of flag ranges, by the rules of the module
+    docstring; filling is a live dict cell -> entry, copied to keep.
+    choices(i, j, t) yields the (entry, factor) ways to fill cell (i, j)
+    with the tuple t; the weight is one times the factors along the walk,
+    skipping None factors."""
+    order = _col_order(bounds)
     tuples, filling = {}, {}
 
     def rec(k, used, acc):
@@ -105,7 +120,7 @@ def _fill(order, bounds, max_entries, strict, col_gap, choices, one):
             yield acc, filling
             return
         i, j = order[k]
-        lo, hi = bounds(i, j)
+        lo, hi = bounds[i, j]
         above = tuples.get((i - 1, j))
         if above is not None:
             lo = max(lo, above[-1] + col_gap)
@@ -141,10 +156,8 @@ def gen_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
             for picked in itertools.combinations(positions, npick):
                 yield tuple((v, p in picked) for p, v in enumerate(ms)), None
 
-    for _, filling in _fill(
-            _col_order(cells(outer, inner)),
-            lambda i, j: _cell_bounds(flags, orientation, n, i, j),
-            deg, False, 1, marks, None):
+    for _, filling in _fill(_cell_bounds(outer, inner, flags, orientation, n),
+                            deg, False, 1, marks, None):
         yield dict(filling)
 
 
@@ -171,8 +184,7 @@ def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
             factors[(i, j, ms)] = factor
         return ((ms, factor),)
 
-    yield from _fill(_col_order(cells(outer, inner)),
-                     lambda i, j: _cell_bounds(flags, orientation, n, i, j),
+    yield from _fill(_cell_bounds(outer, inner, flags, orientation, n),
                      deg, False, 1, weighted, TruncPoly.const(n, deg, 1))
 
 
@@ -218,21 +230,15 @@ def _mrpp_validate(outer, inner, variant, orientation, mark_set, flags, n):
     return outer, inner, mark_set
 
 
-def _resolve_s_flags(outer, flags, n):
-    """Upper flags as finite ints, defaulting every row to n."""
-    if flags is None:
-        return (n,) * max(len(outer), 1)
-    return tuple(n if v == INF else v for v in flags[1])
-
-
-def _virtual_value(outer, mark_set, s_flags, i, j):
-    """The boundary entry at (i, outer_i + 1): s_i inside the mark set,
-    infinite outside; None when (i, j) is not a boundary position."""
-    if mark_set is None or not 1 <= i <= len(s_flags):
-        return None
-    if j != part(outer, i) + 1:
-        return None
-    return s_flags[i - 1] if i in mark_set else INF
+def _boundary(outer, mark_set, flags, n):
+    """A mark set's boundary entries {(i, outer_i + 1): T} over the rows i
+    of outer that have flags: s_i inside the set, s defaulting to n, and
+    infinite outside it; empty without a mark set."""
+    if mark_set is None:
+        return {}
+    s = flags[1] if flags is not None else (n,) * len(outer)
+    return {(i, lam + 1): s_i if i in mark_set else INF
+            for i, (lam, s_i) in enumerate(zip(outer, s), 1)}
 
 
 def gen_rpp(outer, inner, n, flags=None, orientation="row", mark_set=None):
@@ -251,24 +257,18 @@ def gen_rpp(outer, inner, n, flags=None, orientation="row", mark_set=None):
 
 def _rpp_fillings(outer, inner, n, flags, orientation, mark_set):
     """gen_rpp on arguments _mrpp_validate has already checked."""
-    s_flags = _resolve_s_flags(outer, flags, n)
+    bounds = _cell_bounds(outer, inner, flags, orientation, n,
+                          cap=mark_set is None)
     if mark_set is not None:
-        r_flags = flags[0] if flags is not None else (1,) * len(s_flags)
-        if any(a > b for a, b in zip(r_flags, s_flags)):
+        r, s = flags or ((1,) * len(outer), (n,) * len(outer))
+        if any(map(operator.gt, r, s)):
             return
-
-    def bounds(i, j):
-        lo, hi = _cell_bounds(flags, orientation, n, i, j,
-                              cap=mark_set is None)
-        # (i - 1, j) holds a boundary entry only past the end of its row,
-        # never a cell; an infinite one admits no value below it
-        vv = _virtual_value(outer, mark_set, s_flags, i - 1, j)
-        if vv == INF:
-            return 1, 0
-        return (lo if vv is None else max(lo, vv)), hi
-
-    order = _col_order(cells(outer, inner))
-    for _, values in _fill(order, bounds, len(order), False, 0,
+        boundary = _boundary(outer, mark_set, flags, n)
+        for (i, j), (lo, hi) in bounds.items():
+            # (i - 1, j) holds a boundary entry only past the end of its
+            # row, never a cell; an infinite one admits no value below it
+            bounds[i, j] = max(lo, boundary.get((i - 1, j), lo)), hi
+    for _, values in _fill(bounds, len(bounds), False, 0,
                            lambda i, j, t: ((t[0], None),), None):
         yield dict(values)
 
@@ -282,42 +282,29 @@ def _mrpp_neighbors(variant, i, j):
     return ((i - 1, j), i - 1), ((i, j + 1), j)
 
 
-def _compare_value(values, outer, mark_set, s_flags, cell):
-    if cell in values:
-        return values[cell]
-    return _virtual_value(outer, mark_set, s_flags, cell[0], cell[1])
-
-
-def markable_cells(outer, inner, values, variant, mark_set=None, flags=None,
-                   n=None):
-    """Cells of the filling whose value equals the marking neighbor.
-
-    n is only needed with a mark set, to resolve default or infinite upper
-    flags into the virtual boundary values.
-    """
-    if mark_set is not None and n is None:
-        raise ShapeError("mark sets need n to resolve boundary values")
-    s_flags = _resolve_s_flags(tuple(outer), flags, n) \
-        if mark_set is not None else ()
+def markable_cells(values, variant, boundary=None):
+    """Cells of the filling whose value equals the marking neighbor, a cell
+    or an entry of boundary, a _boundary dict."""
+    boundary = boundary or {}
     out = []
     for (i, j), v in values.items():
         (mcell, _), _ = _mrpp_neighbors(variant, i, j)
-        if _compare_value(values, tuple(outer), mark_set, s_flags, mcell) == v:
+        if values.get(mcell, boundary.get(mcell)) == v:
             out.append((i, j))
     return sorted(out)
 
 
-def _mrpp_summed_weight(values, variant, outer, mark_set, s_flags, n, deg):
+def _mrpp_summed_weight(values, variant, boundary, n, deg):
     """Weight of the underlying filling with its markable cells summed out:
     each contributes its unmarked weight minus the marking alpha."""
     w = TruncPoly.const(n, deg, 1)
     for (i, j), v in values.items():
         (mcell, midx), (bcell, bidx) = _mrpp_neighbors(variant, i, j)
-        if _compare_value(values, outer, mark_set, s_flags, bcell) == v:
+        if values.get(bcell, boundary.get(bcell)) == v:
             rest = pvar(n, deg, BETA, bidx)
         else:
             rest = _xvar(n, deg, v)
-        if _compare_value(values, outer, mark_set, s_flags, mcell) == v:
+        if values.get(mcell, boundary.get(mcell)) == v:
             rest = rest - pvar(n, deg, ALPHA, midx)
         w = w * rest
     return w
@@ -329,12 +316,12 @@ def enum_mrpp(outer, inner, n, deg, variant="left", flags=None,
     underlying fillings are enumerated, since marks are summed out."""
     outer_t, inner_t, mark_set = _mrpp_validate(
         outer, inner, variant, orientation, mark_set, flags, n)
-    s_flags = _resolve_s_flags(outer_t, flags, n)
+    boundary = _boundary(outer_t, mark_set, flags, n)
     total = TruncPoly.zero(n, deg)
     for values in _rpp_fillings(outer_t, inner_t, n, flags, orientation,
                                 mark_set):
-        total = total + _mrpp_summed_weight(values, variant, outer_t,
-                                            mark_set, s_flags, n, deg)
+        total = total + _mrpp_summed_weight(values, variant, boundary, n,
+                                            deg)
     return total
 
 
@@ -348,8 +335,8 @@ class TableauSweep:
     enum_mrpp's left variant ("mrpp") or of enum_fsvt ("fsvt", row flags
     only), and their weights are bucketed by the (min, max) entry of each
     row or column.  value(r, s) sums the buckets the flags admit; it equals
-    enum_mmsvt / enum_mrpp with flags=(r, s) and the same orientation, and
-    enum_fsvt with f = s and g = r.
+    enum_mmsvt / enum_mrpp / enum_fsvt with flags=(r, s) and the same
+    orientation.
 
     With a mark set (family "mrpp", row flags; outer may be dented) the
     boundary entries and the uncapped values depend on s, so the fillings
@@ -394,16 +381,13 @@ class TableauSweep:
                                        self.orientation)
             return
         if self.family == "fsvt":
-            rows = len(outer)
-            yield from _fsvt_fillings(outer, inner, (n,) * rows, (1,) * rows,
-                                      n, deg)
+            yield from _fsvt_fillings(outer, inner, n, deg)
             return
         flags = None if s is None else ((1,) * len(s), s)
-        s_flags = _resolve_s_flags(outer, flags, n)
+        boundary = _boundary(outer, self.mark_set, flags, n)
         for values in gen_rpp(outer, inner, n, flags, self.orientation,
                               self.mark_set):
-            weight = _mrpp_summed_weight(values, "left", outer,
-                                         self.mark_set, s_flags, n, deg)
+            weight = _mrpp_summed_weight(values, "left", boundary, n, deg)
             # a marked enumeration has applied s already: its last entries
             # read 0, so that row minima alone split the buckets
             yield weight, {c: (v, v if s is None else 0)
@@ -423,11 +407,7 @@ class TableauSweep:
         return buckets
 
     def value(self, r, s):
-        r, s = tuple(r), tuple(s)
-        if min(len(r), len(s)) < self._width:
-            raise ShapeError("flag vectors shorter than the shape")
-        if min(r + s, default=1) < 1:
-            raise ShapeError("flags must be positive")
+        r, s = flag_vectors(r, s, self._width)
         total = TruncPoly.zero(self.n, self.deg)
         key = None
         if self.mark_set is not None:
@@ -448,10 +428,10 @@ def gen_mrpp(outer, inner, n, variant="left", flags=None, orientation="row",
     """Yield explicit marked fillings {(i,j): (value, marked)}."""
     outer_t, inner_t, mark_set = _mrpp_validate(
         outer, inner, variant, orientation, mark_set, flags, n)
+    boundary = _boundary(outer_t, mark_set, flags, n)
     for values in _rpp_fillings(outer_t, inner_t, n, flags, orientation,
                                 mark_set):
-        markable = markable_cells(outer_t, inner_t, values, variant,
-                                  mark_set=mark_set, flags=flags, n=n)
+        markable = markable_cells(values, variant, boundary)
         for npick in range(len(markable) + 1):
             for picked in itertools.combinations(markable, npick):
                 chosen = set(picked)
@@ -550,31 +530,22 @@ def enum_elegant(outer, inner, n, deg, family, rule):
 # ---------------------------------------------------------------------------
 # flagged set-valued tableaux
 
-def gen_fsvt(outer, inner, f, g, n, deg):
+def gen_fsvt(outer, inner, n, deg, flags=None):
     """Yield set-valued fillings {(i,j): (v1 < v2 < ...)} with row i entries
-    in [g_i, f_i] and at most deg entries in total."""
+    in [r_i, s_i], flags=(r, s), and at most deg entries in total."""
     outer, inner = skew(outer, inner)
-    if min(len(f), len(g)) < len(outer):
-        raise ShapeError("flag vectors shorter than the shape")
-
-    def bounds(i, j):
-        hi = n if f[i - 1] == INF else f[i - 1]
-        if hi > n:
-            raise ShapeError(f"upper flag {hi} exceeds the variable count {n}")
-        return g[i - 1], hi
-
-    for _, filling in _fill(_col_order(cells(outer, inner)), bounds, deg,
+    for _, filling in _fill(_cell_bounds(outer, inner, flags, "row", n), deg,
                             True, 1, lambda i, j, st: ((st, None),), None):
         yield dict(filling)
 
 
-def _fsvt_fillings(outer, inner, f, g, n, deg):
+def _fsvt_fillings(outer, inner, n, deg, flags=None):
     """Yield (weight, filling) for every filling gen_fsvt yields: the weight
     is b_1^(entries - cells) times the product of its x variables, a product
     over cells of b_1^(|set| - 1) prod x_v."""
     beta = TruncPoly.var(n, deg, BETA, 1)
     factors = {}
-    for filling in gen_fsvt(outer, inner, f, g, n, deg):
+    for filling in gen_fsvt(outer, inner, n, deg, flags):
         w = TruncPoly.const(n, deg, 1)
         for st in filling.values():
             factor = factors.get(st)
@@ -587,11 +558,11 @@ def _fsvt_fillings(outer, inner, f, g, n, deg):
         yield w, filling
 
 
-def enum_fsvt(outer, inner, f, g, n, deg):
+def enum_fsvt(outer, inner, n, deg, flags=None):
     """Generating function of flagged set-valued fillings: each filling
     contributes b_1^(entries - cells) times the product of its x
     variables."""
     total = TruncPoly.zero(n, deg)
-    for weight, _ in _fsvt_fillings(outer, inner, f, g, n, deg):
+    for weight, _ in _fsvt_fillings(outer, inner, n, deg, flags):
         total = total + weight
     return total

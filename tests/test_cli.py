@@ -196,6 +196,25 @@ def test_enumerate_g_takes_a_dented_shape_with_a_mark_set():
     assert out == "error: not weakly decreasing: (1, 2)"
 
 
+def test_enumerate_matsumura_caps_upper_flags_at_n():
+    # values past n carry a zero x weight, so an upper flag past n admits
+    # exactly the fillings of the flag n, as for G and g
+    base = ["enumerate", "matsumura", "--shape", "2,1", "--n", "2"]
+    capped = run(base + ["--flags-s", "2,2"])
+    assert capped[0] == 0
+    assert capped[1].endswith("total: 3")
+    assert run(base + ["--flags-s", "3,3"]) == capped
+
+
+def test_enumerate_marked_g_reads_default_and_infinite_upper_flags_as_n():
+    base = ["enumerate", "g", "--shape", "1,2", "--n", "2", "--mark-set", "1"]
+    unflagged = run(base)
+    assert unflagged[0] == 0
+    assert unflagged[1].endswith("total: 7")
+    assert run(base + ["--flags-r", "1,1"]) == unflagged
+    assert run(base + ["--flags-s", "inf,inf"]) == unflagged
+
+
 def test_flags_below_one_exit_two():
     # a lower flag of 0 would put the entry 0 into the fillings; every verb
     # that reads flags refuses it as compute always did

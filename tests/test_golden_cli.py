@@ -115,6 +115,17 @@ GOLDEN = [
     # admits no entry in the cell below it
     ('enumerate g --shape 1,2 --n 2 --mark-set 2',
      0, 'total: 0'),
+    # flag parsing: r defaults to 1 and s to n; inf reads as n, before the
+    # r_j > s_i zero rule of the marked dual
+    ('compute g --shape 1,2 --n 2 --deg 4 --mark-set 1 --flags-r 1,1',
+     0, 'b1*x1*x2 - a1*b1*(x1+x2) + b1^2*(x1+x2) - a1*b1^2 + a1^2*b1'),
+    ('compute g --shape 1,2 --n 2 --deg 4 --mark-set 1 --flags-r 3,1 --flags-s inf,inf',
+     0, '0'),
+    ('enumerate matsumura --shape 2,1 --n 3 --flags-s 2,3',
+     0, '1 1\n2\n\n 1  1\n23\n\n1 1\n3\n\n 1 12\n 2\n\n 1 12\n23\n\n 1 12\n 3\n\n1 2\n2\n\n 1  2\n23\n\n1 2\n3\n\n12  2\n 3\n\n2 2\n3\n\ntotal: 11'),
+    # upper flags past n read as n: the 30 fillings of the unflagged call
+    ('enumerate G --shape 2,1 --n 2 --flags-s 3,inf',
+     0, 'sha256:408ff06a4ea09c50b66fb6d04273ff95b5efa094469fa8a0bcd4d6d2167a7bc7'),
     ('verify G --max-size 2 --deg 3',
      0, 'G concordance: 11 shapes agree five ways'),
     ('verify G',

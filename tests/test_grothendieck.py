@@ -322,12 +322,12 @@ def test_flag_sweep_matches_tableau_enumeration_on_raw_flags(kind,
 
 
 def test_matsumura_sweep_matches_direct_determinant_on_raw_flags():
-    # FlagSweep("M").value(g, f) against matsumura_det(f, g) on flags past
-    # the variable count (g_j > n + 1, f_i > n) and with g_j > f_i; three
-    # rows reach the entries with i - j - 1 >= 1, and vectors that differ
-    # only in their last entry share minors.  Inside Matsumura's hypothesis
-    # with f <= n both must equal the set-valued enumeration, which shares
-    # no code with either, so a wrong row factor fails here too.
+    # FlagSweep("M").value(r, s) against matsumura_det on flags past the
+    # variable count (r_j > n + 1, s_i > n) and with r_j > s_i; three rows
+    # reach the entries with i - j - 1 >= 1, and vectors that differ only
+    # in their last entry share minors.  Inside Matsumura's hypothesis both
+    # must equal the set-valued enumeration, which shares no code with
+    # either, so a wrong row factor fails here too.
     n, deg = 3, 4
     two_rows = [(1, 1), (1, 2), (2, 3), (5, 1), (4, 5), (3, 2), (1, 3)]
     three_rows = [(1, 1, 1), (1, 2, 2), (1, 2, 3), (2, 2, 3), (1, 2, 5),
@@ -340,21 +340,21 @@ def test_matsumura_sweep_matches_direct_determinant_on_raw_flags():
                                   ((2, 1, 1), (1,), three_rows),
                                   ((3, 2, 1), (1, 1), three_rows)]:
         sweep = FlagSweep("M", lam, mu, "row", n, deg)
-        for f in flag_vectors:
-            for g in flag_vectors:
-                got = sweep.value(g, f)
-                assert got == matsumura_det(lam, mu, f, g, n, deg), \
-                    (lam, mu, f, g)
-                if (max(f) <= n and all(gi <= fi for gi, fi in zip(g, f))
-                        and row_monotone(lam, mu, g, f)):
-                    assert got == enum_fsvt(lam, mu, f, g, n, deg), \
-                        (lam, mu, f, g)
+        for s in flag_vectors:
+            for r in flag_vectors:
+                got = sweep.value(r, s)
+                assert got == matsumura_det(lam, mu, r, s, n, deg), \
+                    (lam, mu, r, s)
+                if (all(a <= b for a, b in zip(r, s))
+                        and row_monotone(lam, mu, r, s)):
+                    assert got == enum_fsvt(lam, mu, n, deg, (r, s)), \
+                        (lam, mu, r, s)
                     enumerated += 1
     assert enumerated >= 20
     with pytest.raises(ShapeError):
         matsumura_det((1,), (2,), (1,), (1,), n, deg)
     with pytest.raises(ShapeError):
-        matsumura_det((2, 1), (), (1,), (1, 1), n, deg)
+        matsumura_det((2, 1), (), (1, 1), (1,), n, deg)
 
 
 def test_flag_sweep_rejects_bad_arguments():
@@ -524,28 +524,28 @@ def test_matsumura_series_examples():
     # one cell flagged to rows [1, 2]: set-valued fillings over {1, 2}
     x1, x2, b1 = xv(n, deg, 1), xv(n, deg, 2), bv(n, deg, 1)
     assert matsumura_Gpq(1, 2, 1, n, deg) == x1 + x2 + b1 * x1 * x2
-    assert matsumura_Gpq(1, 2, 1, n, deg) == enum_fsvt((1,), (), (2,), (1,),
-                                                       n, deg)
+    assert matsumura_Gpq(1, 2, 1, n, deg) == enum_fsvt((1,), (), n, deg,
+                                                       ((1,), (2,)))
 
 
 def test_matsumura_determinant_matches_set_valued_enumeration():
     n, deg = 2, 4
-    assert matsumura_det((2, 1), (2, 1), (1, 2), (1, 1), n, deg) == one(n, deg)
+    assert matsumura_det((2, 1), (2, 1), (1, 1), (1, 2), n, deg) == one(n, deg)
     assert matsumura_det((), (), (), (), n, deg) == one(n, deg)
     assert matsumura_det((1,), (), (1,), (1,), n, deg) == xv(n, deg, 1)
-    cases = [((1, 1), (), (1, 2), (1, 1)), ((2,), (), (2,), (1,)),
-             ((2, 1), (1,), (1, 2), (1, 1)), ((2, 2), (1,), (2, 2), (1, 1))]
-    for lam, mu, f, g in cases:
-        assert (matsumura_det(lam, mu, f, g, n, deg)
-                == enum_fsvt(lam, mu, f, g, n, deg))
+    cases = [((1, 1), (), (1, 1), (1, 2)), ((2,), (), (1,), (2,)),
+             ((2, 1), (1,), (1, 1), (1, 2)), ((2, 2), (1,), (1, 1), (2, 2))]
+    for lam, mu, r, s in cases:
+        assert (matsumura_det(lam, mu, r, s, n, deg)
+                == enum_fsvt(lam, mu, n, deg, (r, s)))
     # three rows reach the entries with i - j - 1 >= 1
     n = 3
-    cases = [((1, 1, 1), (), (1, 2, 2), (1, 1, 1)),
-             ((1, 1, 1), (), (1, 2, 3), (1, 1, 1)),
-             ((2, 1, 1), (1,), (2, 3, 3), (1, 1, 2))]
-    for lam, mu, f, g in cases:
-        assert (matsumura_det(lam, mu, f, g, n, deg)
-                == enum_fsvt(lam, mu, f, g, n, deg))
+    cases = [((1, 1, 1), (), (1, 1, 1), (1, 2, 2)),
+             ((1, 1, 1), (), (1, 1, 1), (1, 2, 3)),
+             ((2, 1, 1), (1,), (1, 1, 2), (2, 3, 3))]
+    for lam, mu, r, s in cases:
+        assert (matsumura_det(lam, mu, r, s, n, deg)
+                == enum_fsvt(lam, mu, n, deg, (r, s)))
 
 
 def collapse_parameters(p, sign):
@@ -556,9 +556,9 @@ def collapse_parameters(p, sign):
 
 def test_matsumura_is_a_single_sign_specialization():
     n, deg = 2, 3
-    lam, mu, f, g = (2, 1), (1,), (2, 2), (1, 1)
-    single_beta = matsumura_det(lam, mu, f, g, n, deg)
-    flagged = G_flagged_det(lam, mu, g, f, "row", n, deg)
+    lam, mu, r, s = (2, 1), (1,), (1, 1), (2, 2)
+    single_beta = matsumura_det(lam, mu, r, s, n, deg)
+    flagged = G_flagged_det(lam, mu, r, s, "row", n, deg)
     assert single_beta == collapse_parameters(flagged, -1)
     assert single_beta != collapse_parameters(flagged, +1)
 

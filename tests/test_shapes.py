@@ -83,6 +83,38 @@ def test_partition_enumerators():
     assert partitions_between((2,), (1, 1)) == []
 
 
+def unpruned_partitions_of(k, max_len=None, max_part=None):
+    """ORACLE: every weakly decreasing tuple of parts in 1..max_part, up to
+    max_len of them, built part by part; those summing to k, largest part
+    first."""
+    max_part = k if max_part is None else max_part
+    max_len = k if max_len is None else max_len
+    out = []
+
+    def rec(remaining, cap, prefix):
+        if remaining == 0:
+            out.append(tuple(prefix))
+        if len(prefix) == max_len:
+            return
+        for p in range(min(cap, remaining), 0, -1):
+            rec(remaining - p, p, prefix + [p])
+
+    rec(k, max_part, [])
+    return out
+
+
+def test_partitions_of_matches_the_unpruned_walk():
+    # same lists in the same order, with and without length and part caps
+    for k in range(14):
+        for max_len in (None, 1, 2, 3, 5):
+            for max_part in (None, 1, 2, 4):
+                assert partitions_of(k, max_len, max_part) == \
+                    unpruned_partitions_of(k, max_len, max_part), \
+                    (k, max_len, max_part)
+    # the cap prunes: one part of k, for every k, stays instant
+    assert all(partitions_of(k, max_len=1) == [(k,)] for k in range(1, 3000))
+
+
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 16))
 def test_contains_partial_order(seed):

@@ -10,10 +10,9 @@ from grothpoly import shapes, symfunc
 from grothpoly.grothendieck import valid_mark_sets
 from grothpoly.ring import ALPHA, BETA, TruncPoly, X, pvar
 from grothpoly.shapes import ShapeError
-from grothpoly.tableaux import (TableauSweep, _compare_value, _mrpp_neighbors,
-                                _resolve_s_flags, _xvar, enum_elegant,
-                                enum_fsvt, enum_mmsvt, enum_mrpp, gen_elegant,
-                                gen_fsvt, gen_mmsvt, gen_mrpp, gen_rpp,
+from grothpoly.tableaux import (TableauSweep, _mrpp_neighbors, _xvar,
+                                enum_elegant, enum_fsvt, enum_mmsvt, enum_mrpp,
+                                gen_elegant, gen_mmsvt, gen_mrpp, gen_rpp,
                                 markable_cells)
 
 
@@ -76,19 +75,23 @@ def mrpp_weight(outer, inner, filling, variant, n, deg,
 
     A marked cell contributes -alpha indexed by the marking rule; an unmarked
     cell repeating its beta-neighbor contributes the matching beta, any other
-    unmarked cell contributes x_value.
+    unmarked cell contributes x_value.  With a mark set, row i of outer ends
+    in the boundary entry T(i, outer_i + 1): s_i for i in the set, s
+    defaulting to n, and infinite otherwise.
     """
-    outer = tuple(outer)
-    s_flags = _resolve_s_flags(outer, flags, n) if mark_set is not None else ()
     values = {c: v for c, (v, _) in filling.items()}
+    if mark_set is not None:
+        s = flags[1] if flags is not None else (n,) * len(outer)
+        for i, lam_i in enumerate(outer, 1):
+            values[(i, lam_i + 1)] = s[i - 1] if i in mark_set else shapes.INF
     w = TruncPoly.const(n, deg, 1)
     for (i, j), (v, marked) in filling.items():
         (mcell, midx), (bcell, bidx) = _mrpp_neighbors(variant, i, j)
         if marked:
-            if _compare_value(values, outer, mark_set, s_flags, mcell) != v:
+            if values.get(mcell) != v:
                 raise ShapeError(f"cell {(i, j)} is not markable")
             w = w * (-pvar(n, deg, ALPHA, midx))
-        elif _compare_value(values, outer, mark_set, s_flags, bcell) == v:
+        elif values.get(bcell) == v:
             w = w * pvar(n, deg, BETA, bidx)
         else:
             w = w * _xvar(n, deg, v)
@@ -410,7 +413,7 @@ def test_phi_is_a_weight_preserving_bijection():
             lefts = []
             for k in range(len(values) + 1):
                 for picked in itertools.combinations(
-                        markable_cells(outer, inner, values, "left"), k):
+                        markable_cells(values, "left"), k):
                     lefts.append({c: (v, c in set(picked))
                                   for c, v in values.items()})
             images = [phi_left_to_right(outer, inner, f) for f in lefts]
@@ -420,7 +423,7 @@ def test_phi_is_a_weight_preserving_bijection():
                 assert wl == wr
             keys = [tuple(sorted(img.items())) for img in images]
             assert len(set(keys)) == len(keys)
-            rights = markable_cells(outer, inner, values, "right")
+            rights = markable_cells(values, "right")
             assert len(images) == 2 ** len(rights)
 
 
@@ -495,9 +498,9 @@ def test_elegant_unknown_rule_or_family():
 def test_fsvt_single_cell():
     n, deg = 2, 2
     x1, x2, b1 = xv(n, deg, 1), xv(n, deg, 2), bv(n, deg, 1)
-    assert enum_fsvt((1,), (), (1,), (1,), n, deg) == x1
-    assert enum_fsvt((1,), (), (2,), (1,), n, deg) == x1 + x2 + b1 * x1 * x2
-    assert enum_fsvt((1,), (1,), (1,), (1,), n, deg) == one(n, deg)
+    assert enum_fsvt((1,), (), n, deg, ((1,), (1,))) == x1
+    assert enum_fsvt((1,), (), n, deg, ((1,), (2,))) == x1 + x2 + b1 * x1 * x2
+    assert enum_fsvt((1,), (1,), n, deg, ((1,), (1,))) == one(n, deg)
 
 
 def test_fsvt_negated_excess_parameter():
@@ -505,7 +508,7 @@ def test_fsvt_negated_excess_parameter():
     # entry by -b_1
     n, deg = 2, 2
     x1, x2, b1 = xv(n, deg, 1), xv(n, deg, 2), bv(n, deg, 1)
-    got = enum_fsvt((1,), (), (2,), (1,), n, deg).specialize(
+    got = enum_fsvt((1,), (), n, deg, ((1,), (2,))).specialize(
         lambda var: (-1, var) if var == (BETA, 1) else None)
     assert got == x1 + x2 - b1 * x1 * x2
 
@@ -518,7 +521,7 @@ def test_fsvt_is_mmsvt_with_collapsed_parameters():
         ell = len(lam)
         collapsed = enum_mmsvt(lam, (), n, deg).specialize(
             lambda var: (0, None) if var[0] == ALPHA else (-1, (BETA, 1)))
-        want = enum_fsvt(lam, (), (n,) * ell, (1,) * ell, n, deg)
+        want = enum_fsvt(lam, (), n, deg, ((1,) * ell, (n,) * ell))
         assert collapsed == want
 
 
@@ -596,19 +599,19 @@ def test_marked_tableau_sweep_matches_enum_mrpp_on_raw_flags():
 
 
 def test_fsvt_sweep_matches_enum_fsvt_on_raw_flags():
-    # raw flags with g <= f <= n; (2, 1)/(1, 1) has an empty second row
+    # raw flags with r <= s <= n; (2, 1)/(1, 1) has an empty second row
     n, deg = 3, 5
     for lam, mu in [((2, 1), ()), ((2, 1), (1, 1)), ((2, 2), (1,)),
                     ((1, 1, 1), ()), ((2, 1, 1), (1,)), ((3,), (1,))]:
         sweep = TableauSweep("fsvt", lam, mu, n, deg)
         flag_vectors = list(itertools.product(range(1, n + 1),
                                               repeat=len(lam)))
-        for f in flag_vectors:
-            for g in flag_vectors:
-                if any(gi > fi for gi, fi in zip(g, f)):
+        for s in flag_vectors:
+            for r in flag_vectors:
+                if any(a > b for a, b in zip(r, s)):
                     continue
-                assert sweep.value(g, f) == enum_fsvt(lam, mu, f, g, n, deg), \
-                    (lam, mu, f, g)
+                assert sweep.value(r, s) == enum_fsvt(lam, mu, n, deg,
+                                                      (r, s)), (lam, mu, r, s)
 
 
 def test_tableau_sweep_rejects_bad_arguments():
