@@ -39,9 +39,9 @@ from .lgv import nonintersecting_coeff
 from .ring import (ALPHA, BETA, FAMILY_NAMES, X, DivisibilityError,
                    InternalCheckError, TruncPoly)
 from .shapes import (INF, ShapeError, conjugate, contains, dent_index,
-                     flag_class, part, partition, partitions_above,
-                     partitions_between, partitions_of, partitions_up_to,
-                     size, skew)
+                     finite_flags, flag_class, part, partition,
+                     partitions_above, partitions_between, partitions_of,
+                     partitions_up_to, size, skew)
 from .symfunc import schur_jt
 from .tableaux import (TableauSweep, enum_elegant, enum_fsvt, enum_mmsvt,
                        enum_mrpp, gen_fsvt, gen_mmsvt, gen_mrpp)
@@ -244,9 +244,8 @@ def _parse_flag_list(text, length, fill):
 def _parse_flags(args, length, n):
     """The flags (r, s) of --flags-r and --flags-s, length of each: r
     defaults to 1 and s to n, and an infinite upper flag reads as n."""
-    s = _parse_flag_list(args.flags_s, length, n)
-    return (_parse_flag_list(args.flags_r, length, 1),
-            tuple(n if v == INF else v for v in s))
+    return finite_flags(_parse_flag_list(args.flags_r, length, 1),
+                        _parse_flag_list(args.flags_s, length, n), n)
 
 
 def _nonnegative(text):
@@ -566,10 +565,26 @@ FLAG_MAX = 3
 CROSSCHECK_EVERY = 97
 
 
+def _flag_space(m):
+    """Every flag vector of length m with entries in 1..FLAG_MAX, all-ones
+    first."""
+    return list(itertools.product(range(1, FLAG_MAX + 1), repeat=m))
+
+
 def _flag_pairs(m):
     """Every pair of flag vectors of length m with entries in 1..FLAG_MAX."""
-    space = list(itertools.product(range(1, FLAG_MAX + 1), repeat=m))
-    return itertools.product(space, repeat=2)
+    return itertools.product(_flag_space(m), repeat=2)
+
+
+def _split(space, holds):
+    """The lower and the upper vectors of space that satisfy holds(r, s)
+    with all-ones as the partner.  row_monotone and col_monotone are each a
+    condition on r alone and one on s alone, both met by all-ones (for
+    col_monotone when the shapes are partitions), so the pairs satisfying
+    them are the product of the two lists, in raw order."""
+    ones = space[0]
+    return ([r for r in space if holds(r, ones)],
+            [s for s in space if holds(ones, s)])
 
 
 def _collapse_to_single_beta(p, sign):
@@ -671,32 +686,48 @@ def _tableau_reference(kind, orientation, lam, mu, n, deg):
                         orientation).value
 
 
+def _class_firsts(vectors, n, side):
+    """(first, capped) for each flag class at n of vectors, first the first
+    of them in the class: side 0 caps them as lower flags, 1 as upper."""
+    firsts = {}
+    for v in vectors:
+        firsts.setdefault(flag_class(v, v, n)[side], v)
+    return [(v, capped) for capped, v in firsts.items()]
+
+
 def _flag_classes(lam, mu, contained):
-    """Yield (n, {hypothesis: [(r, s, label)]}) for each n in FLAGGED_NS:
-    the first raw flags, in raw order, of each class of flags satisfying
-    the hypothesis.  Determinant values depend on the flags only through
-    the class (min(r_i, n+1), min(s_i, n)).  The hypotheses do not depend
-    on n; "weak" is the weakened col G condition where the col one fails."""
-    flag_pairs = []
-    for r, s in _flag_pairs(max(len(lam), len(mu), 1)):
-        col = contained and col_monotone(lam, mu, r, s)
-        holds = [name for name, ok in (
-            ("row", row_monotone(lam, mu, r, s)), ("col", col),
-            ("weak", contained and not col
-             and col_monotone(lam, mu, r, s, slack=1))) if ok]
-        if holds:
-            flag_pairs.append((r, s, holds))
+    """Yield (n, {hypothesis: [(r, s, R, S)]}) for each n in FLAGGED_NS:
+    the first raw flags (r, s), in raw order, of each class (R, S) =
+    flag_class(r, s, n) of flags satisfying the hypothesis.  Determinant
+    values depend on the flags only through the class.  The hypotheses do
+    not depend on n; "weak" is the weakened col G condition where the col
+    one fails, which loosens only the condition on r.
+
+    Each hypothesis holds on a product of lower and upper vectors (_split),
+    so the first raw flags of class (R, S) are the first r capping to R and
+    the first s capping to S, and the classes come in the order of those
+    pairs."""
+    space = _flag_space(max(len(lam), len(mu), 1))
+    factors = {"row": _split(space, functools.partial(row_monotone, lam, mu))}
+    if contained:
+        col = functools.partial(col_monotone, lam, mu)
+        factors["col"] = col_r, col_s = _split(space, col)
+        loose_r, _ = _split(space, functools.partial(col, slack=1))
+        strict = set(col_r)
+        factors["weak"] = [r for r in loose_r if r not in strict], col_s
     for n in FLAGGED_NS:
         classes = {"row": [], "col": [], "weak": []}
-        seen = set()
-        for r, s, holds in flag_pairs:
-            eff = flag_class(r, s, n)
-            for hypothesis in holds:
-                if (hypothesis, eff) not in seen:
-                    seen.add((hypothesis, eff))
-                    classes[hypothesis].append(
-                        (r, s, f"lam={lam}, mu={mu}, n={n}, r={r}, s={s}"))
+        for hypothesis, (lower, upper) in factors.items():
+            upper = _class_firsts(upper, n, 1)
+            classes[hypothesis] = [(r, s, R, S)
+                                   for r, R in _class_firsts(lower, n, 0)
+                                   for s, S in upper]
         yield n, classes
+
+
+# Case labels, formatted by _run_suite only when a case fails.
+_FLAGGED_AT = "{} at lam={}, mu={}, n={}, r={}, s={}"
+_MARKED_AT = "{} at lam={}, mu={}, I={}, r={}, s={}"
 
 
 def verify_flagged(max_size=4):
@@ -706,14 +737,17 @@ def verify_flagged(max_size=4):
     One (kind, orientation) job runs at a time per shape pair, with one
     FlagSweep for the determinants and one TableauSweep, an unflagged
     enumeration filtered by the flags, for the tableaux.  Each class of
-    flags with equal determinant values is checked once, on its first raw
-    flags; the classes are found once per (lam, mu, n) and hypothesis and
-    shared by the jobs.  A sample of raw flag vectors is re-evaluated
-    through the plain determinant functions as a cross-check.  The weakened
-    lower-flag condition for column-flagged G (one extra unit of slack) is
-    evaluated and reported, never asserted.  The boundary-marked duals
-    evaluate a FlagSweep with the mark set against a TableauSweep with the
-    same mark set, and every CROSSCHECK_EVERY-th of them against enum_mrpp.
+    flags with equal determinant values is checked once: both sweeps get
+    its capped flags, and its label names its first raw flags.  The classes
+    are found once per (lam, mu, n) and hypothesis, from the lower and the
+    upper vectors the hypothesis admits (_flag_classes), and shared by the
+    jobs.  A sample of raw flag vectors is re-evaluated through the plain
+    determinant functions as a cross-check.  The weakened lower-flag
+    condition for column-flagged G (one extra unit of slack) is evaluated
+    and reported, never asserted.  The boundary-marked duals evaluate a
+    FlagSweep with the mark set against a TableauSweep with the same mark
+    set on every row-monotone flag pair, and every CROSSCHECK_EVERY-th of
+    them against enum_mrpp.  Labels are format tuples (_run_suite).
     """
     counts = {"row G": 0, "col G": 0, "row dual": 0, "col dual": 0,
               "dual without containment": 0, "marked dual": 0,
@@ -731,14 +765,15 @@ def verify_flagged(max_size=4):
                     reference = _tableau_reference(kind, orientation, lam,
                                                    mu, n, deg)
                     if key == "col G":
-                        for r, s, _ in classes["weak"]:
-                            if sweep.value(r, s) == reference(r, s):
+                        for _, _, R, S in classes["weak"]:
+                            if sweep.value(R, S) == reference(R, S):
                                 weak_agree += 1
                             else:
                                 weak_differ += 1
-                    for r, s, at in classes[hypothesis]:
-                        value = sweep.value(r, s)
-                        yield f"{key} at {at}", value, reference(r, s)
+                    for r, s, R, S in classes[hypothesis]:
+                        value = sweep.value(R, S)
+                        yield ((_FLAGGED_AT, key, lam, mu, n, r, s), value,
+                               reference(R, S))
                         counts[key if contained
                                else "dual without containment"] += 1
                         tick += 1
@@ -746,7 +781,8 @@ def verify_flagged(max_size=4):
                             direct = (G_flagged_det if kind == "G" else
                                       g_flagged_det)(
                                 lam, mu, r, s, orientation, n, deg)
-                            yield f"cross-check {key} at {at}", direct, value
+                            yield ((_FLAGGED_AT, f"cross-check {key}", lam,
+                                    mu, n, r, s), direct, value)
                             crosschecked += 1
     # boundary-marked duals; dented shapes included
     for lam in _dented_shapes(max_size, 3):
@@ -755,23 +791,24 @@ def verify_flagged(max_size=4):
         for mu in partitions_up_to(sum(lam)):
             if len(mu) > len(lam) or not contains(mu, lam):
                 continue
+            lower, upper = _split(_flag_space(len(lam)),
+                                  functools.partial(row_monotone, lam, mu))
             for mark_set in valid_mark_sets(lam):
+                marks = sorted(mark_set)
                 sweep = FlagSweep("g", lam, mu, "row", MARKED_N, deg,
                                   marks=mark_set)
                 tableaux = TableauSweep("mrpp", lam, mu, MARKED_N, deg,
                                         mark_set=mark_set)
-                for r, s in _flag_pairs(len(lam)):
-                    if not row_monotone(lam, mu, r, s):
-                        continue
-                    at = f"lam={lam}, mu={mu}, I={sorted(mark_set)}, " \
-                         f"r={r}, s={s}"
+                for r, s in itertools.product(lower, upper):
                     reference = tableaux.value(r, s)
-                    yield f"marked dual at {at}", sweep.value(r, s), reference
+                    yield ((_MARKED_AT, "marked dual", lam, mu, marks, r, s),
+                           sweep.value(r, s), reference)
                     counts["marked dual"] += 1
                     if dented:
                         counts["marked dual on properly dented shapes"] += 1
                     if counts["marked dual"] % CROSSCHECK_EVERY == 0:
-                        yield (f"cross-check marked dual at {at}",
+                        yield ((_MARKED_AT, "cross-check marked dual", lam,
+                                mu, marks, r, s),
                                enum_mrpp(lam, mu, MARKED_N, deg, flags=(r, s),
                                          mark_set=mark_set), reference)
     lines = [f"{key}: {count} flagged identities hold"
@@ -786,13 +823,17 @@ def verify_flagged(max_size=4):
 
 def _run_suite(cases):
     """(exit status, output lines) of one suite: its summary, or the label
-    of the first case with got != want and, for polynomials, got - want."""
+    of the first case with got != want and, for polynomials, got - want.
+    A label is a string, or a tuple (format, *args) for str.format, which
+    spares a suite with many cases formatting labels that never print."""
     while True:
         try:
             label, got, want = next(cases)
         except StopIteration as done:
             return 0, done.value
         if got != want:
+            if not isinstance(label, str):
+                label = label[0].format(*label[1:])
             lines = [f"FAIL {label}"]
             if isinstance(got, TruncPoly):
                 lines.append(f"difference: {render_poly(got - want)}")

@@ -25,10 +25,10 @@ import functools
 import warnings
 
 from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
-from .shapes import (INF, ShapeError, contains, dent_index, flag_class,
-                     flag_vectors, minimal_cell, part, partition,
-                     partitions_above, partitions_between, partitions_of,
-                     size)
+from .shapes import (INF, FlagMemo, ShapeError, contains, dent_index,
+                     finite_flags, flag_class, flag_vectors, minimal_cell,
+                     part, partition, partitions_above, partitions_between,
+                     partitions_of, size)
 from .symfunc import (CACHE_SIZE, a_prefix, alternant_quotient, b_prefix,
                       cat, e_ominus, e_pleth, h_ominus, h_pleth, neg,
                       schur_branching, schur_jt, single, x_interval)
@@ -406,6 +406,14 @@ def g_flagged_det(outer, inner, r, s, orientation, n, deg):
     return _flagged_det("g", outer, inner, r, s, orientation, n, deg)
 
 
+def _marked_flags(marks, n, r, s):
+    """finite_flags(r, s, n) for a mark set, which must lie in rows
+    1..len(r)."""
+    if max(marks, default=0) > len(r):
+        raise ShapeError(f"mark set out of range: {sorted(marks)}")
+    return finite_flags(r, s, n)
+
+
 class FlagSweep:
     """Evaluates a flagged determinant for many flag vectors of one shape
     pair, sharing matrix rows and column-prefix minors across calls.
@@ -424,7 +432,12 @@ class FlagSweep:
     the matrix from len(r) cached rows and evaluates it with ring.det,
     passing the sweep's minor memo: a minor on rows R is keyed by (R,
     r_1..r_|R|, the flags of R), which fix its entries.  With a mark set
-    (outer may be dented) the flags are used as given.
+    (outer may be dented) the flags are used as g_marked_det reads them.
+
+    value() checks and caps each lower and each upper flag vector once, the
+    first time the sweep sees it (a shapes.FlagMemo), so a suite may pass
+    raw or capped flags alike; the r-prefixes and row flags the minor keys
+    read are built once per call.
     """
 
     def __init__(self, kind, outer, inner, orientation, n, deg, marks=None):
@@ -441,6 +454,12 @@ class FlagSweep:
         self.marks = marks
         self.orientation = orientation
         self.n, self.deg = n, deg
+        # the reader holds no reference to the sweep, so that a sweep and
+        # its memos are freed as soon as the caller drops it
+        self._flags = FlagMemo(max(len(self.lam), len(self.mu)),
+                               functools.partial(flag_class, n=n)
+                               if marks is None else
+                               functools.partial(_marked_flags, marks, n))
         self._entries = {}
         self._scaled = {}
         self._rowpref = {}
@@ -479,17 +498,14 @@ class FlagSweep:
         return row
 
     def value(self, r, s):
-        r, s = flag_vectors(r, s, max(len(self.lam), len(self.mu)))
-        if self.marks is None:
-            r, s = flag_class(r, s, self.n)
-        elif max(self.marks, default=0) > len(r):
-            raise ShapeError(f"mark set out of range: {sorted(self.marks)}")
+        r, s = self._flags(r, s)
         matrix = [self._row(i, r, si) for i, si in enumerate(s, 1)]
         # a row's entries depend on s_i, and once scaled by F_i on r_i too
-        row_flags = s if self.kind == "g" else tuple(zip(r, s))
+        flag_of = (s if self.kind == "g" else tuple(zip(r, s))).__getitem__
+        prefixes = [r[:k] for k in range(len(r))]
         return det(matrix, self.n, self.deg, self._minors,
-                   lambda rows: (rows, r[:len(rows)],
-                                 tuple(row_flags[i] for i in rows)))
+                   lambda rows: (rows, prefixes[len(rows)],
+                                 tuple(map(flag_of, rows))))
 
 
 def valid_mark_sets(outer):
@@ -533,11 +549,12 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
                        + B_{i-1} - B_{j-1}].
 
     outer may be dented; with I empty and an ordinary partition this reduces
-    to the row g determinant whenever r <= s componentwise.
+    to the row g determinant whenever r <= s componentwise.  An infinite
+    upper flag reads as n (shapes.finite_flags).
     """
     r, s = flag_vectors(r, s, len(tuple(outer)))
-    m = len(r)
-    lam, mu, mark_set = _marked_shape(outer, inner, mark_set, m)
+    lam, mu, mark_set = _marked_shape(outer, inner, mark_set, len(r))
+    r, s = finite_flags(r, s, n)
     _warn_hypotheses(mark_set in valid_mark_sets(lam)
                      and row_monotone(lam, mu, r, s), "marked g")
     return _flag_value("g", "row", lam, mu, r, s, n, deg, mark_set)

@@ -128,6 +128,36 @@ def flag_class(r, s, n):
     return (tuple(min(v, n + 1) for v in r), tuple(min(v, n) for v in s))
 
 
+def finite_flags(r, s, n):
+    """The flags with an infinite upper flag read as n and the others as
+    given: the reading of the CLI, and of a mark set, whose finite upper
+    flags stay uncapped because its boundary entries s_i turn values past n
+    into parameter weights."""
+    return r, tuple(n if v == INF else v for v in s)
+
+
+class FlagMemo:
+    """flag_vectors(r, s, rows), then read(r, s), for many calls on recurring
+    vectors.  read acts on each vector alone (flag_class, finite_flags, or a
+    check of its own), so each lower and each upper vector is checked and
+    read the first time it is seen and kept under its raw tuple; a later
+    call checks only that the two lengths are equal."""
+
+    def __init__(self, rows, read=None):
+        self.rows, self.read = rows, read
+        self._lower, self._upper = {}, {}
+
+    def __call__(self, r, s):
+        r, s = tuple(r), tuple(s)
+        lo, hi = self._lower.get(r), self._upper.get(s)
+        if lo is None or hi is None or len(r) != len(s):
+            lo, hi = flag_vectors(r, s, self.rows)
+            if self.read is not None:
+                lo, hi = self.read(lo, hi)
+            self._lower[r], self._upper[s] = lo, hi
+        return lo, hi
+
+
 def partitions_of(k, max_len=None, max_part=None):
     """All partitions of k, largest part first."""
     if max_part is None:

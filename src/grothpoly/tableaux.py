@@ -7,7 +7,7 @@ inelegant tableaux, and flagged set-valued tableaux.  Every flagged family
 takes its flags as one pair (r, s) of lower and upper flags, checked by
 shapes.flag_vectors and read through shapes.flag_class, so an upper flag
 past n (or infinite) reads as n; only a mark set keeps its finite upper
-flags uncapped.
+flags uncapped (shapes.finite_flags).
 
 Fillings are plain dicts keyed by 1-based (row, column) cells.  Single-valued
 marked fillings map a cell to (value, marked); multiset and set valued
@@ -43,9 +43,9 @@ import itertools
 import operator
 
 from .ring import ALPHA, BETA, X, TruncPoly, pvar
-from .shapes import (INF, ShapeError, cells, contains, dent_index,
-                     flag_class, flag_vectors, gen_cells, gen_contains,
-                     partition, skew)
+from .shapes import (INF, FlagMemo, ShapeError, cells, contains, dent_index,
+                     finite_flags, flag_class, flag_vectors, gen_cells,
+                     gen_contains, partition, skew)
 
 
 def _xvar(n, deg, v):
@@ -205,13 +205,16 @@ _VARIANTS = ("left", "right", "bottom")
 
 
 def _mrpp_validate(outer, inner, variant, orientation, mark_set, flags, n):
+    """(outer, inner, mark set, flags) checked; with a mark set the flags
+    are checked by shapes.flag_vectors, one pair per row of outer, and read
+    by shapes.finite_flags."""
     _check_orientation(orientation)
     if variant not in _VARIANTS:
         raise ShapeError(f"unknown variant {variant!r}")
     inner = partition(inner)
     if mark_set is None:
         outer, inner = skew(outer, inner)
-        return outer, inner, None
+        return outer, inner, None, flags
     outer = tuple(outer)
     if dent_index(outer) is None:
         raise ShapeError(f"mark sets need a dented outer shape: {outer}")
@@ -221,13 +224,13 @@ def _mrpp_validate(outer, inner, variant, orientation, mark_set, flags, n):
         raise ShapeError("mark sets apply to left and bottom variants only")
     if orientation != "row":
         raise ShapeError("mark sets use row flags")
-    if flags is not None and INF in flags[1]:
-        raise ShapeError("mark sets need finite upper flags")
+    if flags is not None:
+        flags = finite_flags(*flag_vectors(*flags, len(outer)), n)
     mark_set = frozenset(mark_set)
     nflag = len(flags[0]) if flags is not None else len(outer)
     if not all(isinstance(i, int) and 1 <= i <= nflag for i in mark_set):
         raise ShapeError(f"mark set out of range: {sorted(mark_set)}")
-    return outer, inner, mark_set
+    return outer, inner, mark_set, flags
 
 
 def _boundary(outer, mark_set, flags, n):
@@ -250,7 +253,7 @@ def gen_rpp(outer, inner, n, flags=None, orientation="row", mark_set=None):
     above any real cell directly below them; if r is not componentwise <= s
     the family is empty.
     """
-    outer, inner, mark_set = _mrpp_validate(
+    outer, inner, mark_set, flags = _mrpp_validate(
         outer, inner, "left", orientation, mark_set, flags, n)
     yield from _rpp_fillings(outer, inner, n, flags, orientation, mark_set)
 
@@ -314,7 +317,7 @@ def enum_mrpp(outer, inner, n, deg, variant="left", flags=None,
               orientation="row", mark_set=None):
     """Exact generating function of marked reverse plane partitions; only
     underlying fillings are enumerated, since marks are summed out."""
-    outer_t, inner_t, mark_set = _mrpp_validate(
+    outer_t, inner_t, mark_set, flags = _mrpp_validate(
         outer, inner, variant, orientation, mark_set, flags, n)
     boundary = _boundary(outer_t, mark_set, flags, n)
     total = TruncPoly.zero(n, deg)
@@ -358,7 +361,7 @@ class TableauSweep:
         elif family != "mrpp":
             raise ShapeError("mark sets apply to the mrpp family only")
         else:
-            outer, inner, mark_set = _mrpp_validate(
+            outer, inner, mark_set, _ = _mrpp_validate(
                 outer, inner, "left", orientation, mark_set, None, n)
         self.family, self.outer, self.inner = family, outer, inner
         self.n, self.deg = n, deg
@@ -368,6 +371,8 @@ class TableauSweep:
         # with a mark set for every row the boundary can reach
         self._width = len(outer) if mark_set is not None else max(
             (c[self._axis] for c in cells(outer, inner)), default=0)
+        self._flags = FlagMemo(self._width, None if mark_set is None else
+                               lambda r, s: finite_flags(r, s, n))
         self._buckets = {}  # s with a mark set, else None -> buckets
 
     def _fillings(self, s):
@@ -407,7 +412,10 @@ class TableauSweep:
         return buckets
 
     def value(self, r, s):
-        r, s = flag_vectors(r, s, self._width)
+        """The flagged sum for (r, s), raw or capped alike; each lower and
+        each upper vector is checked once, the first time the sweep sees
+        it, and with a mark set read by shapes.finite_flags."""
+        r, s = self._flags(r, s)
         total = TruncPoly.zero(self.n, self.deg)
         key = None
         if self.mark_set is not None:
@@ -426,7 +434,7 @@ class TableauSweep:
 def gen_mrpp(outer, inner, n, variant="left", flags=None, orientation="row",
              mark_set=None):
     """Yield explicit marked fillings {(i,j): (value, marked)}."""
-    outer_t, inner_t, mark_set = _mrpp_validate(
+    outer_t, inner_t, mark_set, flags = _mrpp_validate(
         outer, inner, variant, orientation, mark_set, flags, n)
     boundary = _boundary(outer_t, mark_set, flags, n)
     for values in _rpp_fillings(outer_t, inner_t, n, flags, orientation,

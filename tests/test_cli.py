@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothpoly import cli
-from grothpoly.grothendieck import G_flagged_det, G_jt, g_jt
+from grothpoly.grothendieck import (G_flagged_det, G_jt, col_monotone, g_jt,
+                                    row_monotone)
 from grothpoly.ring import ALPHA, BETA, X, TruncPoly
-from grothpoly.shapes import ShapeError, conjugate
+from grothpoly.shapes import (ShapeError, conjugate, contains, flag_class,
+                              partitions_up_to)
 from grothpoly.symfunc import schur_jt
 from grothpoly.tableaux import enum_mmsvt, enum_mrpp, gen_mrpp
 
@@ -358,6 +360,119 @@ def test_verify_failure_exits_one(monkeypatch):
     status, out = run(["verify", "omega", "--max-size", "1"])
     assert status == 1
     assert out.splitlines() == ["FAIL omega for G at lam=(), mu=()"]
+
+
+def brute_force_flag_classes(lam, mu, contained):
+    """cli._flag_classes by testing every raw flag pair against every
+    hypothesis: for each n, the first raw (r, s) of each class (R, S) =
+    flag_class(r, s, n), in raw order, as (r, s, R, S)."""
+    flag_pairs = []
+    for r, s in cli._flag_pairs(max(len(lam), len(mu), 1)):
+        col = contained and col_monotone(lam, mu, r, s)
+        holds = [name for name, ok in (
+            ("row", row_monotone(lam, mu, r, s)), ("col", col),
+            ("weak", contained and not col
+             and col_monotone(lam, mu, r, s, slack=1))) if ok]
+        if holds:
+            flag_pairs.append((r, s, holds))
+    for n in cli.FLAGGED_NS:
+        classes = {"row": [], "col": [], "weak": []}
+        seen = set()
+        for r, s, holds in flag_pairs:
+            capped = flag_class(r, s, n)
+            for hypothesis in holds:
+                if (hypothesis, capped) not in seen:
+                    seen.add((hypothesis, capped))
+                    classes[hypothesis].append((r, s, *capped))
+        yield n, classes
+
+
+def test_flag_classes_match_the_brute_force_oracle():
+    # the same representatives, capped classes and order, for every n and
+    # hypothesis; (3, 2) is the weak lower flag of (1, 1) at n = 1 whose
+    # class is (2, 2), so a representative differs from its class there
+    weak_raw = 0
+    for lam in partitions_up_to(4):
+        for mu in partitions_up_to(4):
+            contained = contains(mu, lam)
+            got = list(cli._flag_classes(lam, mu, contained))
+            assert got == list(brute_force_flag_classes(lam, mu, contained)), \
+                (lam, mu)
+            weak_raw += sum(r != R for _, classes in got
+                            for r, _, R, _ in classes["weak"])
+    assert weak_raw
+
+
+def test_marked_row_filter_matches_the_raw_pair_filter():
+    # row_monotone splits into a lower and an upper condition on dented
+    # outer shapes too
+    checked = 0
+    for lam in cli._dented_shapes(4, 3):
+        for mu in partitions_up_to(sum(lam)):
+            if len(mu) > len(lam) or not contains(mu, lam):
+                continue
+            lower, upper = cli._split(
+                cli._flag_space(len(lam)),
+                lambda r, s: row_monotone(lam, mu, r, s))
+            assert [(r, s) for r in lower for s in upper] == [
+                (r, s) for r, s in cli._flag_pairs(len(lam))
+                if row_monotone(lam, mu, r, s)], (lam, mu)
+            checked += 1
+    assert checked > 20
+
+
+def test_flagged_failure_prints_the_old_labels(monkeypatch):
+    # each kind of flagged case fails once, through a wrong reference, and
+    # the driver prints its label as the suite's f-strings did
+    one = lambda n, deg: TruncPoly.const(n, deg, 1)
+    reference = cli._tableau_reference
+
+    def wrong_reference(kind, orientation, lam, mu, n, deg):
+        value = reference(kind, orientation, lam, mu, n, deg)
+        if (kind, orientation, lam, mu, n) != ("G", "row", (2, 1), (1,), 2):
+            return value
+        return lambda r, s: value(r, s) + one(n, deg)
+
+    monkeypatch.setattr(cli, "_tableau_reference", wrong_reference)
+    lam, mu, n, r, s = (2, 1), (1,), 2, (1, 1), (1, 1)
+    assert run(["verify", "flagged", "--max-size", "3"]) == (
+        1, f"FAIL row G at lam={lam}, mu={mu}, n={n}, r={r}, s={s}\n"
+           "difference: -1")
+    monkeypatch.setattr(cli, "_tableau_reference", reference)
+
+    calls = []
+
+    def wrong_direct(kind):
+        direct = getattr(cli, f"{kind}_flagged_det")
+
+        def wrong(lam, mu, r, s, orientation, n, deg):
+            calls.append((kind, lam, mu, r, s, orientation, n))
+            return direct(lam, mu, r, s, orientation, n, deg) + one(n, deg)
+        return wrong
+
+    for kind in ("G", "g"):
+        monkeypatch.setattr(cli, f"{kind}_flagged_det", wrong_direct(kind))
+    status, out = run(["verify", "flagged", "--max-size", "2"])
+    kind, lam, mu, r, s, orientation, n = calls[-1]
+    key = f"{orientation} {'G' if kind == 'G' else 'dual'}"
+    assert (status, out) == (
+        1, f"FAIL cross-check {key} at lam={lam}, mu={mu}, n={n}, r={r}, "
+           f"s={s}\ndifference: 1")
+
+    class WrongMarkedSweep(cli.TableauSweep):
+        def value(self, r, s):
+            got = super().value(r, s)
+            return got if self.mark_set is None else got + one(self.n,
+                                                                self.deg)
+
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "TableauSweep", WrongMarkedSweep)
+    # the first marked dual: lam = (1,), mu = (), its first mark set {1}
+    lam, mu, r, s = (1,), (), (1,), (1,)
+    assert cli.valid_mark_sets(lam)[0] == {1}
+    assert run(["verify", "flagged", "--max-size", "2"]) == (
+        1, f"FAIL marked dual at lam={lam}, mu={mu}, I={sorted({1})}, "
+           f"r={r}, s={s}\ndifference: -1")
 
 
 def test_usage_errors_exit_two():

@@ -10,6 +10,7 @@ digest of the text.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pathlib
@@ -173,12 +174,19 @@ def _digest(text):
     return "sha256:" + hashlib.sha256(text.encode()).hexdigest()
 
 
+@functools.cache
+def _run(op):
+    """(exit status, stdout) of one op, run once per session: both tables
+    hold verify flagged --max-size 3."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        return cli.run(op.split())
+
+
 @pytest.mark.parametrize("op, status, expected", GOLDEN,
                          ids=[op for op, _, _ in GOLDEN])
 def test_golden_cli_output(op, status, expected):
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        got_status, out = cli.run(op.split())
+    got_status, out = _run(op)
     assert (got_status, _digest(out)) == (status, expected)
 
 
@@ -191,9 +199,7 @@ BENCH_GOLDEN = json.loads(
 def test_benchmark_op_matches_its_golden(op):
     """The benchmark runs each op as a process and hashes its stdout, which
     is the CLI's output plus the newline print adds."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        status, out = cli.run(op.split())
+    status, out = _run(op)
     want = BENCH_GOLDEN[op]
     assert (status, hashlib.sha256((out + "\n").encode()).hexdigest()) \
         == (want["status"], want["sha256"])

@@ -26,8 +26,9 @@ from grothpoly.grothendieck import (_SKEW_COEFF, C_coeff, FlagSweep,
                                     skew_coeff, skew_schur_expansion,
                                     valid_mark_sets)
 from grothpoly.ring import ALPHA, BETA, TruncPoly, X, det
-from grothpoly.shapes import (ShapeError, conjugate, contains,
-                              partitions_between, partitions_up_to)
+from grothpoly.shapes import (INF, ShapeError, conjugate, contains,
+                              flag_class, partitions_between,
+                              partitions_up_to)
 from grothpoly.tableaux import (TableauSweep, enum_elegant, enum_fsvt,
                                 enum_mmsvt, enum_mrpp)
 from schur_oracle import schur_expand
@@ -386,6 +387,65 @@ def test_flag_sweep_rejects_bad_flags(r, s):
     sweep = FlagSweep("G", (2, 1), (), "row", 2, 4)
     with pytest.raises(ShapeError):
         sweep.value(r, s)
+
+
+def test_flag_sweep_refuses_bad_flags_on_every_call():
+    # value() keeps each vector it has checked; a bad pair is refused on
+    # its first and on later calls, also when each of its vectors was
+    # accepted before beside another partner
+    sweep = FlagSweep("G", (2, 1), (), "row", 2, 4)
+    marked = FlagSweep("g", (1, 2), (), "row", 2, 4, marks={3})
+    assert sweep.value([1, 1], [2, 2]) == sweep.value((1, 1), (2, 2)) \
+        == G_flagged_det((2, 1), (), (1, 1), (2, 2), "row", 2, 4)
+    sweep.value((1, 1, 1), (2, 2, 2))
+    marked.value((1, 1, 1), (2, 2, 2))
+    bad = [(sweep, (1, 1), (2, 2, 2)), (sweep, (1, 1, 1), (2, 2)),
+           (sweep, (1,), (2,)), (sweep, (0, 1), (2, 2)),
+           (sweep, (1, 1), (2, 0)), (marked, (1, 1), (2, 2))]
+    for _ in range(2):
+        for bad_sweep, r, s in bad:
+            with pytest.raises(ShapeError):
+                bad_sweep.value(r, s)
+
+
+@pytest.mark.parametrize("kind, orientation", [("G", "row"), ("G", "col"),
+                                               ("g", "row"), ("g", "col")])
+def test_flag_sweep_takes_raw_flags_after_their_classes(kind, orientation):
+    # the flagged suite feeds a sweep capped flag classes; raw flags of the
+    # same classes afterwards must still give the direct determinants
+    n, deg = 2, 4
+    direct = G_flagged_det if kind == "G" else g_flagged_det
+    lam, mu = (2, 2, 1), (1,)
+    raw = [(1, 4, 5), (3, 3, 4), (1, 2, 6), (4, 4, 4)]
+    sweep = FlagSweep(kind, lam, mu, orientation, n, deg)
+    pairs = [(r, s) for r in raw for s in raw]
+    for r, s in pairs:
+        sweep.value(*flag_class(r, s, n))
+    for r, s in pairs:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = direct(lam, mu, r, s, orientation, n, deg)
+        assert sweep.value(r, s) == want, (r, s)
+
+
+def test_marked_flag_sweep_reads_an_infinite_upper_flag_as_n():
+    # as the CLI does: r_j > s_i = inf gives a zero entry at n, and the
+    # value with s = inf is the value with s = n, also after the sweep saw
+    # s = n
+    n, deg = 2, 4
+    lam, mu, marks = (1, 2), (), {1}
+    sweep = FlagSweep("g", lam, mu, "row", n, deg, marks=marks)
+    for r in [(1, 1), (3, 1), (1, 3)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            at_n = g_marked_det(lam, mu, r, (n, n), marks, n, deg)
+            at_inf = g_marked_det(lam, mu, r, (INF, INF), marks, n, deg)
+        assert at_inf == at_n == sweep.value(r, (n, n)) \
+            == sweep.value(r, (INF, n)) == sweep.value(r, (INF, INF)), r
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert g_marked_det(lam, mu, (3, 1), (INF, INF), marks, n,
+                            deg).is_zero()
 
 
 def test_flag_sweep_with_marks_matches_marked_determinant_on_raw_flags():

@@ -634,6 +634,82 @@ def test_tableau_sweep_rejects_bad_arguments():
 @pytest.mark.parametrize("family, mark_set",
                          [("mmsvt", None), ("mrpp", None), ("fsvt", None),
                           ("mrpp", {1})])
+def test_tableau_sweep_refuses_bad_flags_on_every_call(family, mark_set):
+    # value() keeps each vector it has checked; a bad pair is refused on
+    # its first and on later calls, also when each of its vectors was
+    # accepted before beside another partner; lists work as tuples do
+    outer = (1, 2) if mark_set else (2, 2)
+    sweep = TableauSweep(family, outer, (), 2, 4, mark_set=mark_set)
+    want = (enum_fsvt(outer, (), 2, 4, ((1, 1), (2, 2))) if family == "fsvt"
+            else (enum_mmsvt if family == "mmsvt" else enum_mrpp)(
+                outer, (), 2, 4, flags=((1, 1), (2, 2)),
+                **({"mark_set": mark_set} if mark_set else {})))
+    assert sweep.value([1, 1], [2, 2]) == sweep.value((1, 1), (2, 2)) == want
+    sweep.value((1, 1, 1), (2, 2, 2))
+    for _ in range(2):
+        for r, s in (((1, 1), (2, 2, 2)), ((1, 1, 1), (2, 2)), ((1,), (2,)),
+                     ((0, 1), (2, 2)), ((1, 1), (2, 0))):
+            with pytest.raises(ShapeError):
+                sweep.value(r, s)
+
+
+def test_tableau_sweep_takes_raw_flags_after_their_classes():
+    # capped flag classes first, as the flagged suite passes them, then raw
+    # flags of the same classes against the enumeration
+    n, deg = 2, 4
+    lam, mu = (2, 2, 1), (1,)
+    raw = [(1, 4, 5), (3, 3, 4), (1, 2, 6), (1, 1, 3)]
+    for family, enum in (("mmsvt", enum_mmsvt), ("mrpp", enum_mrpp)):
+        sweep = TableauSweep(family, lam, mu, n, deg)
+        pairs = [(r, s) for r in raw for s in raw]
+        for r, s in pairs:
+            sweep.value(*shapes.flag_class(r, s, n))
+        for r, s in pairs:
+            assert sweep.value(r, s) == enum(lam, mu, n, deg, flags=(r, s)), \
+                (family, r, s)
+
+
+def test_marked_tableaux_read_an_infinite_upper_flag_as_n():
+    # as the CLI and g_marked_det do; r_1 = 3 > n makes the family empty
+    n, deg, inf = 2, 4, shapes.INF
+    lam, mu, marks = (1, 2), (), {1}
+    sweep = TableauSweep("mrpp", lam, mu, n, deg, mark_set=marks)
+    for r in [(1, 1), (3, 1), (1, 2)]:
+        at_n = enum_mrpp(lam, mu, n, deg, flags=(r, (n, n)), mark_set=marks)
+        assert enum_mrpp(lam, mu, n, deg, flags=(r, (inf, inf)),
+                         mark_set=marks) == at_n, r
+        assert sweep.value(r, (inf, inf)) == sweep.value(r, (n, inf)) \
+            == at_n, r
+        assert list(gen_rpp(lam, mu, n, flags=(r, (inf, n)),
+                            mark_set=marks)) == list(
+            gen_rpp(lam, mu, n, flags=(r, (n, n)), mark_set=marks)), r
+    got = enum_mrpp(lam, mu, n, deg, flags=((1, 1), (inf, inf)),
+                    mark_set=marks)
+    assert len(got.terms) == 7
+    assert enum_mrpp(lam, mu, n, deg, flags=((3, 1), (inf, inf)),
+                     mark_set=marks).is_zero()
+
+
+def test_marked_tableaux_need_one_flag_per_row():
+    # as g_marked_det does: (2, 1)/(1, 1) has no cell in row 1, yet its
+    # boundary entry needs s_1, so one flag for two rows is refused
+    for call in (
+            lambda: enum_mrpp((2, 1), (1, 1), 2, 4, flags=((1,), (2,)),
+                              mark_set={1}),
+            lambda: list(gen_mrpp((2, 1), (1, 1), 2, flags=((1,), (2,)),
+                                  mark_set={1})),
+            lambda: list(gen_rpp((2, 1), (1, 1), 2, flags=((1,), (2,)),
+                                 mark_set={1}))):
+        with pytest.raises(ShapeError, match="shorter than the shape"):
+            call()
+    # without a mark set the rows holding cells are enough
+    assert enum_mrpp((2, 1), (1, 1), 2, 4, flags=((1,), (2,))) \
+        == enum_mrpp((2, 1), (1, 1), 2, 4)
+
+
+@pytest.mark.parametrize("family, mark_set",
+                         [("mmsvt", None), ("mrpp", None), ("fsvt", None),
+                          ("mrpp", {1})])
 def test_tableau_sweep_rejects_flags_below_one(family, mark_set):
     # as FlagSweep.value does; a lower flag of 0 admits every bucket
     outer = (1, 2) if mark_set else (2, 2)
