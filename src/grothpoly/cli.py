@@ -687,8 +687,8 @@ def _tableau_reference(kind, orientation, lam, mu, n, deg):
 
 
 def _class_firsts(vectors, n, side):
-    """(first, capped) for each flag class at n of vectors, first the first
-    of them in the class: side 0 caps them as lower flags, 1 as upper."""
+    """(first vector, class) for each flag class at n among vectors, in the
+    order of their first vectors; side 0 caps as lower flags, 1 as upper."""
     firsts = {}
     for v in vectors:
         firsts.setdefault(flag_class(v, v, n)[side], v)
