@@ -423,7 +423,7 @@ def test_marked_row_filter_matches_the_raw_pair_filter():
 
 def test_flagged_failure_prints_the_old_labels(monkeypatch):
     # each kind of flagged case fails once, through a wrong reference, and
-    # the driver prints its label as the suite's f-strings did
+    # _run_suite prints its label as the suite's f-strings did
     one = lambda n, deg: TruncPoly.const(n, deg, 1)
     reference = cli._tableau_reference
 
