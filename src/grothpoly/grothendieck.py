@@ -25,10 +25,10 @@ import functools
 import warnings
 
 from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
-from .shapes import (INF, FlagMemo, ShapeError, contains, dent_index,
-                     finite_flags, flag_class, flag_vectors, minimal_cell,
-                     part, partition, partitions_above, partitions_between,
-                     partitions_of, size)
+from .shapes import (FlagMemo, ShapeError, check_orientation, contains,
+                     finite_flags, flag_class, flag_vectors, marked_shape,
+                     minimal_cell, part, partition, partitions_above,
+                     partitions_between, partitions_of, size, skew)
 from .symfunc import (CACHE_SIZE, a_prefix, alternant_quotient, b_prefix,
                       cat, e_ominus, e_pleth, h_ominus, h_pleth, neg,
                       schur_branching, schur_jt, single, x_interval)
@@ -368,8 +368,7 @@ def _flag_value(kind, orientation, lam, mu, r, s, n, deg, marks=None):
 
 
 def _flagged_det(kind, outer, inner, r, s, orientation, n, deg):
-    if orientation not in ("row", "col"):
-        raise ShapeError(f"unknown orientation {orientation!r}")
+    check_orientation(orientation)
     lam, mu = partition(outer), partition(inner)
     r, s = flag_vectors(r, s, max(len(lam), len(mu)))
     if kind == "g":
@@ -406,14 +405,6 @@ def g_flagged_det(outer, inner, r, s, orientation, n, deg):
     return _flagged_det("g", outer, inner, r, s, orientation, n, deg)
 
 
-def _marked_flags(marks, n, r, s):
-    """finite_flags(r, s, n) for a mark set, which must lie in rows
-    1..len(r)."""
-    if max(marks, default=0) > len(r):
-        raise ShapeError(f"mark set out of range: {sorted(marks)}")
-    return finite_flags(r, s, n)
-
-
 class FlagSweep:
     """Evaluates a flagged determinant for many flag vectors of one shape
     pair, sharing matrix rows and column-prefix minors across calls.
@@ -432,9 +423,11 @@ class FlagSweep:
     the matrix from len(r) cached rows and evaluates it with ring.det,
     passing the sweep's minor memo: a minor on rows R is keyed by (R,
     r_1..r_|R|, the flags of R), which fix its entries.  With a mark set
-    (outer may be dented) the flags are used as g_marked_det reads them.
+    (outer may be dented) the shape and the marks are checked once, by
+    shapes.marked_shape, and the flags are read as g_marked_det reads them,
+    by shapes.finite_flags: uncapped, an infinite upper flag as n.
 
-    value() checks and caps each lower and each upper flag vector once, the
+    value() checks and reads each lower and each upper flag vector once, the
     first time the sweep sees it (a shapes.FlagMemo), so a suite may pass
     raw or capped flags alike; the r-prefixes and row flags the minor keys
     read are built once per call.
@@ -450,16 +443,15 @@ class FlagSweep:
         elif (kind, orientation) != ("g", "row"):
             raise ShapeError("mark sets apply to the row-flagged dual")
         else:
-            self.lam, self.mu, marks = _marked_shape(outer, inner, marks)
+            self.lam, self.mu, marks = marked_shape(outer, inner, marks)
         self.marks = marks
         self.orientation = orientation
         self.n, self.deg = n, deg
         # the reader holds no reference to the sweep, so that a sweep and
         # its memos are freed as soon as the caller drops it
         self._flags = FlagMemo(max(len(self.lam), len(self.mu)),
-                               functools.partial(flag_class, n=n)
-                               if marks is None else
-                               functools.partial(_marked_flags, marks, n))
+                               functools.partial(flag_class if marks is None
+                                                 else finite_flags, n=n))
         self._entries = {}
         self._scaled = {}
         self._rowpref = {}
@@ -527,20 +519,6 @@ def valid_mark_sets(outer):
     return out
 
 
-def _marked_shape(outer, inner, mark_set, rows=INF):
-    """(outer, inner, mark set) checked for a marked determinant: outer
-    dented, inner inside it, marks among rows 1..rows."""
-    lam, mu = tuple(outer), partition(inner)
-    if dent_index(lam) is None:
-        raise ShapeError(f"not a dented partition: {lam}")
-    if not contains(mu, lam):
-        raise ShapeError(f"{mu} not contained in {lam}")
-    mark_set = frozenset(mark_set)
-    if not all(isinstance(i, int) and 1 <= i <= rows for i in mark_set):
-        raise ShapeError(f"mark set out of range: {sorted(mark_set)}")
-    return lam, mu, mark_set
-
-
 def g_marked_det(outer, inner, r, s, mark_set, n, deg):
     """Row-flagged dual determinant with a boundary mark set, size len(r).
 
@@ -549,12 +527,13 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
                        + B_{i-1} - B_{j-1}].
 
     outer may be dented; with I empty and an ordinary partition this reduces
-    to the row g determinant whenever r <= s componentwise.  An infinite
-    upper flag reads as n (shapes.finite_flags).
+    to the row g determinant whenever r <= s componentwise.  The shape and
+    the marks, rows of outer, are checked by shapes.marked_shape, the flags
+    by shapes.flag_vectors, one pair per row of outer at least, and an
+    infinite upper flag reads as n (shapes.finite_flags).
     """
-    r, s = flag_vectors(r, s, len(tuple(outer)))
-    lam, mu, mark_set = _marked_shape(outer, inner, mark_set, len(r))
-    r, s = finite_flags(r, s, n)
+    lam, mu, mark_set = marked_shape(outer, inner, mark_set)
+    r, s = finite_flags(*flag_vectors(r, s, len(lam)), n)
     _warn_hypotheses(mark_set in valid_mark_sets(lam)
                      and row_monotone(lam, mu, r, s), "marked g")
     return _flag_value("g", "row", lam, mu, r, s, n, deg, mark_set)
@@ -566,9 +545,7 @@ def matsumura_det(lam, mu, r, s, n, deg):
     sum_m b_1^m C(i-j-1, m) h_{lam_i-mu_j-i+j+m}[X_[r_j,s_i]], which is
     h_{lam_i-mu_j-i+j}[X_[r_j,s_i] (-) _binomial_shift(i-j-1)]: the
     flagged kind M.  Matsumura's flags f and g are s and r."""
-    lam, mu = partition(lam), partition(mu)
-    if not contains(mu, lam):
-        raise ShapeError(f"{mu} is not contained in {lam}")
+    lam, mu = skew(lam, mu)
     ell = len(lam)
     r, s = flag_vectors(r, s, ell)
     return _flag_value("M", "row", lam, mu, r[:ell], s[:ell], n, deg)

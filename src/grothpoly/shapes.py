@@ -109,6 +109,28 @@ def minimal_cell(seq):
     return k, tuple(seq)[k - 1]
 
 
+def check_orientation(orientation):
+    """Refuse any flag orientation but row and col."""
+    if orientation not in ("row", "col"):
+        raise ShapeError(f"orientation must be row or col: {orientation!r}")
+
+
+def marked_shape(outer, inner, mark_set):
+    """(outer, inner, frozenset(mark_set)) checked for the boundary-marked
+    dual: outer a dented partition, inner a partition inside it, and every
+    mark a row 1..len(outer), the rows with a boundary entry.  The one check
+    of a marked shape, for the determinants and the tableaux alike."""
+    lam, mu = tuple(outer), partition(inner)
+    if dent_index(lam) is None:
+        raise ShapeError(f"not a dented partition: {lam}")
+    if not contains(mu, lam):
+        raise ShapeError(f"{mu} not contained in {lam}")
+    marks = frozenset(mark_set)
+    if not all(isinstance(i, int) and 1 <= i <= len(lam) for i in marks):
+        raise ShapeError(f"mark set out of range: {sorted(marks)}")
+    return lam, mu, marks
+
+
 def flag_vectors(r, s, rows):
     """The flag vectors (r, s) as tuples, checked: equal lengths, at least
     rows flags each, all positive."""
@@ -138,12 +160,12 @@ def finite_flags(r, s, n):
 
 class FlagMemo:
     """flag_vectors(r, s, rows), then read(r, s), for many calls on recurring
-    vectors.  read acts on each vector alone (flag_class, finite_flags, or a
-    check of its own), so each lower and each upper vector is checked and
-    read the first time it is seen and kept under its raw tuple; a later
-    call checks only that the two lengths are equal."""
+    vectors.  read acts on each vector alone (flag_class or finite_flags), so
+    each lower and each upper vector is checked and read the first time it
+    is seen and kept under its raw tuple; a later call checks only that the
+    two lengths are equal."""
 
-    def __init__(self, rows, read=None):
+    def __init__(self, rows, read):
         self.rows, self.read = rows, read
         self._lower, self._upper = {}, {}
 
@@ -151,9 +173,7 @@ class FlagMemo:
         r, s = tuple(r), tuple(s)
         lo, hi = self._lower.get(r), self._upper.get(s)
         if lo is None or hi is None or len(r) != len(s):
-            lo, hi = flag_vectors(r, s, self.rows)
-            if self.read is not None:
-                lo, hi = self.read(lo, hi)
+            lo, hi = self.read(*flag_vectors(r, s, self.rows))
             self._lower[r], self._upper[s] = lo, hi
         return lo, hi
 

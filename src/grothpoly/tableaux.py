@@ -6,8 +6,10 @@ virtual boundary column driven by a mark set), integer-entry elegant and
 inelegant tableaux, and flagged set-valued tableaux.  Every flagged family
 takes its flags as one pair (r, s) of lower and upper flags, checked by
 shapes.flag_vectors and read through shapes.flag_class, so an upper flag
-past n (or infinite) reads as n; only a mark set keeps its finite upper
-flags uncapped (shapes.finite_flags).
+past n (or infinite) reads as n.  A mark set's shape and marks are checked
+by shapes.marked_shape, and its flags, one pair per row of the outer shape
+and r = 1, s = n when absent, are read by shapes.finite_flags: an infinite
+upper flag reads as n, and the finite ones stay uncapped.
 
 Fillings are plain dicts keyed by 1-based (row, column) cells.  Single-valued
 marked fillings map a cell to (value, marked); multiset and set valued
@@ -39,13 +41,14 @@ entry bounds the cell below it and takes part in the marking and beta rules
 as a cell would.
 """
 
+import functools
 import itertools
 import operator
 
 from .ring import ALPHA, BETA, X, TruncPoly, pvar
-from .shapes import (INF, FlagMemo, ShapeError, cells, contains, dent_index,
+from .shapes import (INF, FlagMemo, ShapeError, cells, check_orientation,
                      finite_flags, flag_class, flag_vectors, gen_cells,
-                     gen_contains, partition, skew)
+                     gen_contains, marked_shape, skew)
 
 
 def _xvar(n, deg, v):
@@ -77,11 +80,6 @@ def _cell_bounds(outer, inner, flags, orientation, n, cap=True):
     if cap:
         r, s = flag_class(r, s, n)
     return {c: (r[c[axis] - 1], s[c[axis] - 1]) for c in cell_list}
-
-
-def _check_orientation(orientation):
-    if orientation not in ("row", "col"):
-        raise ShapeError(f"orientation must be row or col: {orientation!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +145,7 @@ def _markable_positions(ms):
 def gen_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
     """Yield explicit fillings {(i,j): ((value, marked), ...)} whose total
     element count is at most deg."""
-    _check_orientation(orientation)
+    check_orientation(orientation)
     outer, inner = skew(outer, inner)
 
     def marks(i, j, ms):
@@ -165,7 +163,7 @@ def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
     """Yield (weight, filling) for every filling of the underlying multisets,
     filling mapping each cell to its multiset.  Marks are summed out cell by
     cell: a markable element contributes alpha_col - beta_row."""
-    _check_orientation(orientation)
+    check_orientation(orientation)
     outer, inner = skew(outer, inner)
     # a cell's factor depends only on (i, j, ms): build each one once
     factors = {}
@@ -205,43 +203,34 @@ _VARIANTS = ("left", "right", "bottom")
 
 
 def _mrpp_validate(outer, inner, variant, orientation, mark_set, flags, n):
-    """(outer, inner, mark set, flags) checked; with a mark set the flags
-    are checked by shapes.flag_vectors, one pair per row of outer, and read
-    by shapes.finite_flags."""
-    _check_orientation(orientation)
+    """(outer, inner, mark set, flags) checked; with a mark set the shape
+    and the marks are checked by shapes.marked_shape, and the flags, r = 1
+    and s = n when absent, by shapes.flag_vectors, one pair per row of
+    outer, and read by shapes.finite_flags."""
+    check_orientation(orientation)
     if variant not in _VARIANTS:
         raise ShapeError(f"unknown variant {variant!r}")
-    inner = partition(inner)
     if mark_set is None:
         outer, inner = skew(outer, inner)
         return outer, inner, None, flags
-    outer = tuple(outer)
-    if dent_index(outer) is None:
-        raise ShapeError(f"mark sets need a dented outer shape: {outer}")
-    if not contains(inner, outer):
-        raise ShapeError(f"{inner} not contained in {outer}")
+    outer, inner, mark_set = marked_shape(outer, inner, mark_set)
     if variant == "right":
         raise ShapeError("mark sets apply to left and bottom variants only")
     if orientation != "row":
         raise ShapeError("mark sets use row flags")
-    if flags is not None:
-        flags = finite_flags(*flag_vectors(*flags, len(outer)), n)
-    mark_set = frozenset(mark_set)
-    nflag = len(flags[0]) if flags is not None else len(outer)
-    if not all(isinstance(i, int) and 1 <= i <= nflag for i in mark_set):
-        raise ShapeError(f"mark set out of range: {sorted(mark_set)}")
-    return outer, inner, mark_set, flags
+    r, s = flags or ((1,) * len(outer), (n,) * len(outer))
+    return outer, inner, mark_set, finite_flags(
+        *flag_vectors(r, s, len(outer)), n)
 
 
-def _boundary(outer, mark_set, flags, n):
+def _boundary(outer, mark_set, flags):
     """A mark set's boundary entries {(i, outer_i + 1): T} over the rows i
-    of outer that have flags: s_i inside the set, s defaulting to n, and
-    infinite outside it; empty without a mark set."""
+    of outer: s_i inside the set and infinite outside it; empty without a
+    mark set."""
     if mark_set is None:
         return {}
-    s = flags[1] if flags is not None else (n,) * len(outer)
     return {(i, lam + 1): s_i if i in mark_set else INF
-            for i, (lam, s_i) in enumerate(zip(outer, s), 1)}
+            for i, (lam, s_i) in enumerate(zip(outer, flags[1]), 1)}
 
 
 def gen_rpp(outer, inner, n, flags=None, orientation="row", mark_set=None):
@@ -263,10 +252,9 @@ def _rpp_fillings(outer, inner, n, flags, orientation, mark_set):
     bounds = _cell_bounds(outer, inner, flags, orientation, n,
                           cap=mark_set is None)
     if mark_set is not None:
-        r, s = flags or ((1,) * len(outer), (n,) * len(outer))
-        if any(map(operator.gt, r, s)):
+        if any(map(operator.gt, *flags)):
             return
-        boundary = _boundary(outer, mark_set, flags, n)
+        boundary = _boundary(outer, mark_set, flags)
         for (i, j), (lo, hi) in bounds.items():
             # (i - 1, j) holds a boundary entry only past the end of its
             # row, never a cell; an infinite one admits no value below it
@@ -319,7 +307,7 @@ def enum_mrpp(outer, inner, n, deg, variant="left", flags=None,
     underlying fillings are enumerated, since marks are summed out."""
     outer_t, inner_t, mark_set, flags = _mrpp_validate(
         outer, inner, variant, orientation, mark_set, flags, n)
-    boundary = _boundary(outer_t, mark_set, flags, n)
+    boundary = _boundary(outer_t, mark_set, flags)
     total = TruncPoly.zero(n, deg)
     for values in _rpp_fillings(outer_t, inner_t, n, flags, orientation,
                                 mark_set):
@@ -356,7 +344,7 @@ class TableauSweep:
         if family == "fsvt" and orientation != "row":
             raise ShapeError("set-valued fillings use row flags")
         if mark_set is None:
-            _check_orientation(orientation)
+            check_orientation(orientation)
             outer, inner = skew(outer, inner)
         elif family != "mrpp":
             raise ShapeError("mark sets apply to the mrpp family only")
@@ -371,8 +359,10 @@ class TableauSweep:
         # with a mark set for every row the boundary can reach
         self._width = len(outer) if mark_set is not None else max(
             (c[self._axis] for c in cells(outer, inner)), default=0)
-        self._flags = FlagMemo(self._width, None if mark_set is None else
-                               lambda r, s: finite_flags(r, s, n))
+        # read as FlagSweep reads them: every bucket value is at most n, so
+        # capping the flags changes no bucket test
+        self._flags = FlagMemo(self._width, functools.partial(
+            flag_class if mark_set is None else finite_flags, n=n))
         self._buckets = {}  # s with a mark set, else None -> buckets
 
     def _fillings(self, s):
@@ -389,7 +379,7 @@ class TableauSweep:
             yield from _fsvt_fillings(outer, inner, n, deg)
             return
         flags = None if s is None else ((1,) * len(s), s)
-        boundary = _boundary(outer, self.mark_set, flags, n)
+        boundary = _boundary(outer, self.mark_set, flags)
         for values in gen_rpp(outer, inner, n, flags, self.orientation,
                               self.mark_set):
             weight = _mrpp_summed_weight(values, "left", boundary, n, deg)
@@ -414,7 +404,8 @@ class TableauSweep:
     def value(self, r, s):
         """The flagged sum for (r, s), raw or capped alike; each lower and
         each upper vector is checked once, the first time the sweep sees
-        it, and with a mark set read by shapes.finite_flags."""
+        it, and read by shapes.flag_class, or with a mark set by
+        shapes.finite_flags."""
         r, s = self._flags(r, s)
         total = TruncPoly.zero(self.n, self.deg)
         key = None
@@ -436,7 +427,7 @@ def gen_mrpp(outer, inner, n, variant="left", flags=None, orientation="row",
     """Yield explicit marked fillings {(i,j): (value, marked)}."""
     outer_t, inner_t, mark_set, flags = _mrpp_validate(
         outer, inner, variant, orientation, mark_set, flags, n)
-    boundary = _boundary(outer_t, mark_set, flags, n)
+    boundary = _boundary(outer_t, mark_set, flags)
     for values in _rpp_fillings(outer_t, inner_t, n, flags, orientation,
                                 mark_set):
         markable = markable_cells(values, variant, boundary)

@@ -568,6 +568,14 @@ def test_enumerate_warns_on_a_degree_below_the_cell_count(capsys):
         assert capsys.readouterr().err == "", target
 
 
+def test_marked_verbs_refuse_an_undented_shape_alike():
+    # one check of a marked shape, so one error line for both verbs
+    want = (2, "error: not a dented partition: (1, 3)")
+    for verb in ("compute", "enumerate"):
+        assert run([verb, "g", "--shape", "1,3", "--n", "2",
+                    "--mark-set", "1"]) == want, verb
+
+
 def test_compute_G_refuses_an_inner_shape_outside_the_outer():
     want = (2, "error: (3,) not contained in (2,)")
     for verb in ("compute", "enumerate", "expand"):

@@ -30,7 +30,7 @@ from grothpoly.shapes import (INF, ShapeError, conjugate, contains,
                               flag_class, partitions_between,
                               partitions_up_to)
 from grothpoly.tableaux import (TableauSweep, enum_elegant, enum_fsvt,
-                                enum_mmsvt, enum_mrpp)
+                                enum_mmsvt, enum_mrpp, gen_mrpp)
 from schur_oracle import schur_expand
 
 
@@ -394,18 +394,20 @@ def test_flag_sweep_refuses_bad_flags_on_every_call():
     # its first and on later calls, also when each of its vectors was
     # accepted before beside another partner
     sweep = FlagSweep("G", (2, 1), (), "row", 2, 4)
-    marked = FlagSweep("g", (1, 2), (), "row", 2, 4, marks={3})
     assert sweep.value([1, 1], [2, 2]) == sweep.value((1, 1), (2, 2)) \
         == G_flagged_det((2, 1), (), (1, 1), (2, 2), "row", 2, 4)
     sweep.value((1, 1, 1), (2, 2, 2))
-    marked.value((1, 1, 1), (2, 2, 2))
     bad = [(sweep, (1, 1), (2, 2, 2)), (sweep, (1, 1, 1), (2, 2)),
            (sweep, (1,), (2,)), (sweep, (0, 1), (2, 2)),
-           (sweep, (1, 1), (2, 0)), (marked, (1, 1), (2, 2))]
+           (sweep, (1, 1), (2, 0))]
     for _ in range(2):
         for bad_sweep, r, s in bad:
             with pytest.raises(ShapeError):
                 bad_sweep.value(r, s)
+    # a mark must be a row of the outer shape, whatever the flags' length,
+    # so a mark past its rows is refused when the sweep is built
+    with pytest.raises(ShapeError, match="mark set out of range"):
+        FlagSweep("g", (1, 2), (), "row", 2, 4, marks={3})
 
 
 @pytest.mark.parametrize("kind, orientation", [("G", "row"), ("G", "col"),
@@ -446,6 +448,58 @@ def test_marked_flag_sweep_reads_an_infinite_upper_flag_as_n():
         warnings.simplefilter("ignore")
         assert g_marked_det(lam, mu, (3, 1), (INF, INF), marks, n,
                             deg).is_zero()
+
+
+# (outer, inner, marks, r, s): two valid inputs, one fault per input, and an
+# infinite upper flag.  Every value stays at most n = 2, so each marked
+# filling has a nonzero x weight.
+_MARKED_INPUTS = [
+    pytest.param((1, 2), (), {1}, (1, 1), (2, 2), id="valid"),
+    pytest.param((2, 2, 1), (1,), {1, 2}, (1, 1, 2), (1, 2, 2),
+                 id="valid-skew"),
+    pytest.param((1,), (), {2}, (1, 1), (2, 2), id="mark-past-the-rows"),
+    pytest.param((1, 3), (), {1}, (1, 1), (2, 2), id="not-dented"),
+    pytest.param((1, 2), (2,), {1}, (1, 1), (2, 2), id="inner-outside"),
+    pytest.param((1, 2), (), {1}, (1,), (2,), id="flags-too-short"),
+    pytest.param((1, 2), (), {1}, (1, 1), (INF, INF), id="infinite-upper"),
+]
+
+
+@pytest.mark.parametrize("outer, inner, marks, r, s", _MARKED_INPUTS)
+def test_marked_entry_points_share_one_contract(outer, inner, marks, r, s):
+    # the five marked entry points agree: each returns the same value (for
+    # gen_mrpp, its count of marked fillings), or each raises the same
+    # ShapeError
+    n, deg = 2, 4
+    calls = {
+        "g_marked_det": lambda: g_marked_det(outer, inner, r, s, marks, n,
+                                             deg),
+        "FlagSweep": lambda: FlagSweep("g", outer, inner, "row", n, deg,
+                                       marks=marks).value(r, s),
+        "enum_mrpp": lambda: enum_mrpp(outer, inner, n, deg, flags=(r, s),
+                                       mark_set=marks),
+        "TableauSweep": lambda: TableauSweep("mrpp", outer, inner, n, deg,
+                                             mark_set=marks).value(r, s),
+        "gen_mrpp": lambda: len(list(gen_mrpp(outer, inner, n, flags=(r, s),
+                                              mark_set=marks))),
+    }
+    got = {}
+    for name, call in calls.items():
+        try:
+            got[name] = call()
+        except ShapeError as err:
+            got[name] = ("ShapeError", str(err))
+    refusals = [v for v in got.values() if isinstance(v, tuple)]
+    if refusals:
+        assert len(refusals) == len(got) and len(set(refusals)) == 1, got
+        return
+    count = got.pop("gen_mrpp")
+    want = got["g_marked_det"]
+    assert all(v == want for v in got.values()), got
+    # at x = 1, alpha = -1 and beta = 1 a summed weight counts the marked
+    # fillings: each markable cell weighs 1 - (-1) = 2, marked or not
+    ones = want.specialize(lambda var: (-1 if var[0] == ALPHA else 1, None))
+    assert count == sum(ones.terms.values()) > 0
 
 
 def test_flag_sweep_with_marks_matches_marked_determinant_on_raw_flags():
