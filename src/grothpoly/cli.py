@@ -30,18 +30,19 @@ import sys
 
 from .grothendieck import (C_coeff, FlagSweep, G_bialternant, G_flagged_det,
                            G_jt, G_jt_modified, G_schur, c_coeff,
-                           cauchy_check, col_monotone, g_bialternant,
-                           g_flagged_det, g_jt, g_jt_modified, g_marked_det,
-                           g_schur, hall_pairing, omega_check,
-                           row_monotone, schur_in_grothendieck,
-                           skew_schur_expansion, valid_mark_sets)
+                           cauchy_check, coefficient_table, col_monotone,
+                           g_bialternant, g_flagged_det, g_jt,
+                           g_jt_modified, g_marked_det, g_schur,
+                           hall_pairing, omega_check, row_monotone,
+                           schur_in_grothendieck, skew_schur_expansion,
+                           valid_mark_sets)
 from .lgv import nonintersecting_coeff
 from .ring import (ALPHA, BETA, FAMILY_NAMES, X, DivisibilityError,
                    InternalCheckError, TruncPoly)
 from .shapes import (INF, ShapeError, conjugate, contains, dent_index,
                      finite_flags, flag_class, part, partition,
                      partitions_above, partitions_between, partitions_of,
-                     partitions_up_to, size, skew)
+                     partitions_up_to, size, skew, strip)
 from .symfunc import schur_jt
 from .tableaux import (TableauSweep, enum_elegant, enum_fsvt, enum_mmsvt,
                        enum_mrpp, gen_fsvt, gen_mmsvt, gen_mrpp)
@@ -213,9 +214,7 @@ def _parse_shape(text):
         raise ShapeError(f"bad shape {text!r}") from None
     if any(v < 0 for v in parts):
         raise ShapeError(f"negative part in {text!r}")
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
+    return strip(parts)
 
 
 def _get_shapes(args):
@@ -229,10 +228,11 @@ def _parse_flag_list(text, length, fill):
     for column-flagged tableaux); fill for each when the option is absent."""
     if text is None:
         return (fill,) * length
-    out = []
-    for tok in text.split(","):
-        tok = tok.strip()
-        out.append(INF if tok in ("inf", "oo") else int(tok))
+    try:
+        out = [INF if tok.strip() in ("inf", "oo") else int(tok)
+               for tok in text.split(",")]
+    except ValueError:
+        raise ShapeError(f"bad flag list {text!r}") from None
     if len(out) != length:
         raise ShapeError(f"flag list {text!r} gives {len(out)} flags, "
                          f"expected {length}")
@@ -301,7 +301,8 @@ def cmd_compute(args):
     flagged = (args.flags_r is not None or args.flags_s is not None
                or args.mark_set is not None or args.orientation == "col")
     if args.target == "s":
-        value = schur_jt(outer, inner, n, deg)
+        # both shapes are partitions; a pair without containment gives 0
+        value = schur_jt(partition(outer), partition(inner), n, deg)
     elif not (flagged or inner):
         value = G_schur(outer, n, deg) if args.target == "G" \
             else g_schur(outer, n, deg)
@@ -368,15 +369,13 @@ def cmd_expand(args):
         return "\n".join(lines), 0
     lam = partition(outer)
     if args.target == "G":
-        pairs = [(mu, C_coeff(lam, mu, n, deg))
-                 for mu in partitions_above(lam, size(lam) + budget)]
+        table = coefficient_table(lambda mu: C_coeff(lam, mu, n, deg),
+                                  partitions_above(lam, size(lam) + budget))
     else:
-        pairs = [(mu, c_coeff(lam, mu, n, deg))
-                 for mu in partitions_between((), lam)]
-    for mu, coef in pairs:
-        if not coef.is_zero():
-            lines.append(f"{_shape_label(mu)}: "
-                         f"{render_poly(coef, args.format)}")
+        table = coefficient_table(lambda mu: c_coeff(lam, mu, n, deg),
+                                  partitions_between((), lam))
+    for mu, coef in table.items():
+        lines.append(f"{_shape_label(mu)}: {render_poly(coef, args.format)}")
     return "\n".join(lines), 0
 
 

@@ -28,7 +28,7 @@ from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
 from .shapes import (FlagMemo, ShapeError, check_orientation, contains,
                      finite_flags, flag_class, flag_vectors, marked_shape,
                      minimal_cell, part, partition, partitions_above,
-                     partitions_between, partitions_of, size, skew)
+                     partitions_between, partitions_of, size, skew, strip)
 from .symfunc import (CACHE_SIZE, a_prefix, alternant_quotient, b_prefix,
                       cat, e_ominus, e_pleth, h_ominus, h_pleth, neg,
                       schur_branching, schur_jt, single, x_interval)
@@ -67,13 +67,6 @@ def _row_prefactor(kind, orientation, rows, n, deg):
     return _series_product("e", [(lo, hi, neg(_MINUS_B1 if kind == "M"
                                               else single(BETA, i, 1)))
                                  for i, lo, hi in rows], n, deg)
-
-
-def _strip(seq):
-    seq = tuple(seq)
-    while seq and seq[-1] == 0:
-        seq = seq[:-1]
-    return seq
 
 
 # Alphabets A_{lam_i} - B_{i-1} (G side) and -A_{lam_i-1} + B_{i-1} (g side).
@@ -157,13 +150,19 @@ def c_coeff(lam, mu, n, deg):
     return _coeff_det("c", partition(lam), partition(mu), n, deg)
 
 
+def coefficient_table(coeff, keys):
+    """{key: coeff(key)} over keys, called in their order, without the zero
+    coefficients: the one table of the Schur expansions of G and g, their
+    inverses and the skew expansion's factor families."""
+    return {key: coef for key in keys if not (coef := coeff(key)).is_zero()}
+
+
 def _schur_sum(coeff, lam, shapes, n, deg):
     """sum of coeff(lam, mu) s_mu(x_n) over the mu in shapes."""
-    terms = [(mu, coeff(lam, mu, n, deg)) for mu in shapes]
-    terms = [(mu, coef) for mu, coef in terms if not coef.is_zero()]
+    table = coefficient_table(lambda mu: coeff(lam, mu, n, deg), shapes)
     acc = TruncPoly.zero(n, deg)
-    for (_, coef), s_mu in zip(terms, schur_branching(
-            [mu for mu, _ in terms], n, deg)):
+    for coef, s_mu in zip(table.values(),
+                          schur_branching(list(table), n, deg)):
         acc = acc + coef * s_mu
     return acc
 
@@ -252,20 +251,13 @@ def schur_in_grothendieck(lam, basis, budget, n, deg):
     over mu >= lam (truncated to |mu| <= budget) or sum C_{mu,lam} g_mu over
     mu <= lam (finite).  Returns {mu: parameter coefficient}."""
     lam = partition(lam)
-    out = {}
     if basis == "G":
-        for mu in partitions_above(lam, budget):
-            coef = c_coeff(mu, lam, n, deg)
-            if not coef.is_zero():
-                out[mu] = coef
-    elif basis == "g":
-        for mu in partitions_between((), lam):
-            coef = C_coeff(mu, lam, n, deg)
-            if not coef.is_zero():
-                out[mu] = coef
-    else:
-        raise ShapeError(f"unknown basis {basis!r}")
-    return out
+        return coefficient_table(lambda mu: c_coeff(mu, lam, n, deg),
+                                 partitions_above(lam, budget))
+    if basis == "g":
+        return coefficient_table(lambda mu: C_coeff(mu, lam, n, deg),
+                                 partitions_between((), lam))
+    raise ShapeError(f"unknown basis {basis!r}")
 
 
 def row_monotone(lam, mu, r, s):
@@ -666,13 +658,11 @@ def _family(rule, keys, fixed, n, deg):
     """{key: coefficient} over keys, keeping the nonzero ones in order.  An
     unprimed rule takes (fixed, key) as (lam, nu), a primed one (key, fixed)
     as (rho, mu)."""
-    out = {}
-    for key in keys:
-        first, second = (key, fixed) if rule.endswith("'") else (fixed, key)
-        coef = _coeff_det(rule, first, second, n, deg)
-        if not coef.is_zero():
-            out[key] = coef
-    return out
+    if rule.endswith("'"):
+        return coefficient_table(
+            lambda key: _coeff_det(rule, key, fixed, n, deg), keys)
+    return coefficient_table(
+        lambda key: _coeff_det(rule, fixed, key, n, deg), keys)
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
@@ -714,7 +704,7 @@ def skew_schur_expansion(outer, inner, kind, budget, n, deg):
                                             max_len=rows),
                            lam, n, deg)
             right = _family("C'" if kind == "G_h" else "D'",
-                            map(_strip, _gen_rho_below(mu, budget, rows)),
+                            map(strip, _gen_rho_below(mu, budget, rows)),
                             mu, n, deg)
         return SchurExpansion(kind, n, deg, rows, left, right,
                               _G_prefactor(kind, rows, n, deg))

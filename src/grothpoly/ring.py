@@ -357,8 +357,9 @@ def _field_image(image, k):
 
 def pvar(n, deg, fam, idx):
     """The variable (fam, idx) as a polynomial; zero for idx <= 0, matching
-    the convention alpha_m = beta_m = 0 for m <= 0."""
-    if idx <= 0:
+    the convention alpha_m = beta_m = 0 for m <= 0, and for x_idx with idx
+    > n, matching x_l = 0 for l > n."""
+    if idx <= 0 or (fam == X and idx > n):
         return TruncPoly.zero(n, deg)
     return TruncPoly.var(n, deg, fam, idx)
 

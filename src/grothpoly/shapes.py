@@ -1,8 +1,10 @@
 """Partitions, skew shapes, generalized and dented partitions.
 
-Partitions are tuples of positive integers without trailing zeros; any
-operation needing a fixed length takes n explicitly.  Generalized partitions
-are weakly decreasing integer tuples whose length is significant.
+Partitions are tuples of positive integers without trailing zeros (strip
+drops them); any operation needing a fixed length takes n explicitly.
+Generalized partitions are weakly decreasing integer tuples whose length is
+significant; on two of equal length, cells and contains read their parts
+as given, negative ones included.
 """
 
 import math
@@ -14,11 +16,17 @@ class ShapeError(ValueError):
     pass
 
 
+def strip(seq):
+    """seq as a tuple without its trailing zeros; negative parts stay."""
+    seq = tuple(seq)
+    while seq and seq[-1] == 0:
+        seq = seq[:-1]
+    return seq
+
+
 def partition(parts):
     """Canonicalize to a trailing-zero-free weakly decreasing tuple."""
-    parts = tuple(parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
+    parts = strip(parts)
     for a, b in zip(parts, parts[1:]):
         if a < b:
             raise ShapeError(f"not weakly decreasing: {parts}")
@@ -43,13 +51,6 @@ def contains(inner, outer):
     return all(part(inner, i) <= part(outer, i) for i in range(1, k + 1))
 
 
-def gen_contains(inner, outer):
-    """Containment for fixed-length generalized partitions."""
-    if len(inner) != len(outer):
-        raise ShapeError("generalized partitions must share their length")
-    return all(a <= b for a, b in zip(inner, outer))
-
-
 def conjugate(lam):
     if not lam:
         return ()
@@ -64,22 +65,10 @@ def skew(outer, inner):
 
 
 def cells(outer, inner=()):
-    """Row-major cells (i, j) of outer/inner, 1-based."""
+    """Row-major cells (i, j) with inner_i < j <= outer_i, 1-based."""
     out = []
     for i in range(1, len(outer) + 1):
         for j in range(part(inner, i) + 1, part(outer, i) + 1):
-            out.append((i, j))
-    return out
-
-
-def gen_cells(outer, inner):
-    """Cells of a generalized skew shape: (i, j) with inner_i < j <= outer_i.
-    Column indices may be nonpositive."""
-    if len(outer) != len(inner):
-        raise ShapeError("generalized partitions must share their length")
-    out = []
-    for i in range(1, len(outer) + 1):
-        for j in range(inner[i - 1] + 1, outer[i - 1] + 1):
             out.append((i, j))
     return out
 
@@ -178,10 +167,8 @@ class FlagMemo:
         return lo, hi
 
 
-def partitions_of(k, max_len=None, max_part=None):
+def partitions_of(k, max_len=None):
     """All partitions of k, largest part first."""
-    if max_part is None:
-        max_part = k
     if max_len is None:
         max_len = k
     out = []
@@ -197,16 +184,13 @@ def partitions_of(k, max_len=None, max_part=None):
             rec(remaining - p, p, prefix)
             prefix.pop()
 
-    rec(k, max_part, [])
+    rec(k, k, [])
     return out
 
 
-def partitions_up_to(k, max_len=None, max_part=None):
+def partitions_up_to(k):
     """All partitions of size <= k (including the empty one)."""
-    out = []
-    for m in range(k + 1):
-        out.extend(partitions_of(m, max_len=max_len, max_part=max_part))
-    return out
+    return [lam for m in range(k + 1) for lam in partitions_of(m)]
 
 
 def partitions_above(lam, max_size, max_len=None):

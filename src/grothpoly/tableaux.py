@@ -47,15 +47,8 @@ import operator
 
 from .ring import ALPHA, BETA, X, TruncPoly, pvar
 from .shapes import (INF, FlagMemo, ShapeError, cells, check_orientation,
-                     finite_flags, flag_class, flag_vectors, gen_cells,
-                     gen_contains, marked_shape, skew)
-
-
-def _xvar(n, deg, v):
-    """x_v as a polynomial; zero beyond the variable context."""
-    if v > n:
-        return TruncPoly.zero(n, deg)
-    return TruncPoly.var(n, deg, X, v)
+                     contains, finite_flags, flag_class, flag_vectors,
+                     marked_shape, skew)
 
 
 def _col_order(cell_list):
@@ -174,7 +167,7 @@ def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
             alpha = TruncPoly.var(n, deg, ALPHA, j)
             factor = TruncPoly.const(n, deg, 1)
             for v in ms:
-                factor = factor * _xvar(n, deg, v)
+                factor = factor * pvar(n, deg, X, v)
             markable = len(_markable_positions(ms))
             factor = factor * alpha ** (len(ms) - 1 - markable)
             factor = factor * (alpha - TruncPoly.var(n, deg, BETA, i)) \
@@ -294,7 +287,7 @@ def _mrpp_summed_weight(values, variant, boundary, n, deg):
         if values.get(bcell, boundary.get(bcell)) == v:
             rest = pvar(n, deg, BETA, bidx)
         else:
-            rest = _xvar(n, deg, v)
+            rest = pvar(n, deg, X, v)
         if values.get(mcell, boundary.get(mcell)) == v:
             rest = rest - pvar(n, deg, ALPHA, midx)
         w = w * rest
@@ -467,10 +460,11 @@ def _elegant_cells(outer, inner):
     outer, inner = tuple(outer), tuple(inner)
     if all(v >= 0 for v in outer + inner):
         outer, inner = skew(outer, inner)
-        return cells(outer, inner)
-    if not gen_contains(inner, outer):
+    elif len(inner) != len(outer):
+        raise ShapeError("generalized partitions must share their length")
+    elif not contains(inner, outer):
         raise ShapeError(f"{inner} not contained in {outer}")
-    return gen_cells(outer, inner)
+    return cells(outer, inner)
 
 
 def gen_elegant(outer, inner, family):
@@ -551,7 +545,7 @@ def _fsvt_fillings(outer, inner, n, deg, flags=None):
             if factor is None:
                 factor = beta ** (len(st) - 1)
                 for v in st:
-                    factor = factor * _xvar(n, deg, v)
+                    factor = factor * pvar(n, deg, X, v)
                 factors[st] = factor
             w = w * factor
         yield w, filling

@@ -589,6 +589,34 @@ def test_compute_G_refuses_an_inner_shape_outside_the_outer():
                     "--n", "2"]) == (0, "0"), target
 
 
+SHAPE_TARGETS = [(verb, target) for verb, targets in (
+    ("compute", ("G", "g", "s")), ("expand", ("G", "g", "s")),
+    ("coeff", ("C", "c", "hall")), ("enumerate", ("G", "g", "matsumura")))
+    for target in targets]
+
+
+@pytest.mark.parametrize("verb,target", SHAPE_TARGETS)
+@pytest.mark.parametrize("shape,inner,bad", [("1,3", "0", (1, 3)),
+                                             ("3", "1,2", (1, 2))])
+def test_every_target_refuses_a_shape_that_is_no_partition(verb, target,
+                                                           shape, inner, bad):
+    # (1, 2) would be a valid dented outer shape for the marked dual, but
+    # never an inner one; expand s takes no inner shape at all
+    status, out = run([verb, target, "--shape", shape, "--inner", inner,
+                       "--n", "3"])
+    assert status == 2
+    assert out in (f"error: not weakly decreasing: {bad}",
+                   "error: expand s takes no --inner")
+
+
+def test_a_flag_list_that_is_no_integer_list_is_named():
+    for verb in ("compute", "enumerate"):
+        for option in ("--flags-r", "--flags-s"):
+            assert run([verb, "G", "--shape", "2,1", "--n", "2",
+                        option, "1,a"]) == \
+                (2, "error: bad flag list '1,a'"), (verb, option)
+
+
 def test_mark_set_rejected_for_G():
     status, out = run(["compute", "G", "--shape", "1,2", "--n", "2",
                        "--mark-set", "1"])

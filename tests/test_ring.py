@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from grothpoly.ring import (
     ALPHA, BETA, LIMIT, X, ContextMismatch, DivisibilityError, TruncPoly, det,
-    exact_divide,
+    exact_divide, pvar,
 )
 from schur_oracle import swap_x
 
@@ -183,6 +183,17 @@ def test_var_exponents():
     assert list(TruncPoly.var(n, deg, BETA, 1, deg + 1).monomials()) == \
         [((((BETA, 1), deg + 1),), 1)]
     assert TruncPoly.var(n, deg, X, 2, deg + 1).is_zero()
+
+
+def test_pvar_vanishes_outside_the_variables():
+    # alpha_m = beta_m = 0 for m <= 0, and x_l = 0 for l > n
+    n, deg = 2, 3
+    for fam in (X, ALPHA, BETA):
+        assert pvar(n, deg, fam, 0).is_zero()
+        assert pvar(n, deg, fam, 1) == TruncPoly.var(n, deg, fam, 1)
+    assert pvar(n, deg, X, n) == TruncPoly.var(n, deg, X, n)
+    assert pvar(n, deg, X, n + 1).is_zero()
+    assert pvar(n, deg, ALPHA, n + 1) == TruncPoly.var(n, deg, ALPHA, n + 1)
 
 
 def test_context_mismatch_rejected():

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothpoly.shapes import (
-    ShapeError, cells, conjugate, contains, dent_index, gen_cells,
-    minimal_cell, partition, partitions_between, partitions_of,
-    partitions_up_to, size, skew,
+    ShapeError, cells, conjugate, contains, dent_index, minimal_cell,
+    partition, partitions_between, partitions_of, partitions_up_to, size,
+    skew, strip,
 )
 
 
@@ -71,8 +71,21 @@ def test_skew_validation():
 
 
 def test_gen_cells_negative_columns():
-    got = gen_cells((1, 0), (-1, -2))
+    got = cells((1, 0), (-1, -2))
     assert got == [(1, 0), (1, 1), (2, -1), (2, 0)]
+
+
+def test_contains_on_generalized_partitions_of_equal_length():
+    assert contains((-1, -2), (1, 0))
+    assert contains((0, -2), (0, -1))
+    assert not contains((1, -2), (0, 0))
+    assert not contains((0, -1), (0, -2))
+
+
+def test_strip_keeps_negative_parts():
+    assert strip((2, -1, 0)) == (2, -1)
+    assert strip([0, 0]) == ()
+    assert strip((0, -1)) == (0, -1)
 
 
 def test_partition_enumerators():
@@ -83,11 +96,10 @@ def test_partition_enumerators():
     assert partitions_between((2,), (1, 1)) == []
 
 
-def unpruned_partitions_of(k, max_len=None, max_part=None):
-    """ORACLE: every weakly decreasing tuple of parts in 1..max_part, up to
+def unpruned_partitions_of(k, max_len=None):
+    """ORACLE: every weakly decreasing tuple of positive parts, up to
     max_len of them, built part by part; those summing to k, largest part
     first."""
-    max_part = k if max_part is None else max_part
     max_len = k if max_len is None else max_len
     out = []
 
@@ -99,18 +111,16 @@ def unpruned_partitions_of(k, max_len=None, max_part=None):
         for p in range(min(cap, remaining), 0, -1):
             rec(remaining - p, p, prefix + [p])
 
-    rec(k, max_part, [])
+    rec(k, k, [])
     return out
 
 
 def test_partitions_of_matches_the_unpruned_walk():
-    # same lists in the same order, with and without length and part caps
+    # same lists in the same order, with and without a length cap
     for k in range(14):
         for max_len in (None, 1, 2, 3, 5):
-            for max_part in (None, 1, 2, 4):
-                assert partitions_of(k, max_len, max_part) == \
-                    unpruned_partitions_of(k, max_len, max_part), \
-                    (k, max_len, max_part)
+            assert partitions_of(k, max_len) == \
+                unpruned_partitions_of(k, max_len), (k, max_len)
     # the cap prunes: one part of k, for every k, stays instant
     assert all(partitions_of(k, max_len=1) == [(k,)] for k in range(1, 3000))
 

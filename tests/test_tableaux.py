@@ -10,10 +10,9 @@ from grothpoly import shapes, symfunc
 from grothpoly.grothendieck import valid_mark_sets
 from grothpoly.ring import ALPHA, BETA, TruncPoly, X, pvar
 from grothpoly.shapes import ShapeError
-from grothpoly.tableaux import (TableauSweep, _mrpp_neighbors, _xvar,
-                                enum_elegant, enum_fsvt, enum_mmsvt, enum_mrpp,
-                                gen_elegant, gen_mmsvt, gen_mrpp, gen_rpp,
-                                markable_cells)
+from grothpoly.tableaux import (TableauSweep, _mrpp_neighbors, enum_elegant,
+                                enum_fsvt, enum_mmsvt, enum_mrpp, gen_elegant,
+                                gen_mmsvt, gen_mrpp, gen_rpp, markable_cells)
 
 
 def xv(n, deg, i):
@@ -57,7 +56,7 @@ def mmsvt_weight(entries, n, deg):
             raise ShapeError(f"multiset not weakly increasing: {vals}")
         unmarked = 0
         for p, (v, marked) in enumerate(elems):
-            w = w * _xvar(n, deg, v)
+            w = w * pvar(n, deg, X, v)
             if marked:
                 if p == 0 or vals[p - 1] >= v:
                     raise ShapeError("marks need a strictly smaller "
@@ -94,7 +93,7 @@ def mrpp_weight(outer, inner, filling, variant, n, deg,
         elif values.get(bcell) == v:
             w = w * pvar(n, deg, BETA, bidx)
         else:
-            w = w * _xvar(n, deg, v)
+            w = w * pvar(n, deg, X, v)
     return w
 
 
@@ -463,6 +462,13 @@ def test_elegant_generalized_shape():
     # barred tableaux may live on shapes with nonpositive column indices
     got = list(gen_elegant((1,), (-1,), "barred"))
     assert got == [{(1, 0): 1, (1, 1): 1}]
+
+
+def test_elegant_refuses_bad_generalized_shapes():
+    with pytest.raises(ShapeError, match="must share their length"):
+        list(gen_elegant((1, 0), (-1,), "barred"))
+    with pytest.raises(ShapeError, match="not contained"):
+        list(gen_elegant((1, -1), (0, 0), "barred"))
 
 
 def test_elegant_single_cell_values():
