@@ -40,9 +40,9 @@ from .lgv import nonintersecting_coeff
 from .ring import (ALPHA, BETA, FAMILY_NAMES, X, DivisibilityError,
                    InternalCheckError, TruncPoly)
 from .shapes import (INF, ShapeError, conjugate, contains, dent_index,
-                     finite_flags, flag_class, part, partition,
-                     partitions_above, partitions_between, partitions_of,
-                     partitions_up_to, size, skew, strip)
+                     flag_class, part, partition, partitions_above,
+                     partitions_between, partitions_of, partitions_up_to,
+                     read_flags, size, skew, strip)
 from .symfunc import schur_jt
 from .tableaux import (TableauSweep, enum_elegant, enum_fsvt, enum_mmsvt,
                        enum_mrpp, gen_fsvt, gen_mmsvt, gen_mrpp)
@@ -224,8 +224,8 @@ def _get_shapes(args):
 
 
 def _parse_flag_list(text, length, fill):
-    """Exactly length positive flags, one per row of the shape (per column
-    for column-flagged tableaux); fill for each when the option is absent."""
+    """Exactly length flags, one per row of the shape (per column for
+    column-flagged tableaux); fill for each when the option is absent."""
     if text is None:
         return (fill,) * length
     try:
@@ -236,16 +236,16 @@ def _parse_flag_list(text, length, fill):
     if len(out) != length:
         raise ShapeError(f"flag list {text!r} gives {len(out)} flags, "
                          f"expected {length}")
-    if min(out) < 1:
-        raise ShapeError("flags must be positive")
     return tuple(out)
 
 
 def _parse_flags(args, length, n):
     """The flags (r, s) of --flags-r and --flags-s, length of each: r
-    defaults to 1 and s to n, and an infinite upper flag reads as n."""
-    return finite_flags(_parse_flag_list(args.flags_r, length, 1),
-                        _parse_flag_list(args.flags_s, length, n), n)
+    defaults to 1 and s to n, checked by shapes.read_flags and read as a
+    mark set's flags are, an infinite upper flag as n."""
+    return read_flags(_parse_flag_list(args.flags_r, length, 1),
+                      _parse_flag_list(args.flags_s, length, n), length, n,
+                      marked=True)
 
 
 def _nonnegative(text):
@@ -337,9 +337,11 @@ def _shape_label(nu, rho=()):
 
 def cmd_expand(args):
     outer, inner = _get_shapes(args)
-    # the g expansions are finite, so they have no budget
+    # the g expansions are finite and have no x part, so they have no
+    # budget and no degree
     ignored = {"s": ["inner"] if inner else [],
-               "g": ["budget"] if args.budget is not None else []}
+               "g": [name for name in ("budget", "deg")
+                     if getattr(args, name) is not None]}
     _refuse(f"expand {args.target}", ignored.get(args.target, []))
     n = args.n
     deg = _default_deg(args, outer, inner)
@@ -685,27 +687,19 @@ def _tableau_reference(kind, orientation, lam, mu, n, deg):
                         orientation).value
 
 
-def _class_firsts(vectors, n, side):
-    """(first vector, class) for each flag class at n among vectors, in the
-    order of their first vectors; side 0 caps as lower flags, 1 as upper."""
-    firsts = {}
-    for v in vectors:
-        firsts.setdefault(flag_class(v, v, n)[side], v)
-    return [(v, capped) for capped, v in firsts.items()]
-
-
 def _flag_classes(lam, mu, contained):
-    """Yield (n, {hypothesis: [(r, s, R, S)]}) for each n in FLAGGED_NS:
-    the first raw flags (r, s), in raw order, of each class (R, S) =
-    flag_class(r, s, n) of flags satisfying the hypothesis.  Determinant
-    values depend on the flags only through the class.  The hypotheses do
-    not depend on n; "weak" is the weakened col G condition where the col
-    one fails, which loosens only the condition on r.
+    """Yield (n, {hypothesis: [(r, s)]}) for each n in FLAGGED_NS: the
+    classes flag_class(r, s, n) of the flags satisfying the hypothesis, in
+    the raw order of their first flags.  Determinant values depend on the
+    flags only through the class, as shapes.read_flags reads them.  The
+    hypotheses do not depend on n; "weak" is the weakened col G condition
+    where the col one fails, which loosens only the condition on r.
 
-    Each hypothesis holds on a product of lower and upper vectors (_split),
-    so the first raw flags of class (R, S) are the first r capping to R and
-    the first s capping to S, and the classes come in the order of those
-    pairs."""
+    Each hypothesis holds on a product of lower and upper vectors (_split).
+    Capping only lowers entries and keeps row_monotone and col_monotone, so
+    a row or col class is its own first raw flags: an admitted pair that
+    flag_class fixes.  A capped weak r may meet the col condition, so the
+    weak classes are mapped from the raw lower vectors."""
     space = _flag_space(max(len(lam), len(mu), 1))
     factors = {"row": _split(space, functools.partial(row_monotone, lam, mu))}
     if contained:
@@ -717,10 +711,12 @@ def _flag_classes(lam, mu, contained):
     for n in FLAGGED_NS:
         classes = {"row": [], "col": [], "weak": []}
         for hypothesis, (lower, upper) in factors.items():
-            upper = _class_firsts(upper, n, 1)
-            classes[hypothesis] = [(r, s, R, S)
-                                   for r, R in _class_firsts(lower, n, 0)
-                                   for s, S in upper]
+            if hypothesis == "weak":
+                lower = dict.fromkeys(flag_class(r, r, n)[0] for r in lower)
+            else:
+                lower = [r for r in lower if flag_class(r, r, n)[0] == r]
+            upper = [s for s in upper if flag_class(s, s, n)[1] == s]
+            classes[hypothesis] = list(itertools.product(lower, upper))
         yield n, classes
 
 
@@ -736,17 +732,18 @@ def verify_flagged(max_size=4):
     One (kind, orientation) job runs at a time per shape pair, with one
     FlagSweep for the determinants and one TableauSweep, an unflagged
     enumeration filtered by the flags, for the tableaux.  Each class of
-    flags with equal determinant values is checked once: both sweeps get
-    its capped flags, and its label names its first raw flags.  The classes
-    are found once per (lam, mu, n) and hypothesis, from the lower and the
-    upper vectors the hypothesis admits (_flag_classes), and shared by the
-    jobs.  A sample of raw flag vectors is re-evaluated through the plain
-    determinant functions as a cross-check.  The weakened lower-flag
-    condition for column-flagged G (one extra unit of slack) is evaluated
-    and reported, never asserted.  The boundary-marked duals evaluate a
-    FlagSweep with the mark set against a TableauSweep with the same mark
-    set on every row-monotone flag pair, and every CROSSCHECK_EVERY-th of
-    them against enum_mrpp.  Labels are format tuples (_run_suite).
+    flags with equal determinant values (the flags as shapes.read_flags
+    reads them) is checked once, and its capped flags are its first raw
+    flags.  The classes are found once per (lam, mu, n) and hypothesis,
+    from the lower and the upper vectors the hypothesis admits
+    (_flag_classes), and shared by the jobs.  A sample of them is
+    re-evaluated through the plain determinant functions as a cross-check.
+    The weakened lower-flag condition for column-flagged G (one extra unit
+    of slack) is evaluated and reported, never asserted.  The boundary-marked
+    duals evaluate a FlagSweep with the mark set against a TableauSweep with
+    the same mark set on every row-monotone flag pair, and every
+    CROSSCHECK_EVERY-th of them against enum_mrpp.  Labels are format tuples
+    (_run_suite).
     """
     counts = {"row G": 0, "col G": 0, "row dual": 0, "col dual": 0,
               "dual without containment": 0, "marked dual": 0,
@@ -764,15 +761,15 @@ def verify_flagged(max_size=4):
                     reference = _tableau_reference(kind, orientation, lam,
                                                    mu, n, deg)
                     if key == "col G":
-                        for _, _, R, S in classes["weak"]:
-                            if sweep.value(R, S) == reference(R, S):
+                        for r, s in classes["weak"]:
+                            if sweep.value(r, s) == reference(r, s):
                                 weak_agree += 1
                             else:
                                 weak_differ += 1
-                    for r, s, R, S in classes[hypothesis]:
-                        value = sweep.value(R, S)
+                    for r, s in classes[hypothesis]:
+                        value = sweep.value(r, s)
                         yield ((_FLAGGED_AT, key, lam, mu, n, r, s), value,
-                               reference(R, S))
+                               reference(r, s))
                         counts[key if contained
                                else "dual without containment"] += 1
                         tick += 1

@@ -26,9 +26,9 @@ import warnings
 
 from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
 from .shapes import (FlagMemo, ShapeError, check_orientation, contains,
-                     finite_flags, flag_class, flag_vectors, marked_shape,
-                     minimal_cell, part, partition, partitions_above,
-                     partitions_between, partitions_of, size, skew, strip)
+                     flag_vectors, marked_shape, minimal_cell, part,
+                     partition, partitions_above, partitions_between,
+                     partitions_of, read_flags, size, skew, strip)
 from .symfunc import (CACHE_SIZE, a_prefix, alternant_quotient, b_prefix,
                       cat, e_ominus, e_pleth, h_ominus, h_pleth, neg,
                       schur_branching, schur_jt, single, x_interval)
@@ -416,13 +416,13 @@ class FlagSweep:
     passing the sweep's minor memo: a minor on rows R is keyed by (R,
     r_1..r_|R|, the flags of R), which fix its entries.  With a mark set
     (outer may be dented) the shape and the marks are checked once, by
-    shapes.marked_shape, and the flags are read as g_marked_det reads them,
-    by shapes.finite_flags: uncapped, an infinite upper flag as n.
+    shapes.marked_shape, and the flags are read as g_marked_det reads them:
+    uncapped, an infinite upper flag as n.
 
-    value() checks and reads each lower and each upper flag vector once, the
-    first time the sweep sees it (a shapes.FlagMemo), so a suite may pass
-    raw or capped flags alike; the r-prefixes and row flags the minor keys
-    read are built once per call.
+    value() checks and reads each lower and each upper flag vector once, by
+    shapes.read_flags, the first time the sweep sees it (a shapes.FlagMemo),
+    so a suite may pass raw or capped flags alike; the r-prefixes and row
+    flags the minor keys read are built once per call.
     """
 
     def __init__(self, kind, outer, inner, orientation, n, deg, marks=None):
@@ -439,11 +439,8 @@ class FlagSweep:
         self.marks = marks
         self.orientation = orientation
         self.n, self.deg = n, deg
-        # the reader holds no reference to the sweep, so that a sweep and
-        # its memos are freed as soon as the caller drops it
-        self._flags = FlagMemo(max(len(self.lam), len(self.mu)),
-                               functools.partial(flag_class if marks is None
-                                                 else finite_flags, n=n))
+        self._flags = FlagMemo(max(len(self.lam), len(self.mu)), n,
+                               marks is not None)
         self._entries = {}
         self._scaled = {}
         self._rowpref = {}
@@ -520,12 +517,12 @@ def g_marked_det(outer, inner, r, s, mark_set, n, deg):
 
     outer may be dented; with I empty and an ordinary partition this reduces
     to the row g determinant whenever r <= s componentwise.  The shape and
-    the marks, rows of outer, are checked by shapes.marked_shape, the flags
-    by shapes.flag_vectors, one pair per row of outer at least, and an
-    infinite upper flag reads as n (shapes.finite_flags).
+    the marks, rows of outer, are checked by shapes.marked_shape, and the
+    flags, one pair per row of outer at least, are read by shapes.read_flags
+    with a mark set's reading: uncapped, an infinite upper flag as n.
     """
     lam, mu, mark_set = marked_shape(outer, inner, mark_set)
-    r, s = finite_flags(*flag_vectors(r, s, len(lam)), n)
+    r, s = read_flags(r, s, len(lam), n, marked=True)
     _warn_hypotheses(mark_set in valid_mark_sets(lam)
                      and row_monotone(lam, mu, r, s), "marked g")
     return _flag_value("g", "row", lam, mu, r, s, n, deg, mark_set)

@@ -122,7 +122,7 @@ def marked_shape(outer, inner, mark_set):
 
 def flag_vectors(r, s, rows):
     """The flag vectors (r, s) as tuples, checked: equal lengths, at least
-    rows flags each, all positive."""
+    rows flags each, all positive, the lower ones finite."""
     r, s = tuple(r), tuple(s)
     if len(r) != len(s):
         raise ShapeError("flag vectors must have equal length")
@@ -130,6 +130,8 @@ def flag_vectors(r, s, rows):
         raise ShapeError("flag vectors shorter than the shape")
     if any(v < 1 for v in r + s):
         raise ShapeError("flags must be positive")
+    if INF in r:
+        raise ShapeError("lower flags must be finite")
     return r, s
 
 
@@ -139,30 +141,33 @@ def flag_class(r, s, n):
     return (tuple(min(v, n + 1) for v in r), tuple(min(v, n) for v in s))
 
 
-def finite_flags(r, s, n):
-    """The flags with an infinite upper flag read as n and the others as
-    given: the reading of the CLI, and of a mark set, whose finite upper
-    flags stay uncapped because its boundary entries s_i turn values past n
-    into parameter weights."""
-    return r, tuple(n if v == INF else v for v in s)
+def read_flags(r, s, rows, n, marked=False):
+    """The flags (r, s) checked by flag_vectors and read by flag_class: the
+    one reading of flags for every entry point.  marked keeps them as given
+    but for an infinite upper flag, read as n: the reading of the CLI and of
+    a mark set, whose finite upper flags stay uncapped because its boundary
+    entries s_i turn values past n into parameter weights."""
+    r, s = flag_vectors(r, s, rows)
+    if marked:
+        return r, tuple(n if v == INF else v for v in s)
+    return flag_class(r, s, n)
 
 
 class FlagMemo:
-    """flag_vectors(r, s, rows), then read(r, s), for many calls on recurring
-    vectors.  read acts on each vector alone (flag_class or finite_flags), so
-    each lower and each upper vector is checked and read the first time it
-    is seen and kept under its raw tuple; a later call checks only that the
-    two lengths are equal."""
+    """read_flags(r, s, rows, n, marked) for many calls on recurring vectors.
+    The reading acts on each vector alone, so each lower and each upper
+    vector is checked and read the first time it is seen and kept under its
+    raw tuple; a later call checks only that the two lengths are equal."""
 
-    def __init__(self, rows, read):
-        self.rows, self.read = rows, read
+    def __init__(self, rows, n, marked):
+        self.rows, self.n, self.marked = rows, n, marked
         self._lower, self._upper = {}, {}
 
     def __call__(self, r, s):
         r, s = tuple(r), tuple(s)
         lo, hi = self._lower.get(r), self._upper.get(s)
         if lo is None or hi is None or len(r) != len(s):
-            lo, hi = self.read(*flag_vectors(r, s, self.rows))
+            lo, hi = read_flags(r, s, self.rows, self.n, self.marked)
             self._lower[r], self._upper[s] = lo, hi
         return lo, hi
 

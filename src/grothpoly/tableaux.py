@@ -4,12 +4,12 @@ Families covered: marked multiset-valued tableaux, marked reverse plane
 partitions (left, right and bottom marking variants, optionally with a
 virtual boundary column driven by a mark set), integer-entry elegant and
 inelegant tableaux, and flagged set-valued tableaux.  Every flagged family
-takes its flags as one pair (r, s) of lower and upper flags, checked by
-shapes.flag_vectors and read through shapes.flag_class, so an upper flag
-past n (or infinite) reads as n.  A mark set's shape and marks are checked
-by shapes.marked_shape, and its flags, one pair per row of the outer shape
-and r = 1, s = n when absent, are read by shapes.finite_flags: an infinite
-upper flag reads as n, and the finite ones stay uncapped.
+takes its flags as one pair (r, s) of lower and upper flags, checked and
+read by shapes.read_flags, so an upper flag past n (or infinite) reads as n.
+A mark set's shape and marks are checked by shapes.marked_shape, and its
+flags, one pair per row of the outer shape and r = 1, s = n when absent, are
+read by shapes.read_flags with a mark set's reading: an infinite upper flag
+reads as n, and the finite ones stay uncapped.
 
 Fillings are plain dicts keyed by 1-based (row, column) cells.  Single-valued
 marked fillings map a cell to (value, marked); multiset and set valued
@@ -41,37 +41,33 @@ entry bounds the cell below it and takes part in the marking and beta rules
 as a cell would.
 """
 
-import functools
 import itertools
 import operator
 
 from .ring import ALPHA, BETA, X, TruncPoly, pvar
 from .shapes import (INF, FlagMemo, ShapeError, cells, check_orientation,
-                     contains, finite_flags, flag_class, flag_vectors,
-                     marked_shape, skew)
+                     contains, marked_shape, read_flags, skew)
 
 
 def _col_order(cell_list):
     return sorted(cell_list, key=lambda c: (-c[1], c[0]))
 
 
-def _cell_bounds(outer, inner, flags, orientation, n, cap=True):
+def _cell_bounds(outer, inner, flags, orientation, n):
     """{cell: inclusive (lo, hi) value bounds} over the cells of outer/inner:
-    (r_k, s_k) for a cell in row k (column k with col flags), or (1, n)
-    without flags.
+    (r_k, s_k) for a cell in row k (column k with col flags) of the flags as
+    shapes.read_flags reads them, or (1, n) without flags.
 
-    Values above n carry a zero x weight, so capped enumeration, on the
-    flags' shapes.flag_class, equals the specialization at x_{n+1} =
-    x_{n+2} = ... = 0; only boundary mark sets need the uncapped flags,
-    since their high values can be absorbed into parameter weights.
+    Values above n carry a zero x weight, so enumeration on the capped flags
+    equals the specialization at x_{n+1} = x_{n+2} = ... = 0; only boundary
+    mark sets need the uncapped flags, since their high values can be
+    absorbed into parameter weights, and _rpp_fillings bounds those itself.
     """
     cell_list = cells(outer, inner)
     if flags is None:
         return dict.fromkeys(cell_list, (1, n))
     axis = 0 if orientation == "row" else 1
-    r, s = flag_vectors(*flags, max((c[axis] for c in cell_list), default=0))
-    if cap:
-        r, s = flag_class(r, s, n)
+    r, s = read_flags(*flags, max((c[axis] for c in cell_list), default=0), n)
     return {c: (r[c[axis] - 1], s[c[axis] - 1]) for c in cell_list}
 
 
@@ -198,8 +194,8 @@ _VARIANTS = ("left", "right", "bottom")
 def _mrpp_validate(outer, inner, variant, orientation, mark_set, flags, n):
     """(outer, inner, mark set, flags) checked; with a mark set the shape
     and the marks are checked by shapes.marked_shape, and the flags, r = 1
-    and s = n when absent, by shapes.flag_vectors, one pair per row of
-    outer, and read by shapes.finite_flags."""
+    and s = n when absent, one pair per row of outer, are read by
+    shapes.read_flags with a mark set's reading."""
     check_orientation(orientation)
     if variant not in _VARIANTS:
         raise ShapeError(f"unknown variant {variant!r}")
@@ -212,8 +208,8 @@ def _mrpp_validate(outer, inner, variant, orientation, mark_set, flags, n):
     if orientation != "row":
         raise ShapeError("mark sets use row flags")
     r, s = flags or ((1,) * len(outer), (n,) * len(outer))
-    return outer, inner, mark_set, finite_flags(
-        *flag_vectors(r, s, len(outer)), n)
+    return outer, inner, mark_set, read_flags(r, s, len(outer), n,
+                                              marked=True)
 
 
 def _boundary(outer, mark_set, flags):
@@ -242,16 +238,17 @@ def gen_rpp(outer, inner, n, flags=None, orientation="row", mark_set=None):
 
 def _rpp_fillings(outer, inner, n, flags, orientation, mark_set):
     """gen_rpp on arguments _mrpp_validate has already checked."""
-    bounds = _cell_bounds(outer, inner, flags, orientation, n,
-                          cap=mark_set is None)
-    if mark_set is not None:
-        if any(map(operator.gt, *flags)):
-            return
+    if mark_set is None:
+        bounds = _cell_bounds(outer, inner, flags, orientation, n)
+    elif any(map(operator.gt, *flags)):
+        return
+    else:
+        r, s = flags
         boundary = _boundary(outer, mark_set, flags)
-        for (i, j), (lo, hi) in bounds.items():
-            # (i - 1, j) holds a boundary entry only past the end of its
-            # row, never a cell; an infinite one admits no value below it
-            bounds[i, j] = max(lo, boundary.get((i - 1, j), lo)), hi
+        # (i - 1, j) holds a boundary entry only past the end of its row,
+        # never a cell; an infinite one admits no value below it
+        bounds = {(i, j): (max(r[i - 1], boundary.get((i - 1, j), 0)),
+                           s[i - 1]) for i, j in cells(outer, inner)}
     for _, values in _fill(bounds, len(bounds), False, 0,
                            lambda i, j, t: ((t[0], None),), None):
         yield dict(values)
@@ -354,8 +351,7 @@ class TableauSweep:
             (c[self._axis] for c in cells(outer, inner)), default=0)
         # read as FlagSweep reads them: every bucket value is at most n, so
         # capping the flags changes no bucket test
-        self._flags = FlagMemo(self._width, functools.partial(
-            flag_class if mark_set is None else finite_flags, n=n))
+        self._flags = FlagMemo(self._width, n, mark_set is not None)
         self._buckets = {}  # s with a mark set, else None -> buckets
 
     def _fillings(self, s):
@@ -396,9 +392,8 @@ class TableauSweep:
 
     def value(self, r, s):
         """The flagged sum for (r, s), raw or capped alike; each lower and
-        each upper vector is checked once, the first time the sweep sees
-        it, and read by shapes.flag_class, or with a mark set by
-        shapes.finite_flags."""
+        each upper vector is checked and read once, by shapes.read_flags,
+        the first time the sweep sees it."""
         r, s = self._flags(r, s)
         total = TruncPoly.zero(self.n, self.deg)
         key = None

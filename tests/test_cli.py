@@ -272,7 +272,8 @@ def test_verify_and_expand_refuse_options_they_ignore():
             (["expand", "s", "--shape", "1", "--inner", "1"], "--inner"),
             (["expand", "g", "--shape", "2", "--budget", "3"], "--budget"),
             (["expand", "g", "--shape", "2", "--inner", "1", "--budget",
-              "0"], "--budget")):
+              "0"], "--budget"),
+            (["expand", "g", "--shape", "2,2", "--deg", "9"], "--deg")):
         status, out = run(argv)
         assert status == 2, argv
         assert out == f"error: {argv[0]} {argv[1]} takes no {option}", argv
@@ -388,18 +389,25 @@ def brute_force_flag_classes(lam, mu, contained):
 
 
 def test_flag_classes_match_the_brute_force_oracle():
-    # the same representatives, capped classes and order, for every n and
-    # hypothesis; (3, 2) is the weak lower flag of (1, 1) at n = 1 whose
-    # class is (2, 2), so a representative differs from its class there
+    # the same classes in the same order, for every n and hypothesis.  Under
+    # row and col each class is its own first raw flags, which lets
+    # _flag_classes yield the classes alone; (3, 2) is the weak lower flag
+    # of (1, 1) at n = 1 whose class is (2, 2), so a first raw flag differs
+    # from its class there
     weak_raw = 0
     for lam in partitions_up_to(4):
         for mu in partitions_up_to(4):
             contained = contains(mu, lam)
-            got = list(cli._flag_classes(lam, mu, contained))
-            assert got == list(brute_force_flag_classes(lam, mu, contained)), \
-                (lam, mu)
-            weak_raw += sum(r != R for _, classes in got
-                            for r, _, R, _ in classes["weak"])
+            want = list(brute_force_flag_classes(lam, mu, contained))
+            assert list(cli._flag_classes(lam, mu, contained)) == [
+                (n, {hypothesis: [(R, S) for _, _, R, S in found]
+                     for hypothesis, found in classes.items()})
+                for n, classes in want], (lam, mu)
+            for _, classes in want:
+                for hypothesis in ("row", "col"):
+                    assert all((r, s) == (R, S) for r, s, R, S
+                               in classes[hypothesis]), (lam, mu, hypothesis)
+                weak_raw += sum(r != R for r, _, R, _ in classes["weak"])
     assert weak_raw
 
 
@@ -615,6 +623,16 @@ def test_a_flag_list_that_is_no_integer_list_is_named():
             assert run([verb, "G", "--shape", "2,1", "--n", "2",
                         option, "1,a"]) == \
                 (2, "error: bad flag list '1,a'"), (verb, option)
+
+
+def test_an_infinite_lower_flag_exits_two():
+    # an infinite lower flag admits no entry in its row: refused, where it
+    # printed 0, total: 0 and a polynomial
+    for verb, target, flags in (("compute", "G", "1,inf"),
+                                ("enumerate", "G", "1,inf"),
+                                ("compute", "g", "inf,1")):
+        argv = [verb, target, "--shape", "2,1", "--n", "2", "--flags-r", flags]
+        assert run(argv) == (2, "error: lower flags must be finite"), argv
 
 
 def test_mark_set_rejected_for_G():

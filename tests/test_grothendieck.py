@@ -30,7 +30,7 @@ from grothpoly.shapes import (INF, ShapeError, conjugate, contains,
                               flag_class, partitions_between,
                               partitions_up_to, strip)
 from grothpoly.tableaux import (TableauSweep, enum_elegant, enum_fsvt,
-                                enum_mmsvt, enum_mrpp, gen_mrpp)
+                                enum_mmsvt, enum_mrpp, gen_fsvt, gen_mrpp)
 from schur_oracle import schur_expand
 
 
@@ -448,6 +448,74 @@ def test_marked_flag_sweep_reads_an_infinite_upper_flag_as_n():
         warnings.simplefilter("ignore")
         assert g_marked_det(lam, mu, (3, 1), (INF, INF), marks, n,
                             deg).is_zero()
+
+
+# (r, s) on the shape (2, 1) at n = 2: a valid pair, one fault per pair, an
+# upper flag past n and an infinite upper flag.
+_FLAG_INPUTS = [
+    pytest.param((1, 1), (2, 2), id="valid"),
+    pytest.param((1,), (2,), id="short"),
+    pytest.param((0, 1), (2, 2), id="zero"),
+    pytest.param((1, INF), (2, 2), id="infinite-lower"),
+    pytest.param((1, 1, 1), (2, 2), id="unequal-lengths"),
+    pytest.param((1, 1), (3, 3), id="upper-past-n"),
+    pytest.param((1, 1), (INF, INF), id="infinite-upper"),
+]
+
+
+def _flag_contract(r, s, n):
+    """{entry point: (family, value)} for the flags (r, s) on the shape
+    (2, 1), or {entry point: ("ShapeError", message)} where one refuses.
+    The set-valued family's values are counts of fillings."""
+    lam, mu, marks, deg = (2, 1), (), {1}, 5
+    count = lambda p: sum(p.specialize(lambda var: (1, None)).terms.values())
+    calls = {
+        "G_flagged_det": ("G", lambda: G_flagged_det(lam, mu, r, s, "row", n,
+                                                     deg)),
+        "FlagSweep": ("G", lambda: FlagSweep("G", lam, mu, "row", n,
+                                             deg).value(r, s)),
+        "TableauSweep": ("G", lambda: TableauSweep("mmsvt", lam, mu, n,
+                                                   deg).value(r, s)),
+        "enum_mmsvt": ("G", lambda: enum_mmsvt(lam, mu, n, deg,
+                                               flags=(r, s))),
+        "g_marked_det": ("marked", lambda: g_marked_det(lam, mu, r, s, marks,
+                                                        n, deg)),
+        "enum_mrpp": ("marked", lambda: enum_mrpp(lam, mu, n, deg,
+                                                  flags=(r, s),
+                                                  mark_set=marks)),
+        "gen_fsvt": ("fsvt", lambda: len(list(gen_fsvt(lam, mu, n, deg,
+                                                       (r, s))))),
+        "TableauSweep fsvt": ("fsvt", lambda: count(TableauSweep(
+            "fsvt", lam, mu, n, deg).value(r, s))),
+    }
+    got = {}
+    for name, (family, call) in calls.items():
+        try:
+            got[name] = family, call()
+        except ShapeError as err:
+            got[name] = "ShapeError", str(err)
+    return got
+
+
+@pytest.mark.parametrize("r, s", _FLAG_INPUTS)
+def test_flag_entry_points_share_one_contract(r, s):
+    # every flagged entry point checks and reads the flags alike: each
+    # family gives one nonzero value across its entry points, or every entry
+    # point raises the same ShapeError; an infinite upper flag reads as n
+    n = 2
+    got = _flag_contract(r, s, n)
+    refusals = {v for v in got.values() if v[0] == "ShapeError"}
+    if refusals:
+        assert len(refusals) == 1 and all(
+            v[0] == "ShapeError" for v in got.values()), got
+        return
+    for family in ("G", "marked", "fsvt"):
+        first, *rest = [v for f, v in got.values() if f == family]
+        assert rest and all(v == first for v in rest), (family, got)
+        nonzero = first != 0 if family == "fsvt" else not first.is_zero()
+        assert nonzero, (family, got)
+    if INF in s:
+        assert got == _flag_contract(r, (n,) * len(s), n)
 
 
 # (outer, inner, marks, r, s): two valid inputs, one fault per input, and an

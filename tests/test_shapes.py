@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothpoly.shapes import (
-    ShapeError, cells, conjugate, contains, dent_index, minimal_cell,
-    partition, partitions_between, partitions_of, partitions_up_to, size,
-    skew, strip,
+    INF, ShapeError, cells, conjugate, contains, dent_index, flag_vectors,
+    minimal_cell, partition, partitions_between, partitions_of,
+    partitions_up_to, read_flags, size, skew, strip,
 )
 
 
@@ -86,6 +86,23 @@ def test_strip_keeps_negative_parts():
     assert strip((2, -1, 0)) == (2, -1)
     assert strip([0, 0]) == ()
     assert strip((0, -1)) == (0, -1)
+
+
+def test_an_infinite_lower_flag_is_refused():
+    # it admits no entry in its row; an infinite upper flag stays allowed
+    assert flag_vectors((1, 1), (2, INF), 2) == ((1, 1), (2, INF))
+    for marked in (False, True):
+        with pytest.raises(ShapeError, match="lower flags must be finite"):
+            read_flags((1, INF), (2, 2), 2, 2, marked)
+
+
+def test_read_flags_caps_or_reads_an_infinite_upper_flag_as_n():
+    # flag_class by default; marked keeps the flags but for the infinite
+    # upper ones
+    assert read_flags([1, 4], [3, INF], 2, 2) == ((1, 3), (2, 2))
+    assert read_flags([1, 4], [3, INF], 2, 2, marked=True) == ((1, 4), (3, 2))
+    with pytest.raises(ShapeError, match="flag vectors shorter"):
+        read_flags((1,), (2,), 2, 2)
 
 
 def test_partition_enumerators():

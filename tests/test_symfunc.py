@@ -416,10 +416,19 @@ def test_e_ominus_fixtures():
 
 
 def test_ominus_argument_validation():
-    with pytest.raises(ValueError):
-        h_ominus(0, a_prefix(1), a_prefix(1), 1, 2)
-    with pytest.raises(ValueError):
-        h_ominus(0, x_interval(1, 1), x_interval(1, 1), 1, 2)
+    # the sum stops at k = deg - m only when the left alphabet holds x
+    # letters alone and the right one parameters alone: both guards refuse
+    # a parameter letter on the left and an x block on the right, for h and e
+    xs = x_interval(1, 1)
+    for ominus in (h_ominus, e_ominus):
+        for left in (a_prefix(1), single(BETA, 1, -1), cat(xs, b_prefix(1))):
+            with pytest.raises(ValueError, match="left argument must be "
+                               "x-blocks only"):
+                ominus(0, left, a_prefix(1), 1, 2)
+        for right in (xs, single(X, 1, 1), cat(a_prefix(1), xs)):
+            with pytest.raises(ValueError, match="right argument must be "
+                               "parameter blocks only"):
+                ominus(0, xs, right, 1, 2)
 
 
 def test_schur_jt_matches_tableau_sum():
