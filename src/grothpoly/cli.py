@@ -621,7 +621,8 @@ def verify_matsumura(max_size=4):
             sweep = FlagSweep("G", lam, mu, "row", n, deg)
             single_sweep = FlagSweep("M", lam, mu, "row", n, deg)
             tableaux = TableauSweep("fsvt", lam, mu, n, deg)
-            for s, r in _flag_pairs(len(lam)):
+            # r outer: each FlagSweep keeps the minors of one r-prefix
+            for r, s in _flag_pairs(len(lam)):
                 if any(a > b for a, b in zip(r, s)):
                     continue
                 at = f"{lam}/{mu}, r={r}, s={s}"

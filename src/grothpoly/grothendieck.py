@@ -410,19 +410,22 @@ class FlagSweep:
     x variables beyond n vanish, only through their shapes.flag_class.
     The row prefactor of G and M is folded into the rows, det(diag(F) M) =
     prod F_i det M, with F_i depending on (r_i, s_i), so rows are stored
-    scaled.  Row i therefore depends on exactly (i, s_i, r), r the whole
-    capped lower-flag vector, and is cached under that key; value() builds
-    the matrix from len(r) cached rows and evaluates it with ring.det,
-    passing the sweep's minor memo: a minor on rows R is keyed by (R,
-    r_1..r_|R|, the flags of R), which fix its entries.  With a mark set
-    (outer may be dented) the shape and the marks are checked once, by
-    shapes.marked_shape, and the flags are read as g_marked_det reads them:
-    uncapped, an infinite upper flag as n.
+    scaled.  Row i therefore depends on (i, s_i) and the whole capped
+    lower-flag vector r, and a minor on the k rows R, which reads the
+    columns 1..k, on r_1..r_k and the flags of R.  The rows and the minors
+    are kept for the r of the last call only, keyed by (i, s_i) and by (R,
+    the flags of R): a call with a new r drops the rows and every minor on
+    more rows than the common prefix of the two r.  Fed its pairs with r
+    outer, as the suites feed them, a sweep loses no reuse and holds the
+    minors of one r-prefix at a time.  value() builds the matrix from len(r)
+    cached rows and evaluates it with ring.det, passing the minor memo.  With
+    a mark set (outer may be dented) the shape and the marks are checked
+    once, by shapes.marked_shape, and the flags are read as g_marked_det
+    reads them: uncapped, an infinite upper flag as n.
 
     value() checks and reads each lower and each upper flag vector once, by
     shapes.read_flags, the first time the sweep sees it (a shapes.FlagMemo),
-    so a suite may pass raw or capped flags alike; the r-prefixes and row
-    flags the minor keys read are built once per call.
+    so a suite may pass raw or capped flags alike.
     """
 
     def __init__(self, kind, outer, inner, orientation, n, deg, marks=None):
@@ -444,6 +447,7 @@ class FlagSweep:
         self._entries = {}
         self._scaled = {}
         self._rowpref = {}
+        self._r = ()  # the lower flags the rows and minors were built for
         self._rows = {}
         self._minors = {}
 
@@ -471,7 +475,7 @@ class FlagSweep:
         return val
 
     def _row(self, i, r, si):
-        key = (i, si, r)
+        key = (i, si)
         row = self._rows.get(key)
         if row is None:
             row = self._rows[key] = [self._entry(i, j, r[i - 1], rj, si)
@@ -480,13 +484,18 @@ class FlagSweep:
 
     def value(self, r, s):
         r, s = self._flags(r, s)
+        if r != self._r:
+            same = [a == b for a, b in zip(r, self._r)] + [False]
+            p = same.index(False)  # length of the common prefix
+            self._minors = {k: v for k, v in self._minors.items()
+                            if len(k[0]) <= p}
+            self._rows.clear()
+            self._r = r
         matrix = [self._row(i, r, si) for i, si in enumerate(s, 1)]
         # a row's entries depend on s_i, and once scaled by F_i on r_i too
         flag_of = (s if self.kind == "g" else tuple(zip(r, s))).__getitem__
-        prefixes = [r[:k] for k in range(len(r))]
         return det(matrix, self.n, self.deg, self._minors,
-                   lambda rows: (rows, prefixes[len(rows)],
-                                 tuple(map(flag_of, rows))))
+                   lambda rows: (rows, tuple(map(flag_of, rows))))
 
 
 def valid_mark_sets(outer):

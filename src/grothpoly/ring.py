@@ -372,7 +372,9 @@ def det(matrix, n, deg, memo=None, key=None):
     methods are unavailable.  A caller that evaluates many matrices may pass
     its own memo dict and a key(rows) that determines the entries of those
     rows in the leading len(rows) columns; proper minors are then shared
-    between calls, and the full determinant is not stored.
+    between calls.  The caller keeps the memo valid for the entries it
+    passes.  Neither the full determinant nor a 1x1 minor is stored: a 1x1
+    minor is read from the matrix.
     """
     size = len(matrix)
     for row in matrix:
@@ -386,8 +388,8 @@ def det(matrix, n, deg, memo=None, key=None):
 
 def _minor(matrix, rows, n, deg, memo, key):
     # det of matrix[rows][columns 0..len(rows)-1], expanded along the last
-    # of those columns into one accumulator; memo holds proper minors under
-    # key(rows), or rows
+    # of those columns into one accumulator; memo holds proper minors of
+    # two or more rows under key(rows), or rows
     col = len(rows) - 1
     if col == 0:
         return matrix[rows[0]][0]
@@ -398,10 +400,13 @@ def _minor(matrix, rows, n, deg, memo, key):
         if not entry.terms:
             continue
         sub = rows[:t] + rows[t + 1:]
-        k = sub if key is None else key(sub)
-        minor = memo.get(k)
-        if minor is None:
-            minor = memo[k] = _minor(matrix, sub, n, deg, memo, key)
+        if col == 1:
+            minor = matrix[sub[0]][0]
+        else:
+            k = sub if key is None else key(sub)
+            minor = memo.get(k)
+            if minor is None:
+                minor = memo[k] = _minor(matrix, sub, n, deg, memo, key)
         if (entry.n, entry.deg, minor.n, minor.deg) != (n, deg, n, deg):
             raise ContextMismatch(f"determinant entry outside {(n, deg)}")
         pbound = max(pbound, entry.pbound + minor.pbound)

@@ -353,6 +353,7 @@ class TableauSweep:
         # capping the flags changes no bucket test
         self._flags = FlagMemo(self._width, n, mark_set is not None)
         self._buckets = {}  # s with a mark set, else None -> buckets
+        self._admitted = None, {}  # (r, key), their buckets summed by max
 
     def _fillings(self, s):
         """(weight, filling) of every filling of the sweep, filling mapping
@@ -393,21 +394,30 @@ class TableauSweep:
     def value(self, r, s):
         """The flagged sum for (r, s), raw or capped alike; each lower and
         each upper vector is checked and read once, by shapes.read_flags,
-        the first time the sweep sees it."""
+        the first time the sweep sees it.  The buckets the last r admits
+        are kept summed by their maxima, so a call tests only those sums
+        against s."""
         r, s = self._flags(r, s)
-        total = TruncPoly.zero(self.n, self.deg)
         key = None
         if self.mark_set is not None:
             if any(map(operator.gt, r, s)):
-                return total
+                return TruncPoly.zero(self.n, self.deg)
             key = s
-        buckets = self._buckets.get(key)
-        if buckets is None:
-            buckets = self._buckets[key] = self._bucketed(key)
-        for (lo, hi), weight in buckets.items():
-            if all(map(operator.le, r, lo)) and all(map(operator.le, hi, s)):
-                total = total + weight
-        return total
+        if self._admitted[0] != (r, key):
+            buckets = self._buckets.get(key)
+            if buckets is None:
+                buckets = self._buckets[key] = self._bucketed(key)
+            by_max = {}
+            for (lo, hi), weight in buckets.items():
+                if all(map(operator.le, r, lo)):
+                    got = by_max.get(hi)
+                    by_max[hi] = weight if got is None else got + weight
+            self._admitted = (r, key), by_max
+        total = None
+        for hi, weight in self._admitted[1].items():
+            if all(map(operator.le, hi, s)):
+                total = weight if total is None else total + weight
+        return TruncPoly.zero(self.n, self.deg) if total is None else total
 
 
 def gen_mrpp(outer, inner, n, variant="left", flags=None, orientation="row",

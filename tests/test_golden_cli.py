@@ -122,6 +122,11 @@ GOLDEN = [
      0, 'b1*x1*x2 - a1*b1*(x1+x2) + b1^2*(x1+x2) - a1*b1^2 + a1^2*b1'),
     ('compute g --shape 1,2 --n 2 --deg 4 --mark-set 1 --flags-r 3,1 --flags-s inf,inf',
      0, '0'),
+    # a mark set's upper flag past n is kept, not capped: 3 > n = 2 appears
+    ('compute g --shape 1,2 --n 2 --deg 4 --mark-set 1,2 --flags-r 1,3 --flags-s 1,3',
+     0, 'a1*a2*x1 - a1^2*a2'),
+    ('enumerate g --shape 1,2 --n 2 --mark-set 1,2 --flags-r 1,3 --flags-s 1,3',
+     0, '1\n3 3\n\n1*\n 3  3\n\n 1\n3*  3\n\n 1\n 3 3*\n\n1*\n3*  3\n\n1*\n 3 3*\n\n 1\n3* 3*\n\n1*\n3* 3*\n\ntotal: 8'),
     ('enumerate matsumura --shape 2,1 --n 3 --flags-s 2,3',
      0, '1 1\n2\n\n 1  1\n23\n\n1 1\n3\n\n 1 12\n 2\n\n 1 12\n23\n\n 1 12\n 3\n\n1 2\n2\n\n 1  2\n23\n\n1 2\n3\n\n12  2\n 3\n\n2 2\n3\n\ntotal: 11'),
     # upper flags past n read as n: the 30 fillings of the unflagged call

@@ -5,6 +5,7 @@ import hashlib
 import importlib
 import itertools
 import pkgutil
+import random
 import warnings
 
 import pytest
@@ -597,18 +598,23 @@ def test_flag_sweep_with_marks_matches_marked_determinant_on_raw_flags():
                           ("M", "row", None), ("g", "row", {1, 2})])
 def test_flag_sweep_values_do_not_depend_on_call_order(kind, orientation,
                                                        marks):
-    # one sweep fed the flag list forward and another fed it reversed must
-    # agree: a cached row or minor that depended on an earlier call, not
-    # on its key, would differ between them
+    # sweeps fed the flag list forward (r outer, as verify flagged feeds
+    # it), reversed, with r inner (as verify matsumura fed it) and in a
+    # seeded shuffle must agree: a cached row or minor that depended on an
+    # earlier call, not on its key and the current r-prefix, would differ
     n, deg = 2, 4
     lam, mu = ((1, 1, 2), ()) if marks else ((2, 2, 1), (1,))
     vectors = list(itertools.product([1, 2, 4], repeat=3))
     pairs = [(r, s) for r in vectors for s in vectors]
+    m = len(vectors)
+    r_inner = [i * m + j for j in range(m) for i in range(m)]
+    shuffled = random.Random(25).sample(range(len(pairs)), len(pairs))
     forward = FlagSweep(kind, lam, mu, orientation, n, deg, marks=marks)
-    backward = FlagSweep(kind, lam, mu, orientation, n, deg, marks=marks)
     got = [forward.value(r, s) for r, s in pairs]
-    back = [backward.value(r, s) for r, s in reversed(pairs)]
-    assert got == back[::-1]
+    for order in (range(len(pairs) - 1, -1, -1), r_inner, shuffled):
+        sweep = FlagSweep(kind, lam, mu, orientation, n, deg, marks=marks)
+        values = {at: sweep.value(*pairs[at]) for at in order}
+        assert [values[at] for at in range(len(pairs))] == got
     assert sum(not v.is_zero() for v in got) > len(pairs) // 20
 
 
