@@ -424,6 +424,8 @@ def cmd_enumerate(args):
     # sum, not size: g takes a dented outer shape
     deg = args.deg if args.deg is not None else sum(outer) - sum(inner) + 2
     _warn_degree(deg, outer, inner)
+    if n == 0 and args.flags_s is None:
+        _require_rows(n, outer)  # the default upper flag n must be positive
     # a column-flagged tableau bounds cell (i, j) by the flags of column j
     k = max((*outer, *inner, 1)) if args.orientation == "col" \
         else max(len(tuple(outer)), len(partition(inner)), 1)

@@ -25,13 +25,13 @@ import functools
 import warnings
 
 from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
-from .shapes import (FlagMemo, ShapeError, check_orientation, contains,
-                     flag_vectors, marked_shape, minimal_cell, part,
+from .shapes import (CACHE_SIZE, FlagMemo, ShapeError, check_orientation,
+                     contains, flag_vectors, marked_shape, minimal_cell, part,
                      partition, partitions_above, partitions_between,
                      partitions_of, read_flags, size, skew, strip)
-from .symfunc import (CACHE_SIZE, a_prefix, alternant_quotient, b_prefix,
-                      cat, e_ominus, e_pleth, h_ominus, h_pleth, neg,
-                      schur_branching, schur_jt, single, x_interval)
+from .symfunc import (a_prefix, alternant_quotient, b_prefix, cat, e_ominus,
+                      e_pleth, h_ominus, h_pleth, neg, schur_branching,
+                      schur_jt, single, x_interval)
 
 
 def _one(n, deg):
@@ -418,14 +418,16 @@ class FlagSweep:
     more rows than the common prefix of the two r.  Fed its pairs with r
     outer, as the suites feed them, a sweep loses no reuse and holds the
     minors of one r-prefix at a time.  value() builds the matrix from len(r)
-    cached rows and evaluates it with ring.det, passing the minor memo.  With
-    a mark set (outer may be dented) the shape and the marks are checked
-    once, by shapes.marked_shape, and the flags are read as g_marked_det
-    reads them: uncapped, an infinite upper flag as n.
+    cached rows and evaluates it with ring.det, passing the minor memo.  A
+    row records when it is built whether every entry is zero, and a matrix
+    with a zero row is zero without a call to det.  With a mark set (outer
+    may be dented) the shape and the marks are checked once, by
+    shapes.marked_shape, and the flags are read as g_marked_det reads them:
+    uncapped, an infinite upper flag as n.
 
-    value() checks and reads each lower and each upper flag vector once, by
-    shapes.read_flags, the first time the sweep sees it (a shapes.FlagMemo),
-    so a suite may pass raw or capped flags alike.
+    value() checks and reads each lower and each upper flag vector once per
+    process, by shapes.read_flags through the shared shapes.FlagMemo, so a
+    suite may pass raw or capped flags alike.
     """
 
     def __init__(self, kind, outer, inner, orientation, n, deg, marks=None):
@@ -475,11 +477,13 @@ class FlagSweep:
         return val
 
     def _row(self, i, r, si):
+        # row i for flags (r, s_i), or None when every entry is zero
         key = (i, si)
-        row = self._rows.get(key)
-        if row is None:
-            row = self._rows[key] = [self._entry(i, j, r[i - 1], rj, si)
-                                     for j, rj in enumerate(r, 1)]
+        row = self._rows.get(key, False)
+        if row is False:
+            row = [self._entry(i, j, r[i - 1], rj, si)
+                   for j, rj in enumerate(r, 1)]
+            row = self._rows[key] = row if any(e.terms for e in row) else None
         return row
 
     def value(self, r, s):
@@ -491,7 +495,12 @@ class FlagSweep:
                             if len(k[0]) <= p}
             self._rows.clear()
             self._r = r
-        matrix = [self._row(i, r, si) for i, si in enumerate(s, 1)]
+        matrix = []
+        for i, si in enumerate(s, 1):
+            row = self._row(i, r, si)
+            if row is None:
+                return TruncPoly.zero(self.n, self.deg)
+            matrix.append(row)
         # a row's entries depend on s_i, and once scaled by F_i on r_i too
         flag_of = (s if self.kind == "g" else tuple(zip(r, s))).__getitem__
         return det(matrix, self.n, self.deg, self._minors,

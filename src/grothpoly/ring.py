@@ -246,6 +246,8 @@ class TruncPoly:
     __rmul__ = __mul__
 
     def __pow__(self, k):
+        if k < 0:
+            raise ValueError("exponent must be >= 0")
         result = TruncPoly.const(self.n, self.deg, 1)
         for _ in range(k):
             result = result * self
@@ -375,6 +377,11 @@ def det(matrix, n, deg, memo=None, key=None):
     between calls.  The caller keeps the memo valid for the entries it
     passes.  Neither the full determinant nor a 1x1 minor is stored: a 1x1
     minor is read from the matrix.
+
+    Only nonzero structure is paid for: a term with a zero entry is
+    skipped, and so is a term with a zero minor once its entry and minor
+    are checked to lie in the context (n, deg).  The one entry of a 1x1
+    matrix is checked too.
     """
     size = len(matrix)
     for row in matrix:
@@ -392,7 +399,10 @@ def _minor(matrix, rows, n, deg, memo, key):
     # two or more rows under key(rows), or rows
     col = len(rows) - 1
     if col == 0:
-        return matrix[rows[0]][0]
+        entry = matrix[rows[0]][0]
+        if (entry.n, entry.deg) != (n, deg):
+            raise ContextMismatch(f"determinant entry outside {(n, deg)}")
+        return entry
     terms = {}
     pbound = 0
     for t, r in enumerate(rows):
@@ -409,6 +419,8 @@ def _minor(matrix, rows, n, deg, memo, key):
                 minor = memo[k] = _minor(matrix, sub, n, deg, memo, key)
         if (entry.n, entry.deg, minor.n, minor.deg) != (n, deg, n, deg):
             raise ContextMismatch(f"determinant entry outside {(n, deg)}")
+        if not minor.terms:
+            continue
         pbound = max(pbound, entry.pbound + minor.pbound)
         _add_product(terms, deg, entry, minor, -1 if (t + col) % 2 else 1)
     return TruncPoly(n, deg, terms, pbound)

@@ -17,7 +17,7 @@ import functools
 import itertools
 
 from .ring import ALPHA, BETA, X, TruncPoly, det, exact_divide
-from .shapes import part, partition
+from .shapes import CACHE_SIZE, part, partition
 
 
 def x_interval(r, s):
@@ -72,12 +72,6 @@ def is_x_only(alphabet):
 def is_param_only(alphabet):
     return all(b[0] in ("ap", "bp") or (b[0] == "v" and b[1] != X)
                for _, b in alphabet)
-
-
-# Bound of each lru_cache memo.  Measured peaks, none evicted: 7,335 h/e values
-# at the default `verify flagged` and 13,933 (9.1 MiB, keys 5.1 MiB) at
-# --max-size 5, 2,150 coefficient determinants, 21 G prefactors.
-CACHE_SIZE = 1 << 14
 
 
 def _pleth(kind, m, alphabet, n, deg):

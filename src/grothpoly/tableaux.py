@@ -393,10 +393,10 @@ class TableauSweep:
 
     def value(self, r, s):
         """The flagged sum for (r, s), raw or capped alike; each lower and
-        each upper vector is checked and read once, by shapes.read_flags,
-        the first time the sweep sees it.  The buckets the last r admits
-        are kept summed by their maxima, so a call tests only those sums
-        against s."""
+        each upper vector is checked and read once per process, by
+        shapes.read_flags through shapes.FlagMemo.  The buckets the last r
+        admits are kept summed by their maxima, so a call tests only those
+        sums against s."""
         r, s = self._flags(r, s)
         key = None
         if self.mark_set is not None:

@@ -233,6 +233,17 @@ def test_flags_below_one_exit_two():
     assert out.endswith("total: 30")
 
 
+def test_enumerate_at_n_zero_names_n_not_the_default_flags():
+    # the default upper flag is n, so at n = 0 the error names n, as
+    # compute does, and not flags the user never passed
+    for target in ("G", "g", "matsumura"):
+        argv = ["enumerate", target, "--shape", "1", "--n", "0"]
+        assert run(argv) == (2, "error: n = 0 is below the 1 rows of (1,); "
+                                "pass a larger --n"), argv
+    assert run(["compute", "G", "--shape", "1", "--n", "0"]) == \
+        run(["enumerate", "G", "--shape", "1", "--n", "0"])
+
+
 def test_enumerate_refuses_options_its_target_ignores():
     for argv, option in (
             (["enumerate", "matsumura", "--shape", "2", "--n", "2",

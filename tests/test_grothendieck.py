@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grothpoly
-from grothpoly import grothendieck, symfunc
+from grothpoly import grothendieck, shapes, symfunc
 from grothpoly.cli import render_poly
 from grothpoly.grothendieck import (_SKEW_COEFF, C_coeff, FlagSweep,
                                     G_bialternant, G_flagged_det, G_jt,
@@ -357,6 +357,58 @@ def test_matsumura_sweep_matches_direct_determinant_on_raw_flags():
         matsumura_det((1,), (2,), (1,), (1,), n, deg)
     with pytest.raises(ShapeError):
         matsumura_det((2, 1), (), (1, 1), (1,), n, deg)
+
+
+_DIRECT = {
+    "G": lambda lam, mu, r, s, orientation, marks, n, deg: G_flagged_det(
+        lam, mu, r, s, orientation, n, deg),
+    "g": lambda lam, mu, r, s, orientation, marks, n, deg: (
+        g_flagged_det(lam, mu, r, s, orientation, n, deg) if marks is None
+        else g_marked_det(lam, mu, r, s, marks, n, deg)),
+    "M": lambda lam, mu, r, s, orientation, marks, n, deg: matsumura_det(
+        lam, mu, r, s, n, deg),
+}
+
+
+@pytest.mark.parametrize("kind, orientation, lam, mu, marks", [
+    ("G", "row", (1, 1), (2,), None), ("G", "col", (1, 1), (2,), None),
+    ("g", "row", (1, 1), (2,), None), ("g", "col", (1, 1), (2,), None),
+    ("G", "row", (2, 1), (1,), None), ("G", "col", (2, 1), (1,), None),
+    ("g", "row", (2, 1), (1,), None), ("g", "col", (2, 1), (1,), None),
+    ("M", "row", (2, 1), (1,), None), ("g", "row", (1, 2), (), {1})])
+def test_flag_sweep_skips_zero_rows_exactly(monkeypatch, kind, orientation,
+                                            lam, mu, marks):
+    # on every flag pair with entries 1..n + 2, of a pair without
+    # containment, a skew pair and a marked dual, the sweep equals the
+    # direct determinant, and no matrix with a zero row reaches ring.det:
+    # its value is zero without one
+    n, deg = 2, 4
+    passed = []
+    real_det = grothendieck.det
+
+    def recording_det(matrix, *args, **kwargs):
+        passed.append(matrix)
+        return real_det(matrix, *args, **kwargs)
+
+    monkeypatch.setattr(grothendieck, "det", recording_det)
+    vectors = list(itertools.product(range(1, n + 3), repeat=2))
+    sweep = FlagSweep(kind, lam, mu, orientation, n, deg, marks=marks)
+    skipped = 0
+    for r in vectors:
+        for s in vectors:
+            before = len(passed)
+            got = sweep.value(r, s)
+            if len(passed) == before:
+                assert got.is_zero(), (r, s)
+                skipped += 1
+            else:
+                assert all(any(e.terms for e in row) for row in passed[-1])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                want = _DIRECT[kind](lam, mu, r, s, orientation, marks, n,
+                                     deg)
+            assert got == want, (r, s)
+    assert 0 < skipped < len(vectors) ** 2
 
 
 def test_flag_sweep_rejects_bad_arguments():
@@ -951,7 +1003,7 @@ def test_omega_check_compares_every_factor_family(monkeypatch, wrong):
 
 
 MEMOS = (symfunc._pleth_series, grothendieck._coeff_det,
-         grothendieck._G_prefactor)
+         grothendieck._G_prefactor, shapes._read_vector)
 
 
 def test_cleared_caches_change_no_value(monkeypatch):

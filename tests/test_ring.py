@@ -185,6 +185,16 @@ def test_var_exponents():
     assert TruncPoly.var(n, deg, X, 2, deg + 1).is_zero()
 
 
+def test_pow_refuses_a_negative_exponent():
+    # like var: a negative power is no polynomial, never the constant 1
+    n, deg = 2, 3
+    p = xv(n, deg, 1) + 1
+    assert p ** 0 == one(n, deg)
+    assert p ** 2 == p * p
+    with pytest.raises(ValueError, match="exponent must be >= 0"):
+        p ** -1
+
+
 def test_pvar_vanishes_outside_the_variables():
     # alpha_m = beta_m = 0 for m <= 0, and x_l = 0 for l > n
     n, deg = 2, 3
@@ -251,6 +261,63 @@ def test_det_zero_column_gives_zero_in_context():
     # a proper minor on rows 0, 1, inside a nonzero determinant
     m = [[x1, zero, one(n, deg)], [x2, zero, zero], [x2, x1, one(n, deg)]]
     assert det(m, n, deg) == naive_det(m, n, deg) == x1 * x2
+
+
+def test_det_refuses_entries_outside_its_context():
+    # a 1x1 matrix returns its entry, so it is checked like every entry of a
+    # larger one; a zero minor is skipped only after its term is checked
+    n, deg = 2, 4
+    other = xv(3, 2, 1)
+    for entry in (other, TruncPoly.zero(3, 2), xv(n, deg + 1, 1)):
+        with pytest.raises(ContextMismatch):
+            det([[entry]], n, deg)
+    zero, x1 = TruncPoly.zero(n, deg), xv(n, deg, 1)
+    for m in ([[x1, other], [zero, x1]], [[x1, x1], [TruncPoly.zero(3, 2), x1]]):
+        with pytest.raises(ContextMismatch):
+            det(m, n, deg)
+
+
+def _sparse_matrices(rng, n, deg):
+    """Square matrices of order 1..5 with mostly zero entries: random
+    patterns, a zero row or column at each position, and a zero block of k
+    rows by size + 1 - k columns, which forces det = 0 (Frobenius-Konig)."""
+    def entry():
+        return random_poly(rng, n, deg, nterms=rng.choice([1, 1, 2]))
+
+    zero = TruncPoly.zero(n, deg)
+    for size in range(1, 6):
+        for density in (0.3, 0.6):
+            for _ in range(4):
+                yield [[entry() if rng.random() < density else zero
+                        for _ in range(size)] for _ in range(size)]
+        for at in range(size):
+            m = [[entry() for _ in range(size)] for _ in range(size)]
+            yield [row if i != at else [zero] * size
+                   for i, row in enumerate(m)]
+            yield [[zero if j == at else e for j, e in enumerate(row)]
+                   for row in m]
+        for k in range(1, size + 1):
+            rows = rng.sample(range(size), k)
+            cols = set(rng.sample(range(size), size + 1 - k))
+            yield [[zero if i in rows and j in cols else entry()
+                    for j in range(size)] for i in range(size)]
+
+
+def test_det_matches_permutation_sum_on_sparse_matrices():
+    # zero entries and zero minors are skipped; with or without a caller
+    # memo, and on a second call that reads the memo, the value must not move
+    rng = random.Random(26)
+    n, deg = 2, 4
+    zeros = 0
+    for m in _sparse_matrices(rng, n, deg):
+        want = naive_det(m, n, deg)
+        memo = {}
+        assert det(m, n, deg) == want, m
+        assert det(m, n, deg, memo, lambda rows: rows) == want, m
+        assert det(m, n, deg, memo, lambda rows: rows) == want, m
+        assert det(m, n, deg, {}) == want, m
+        zeros += want.is_zero()
+    assert zeros > 20
 
 
 def test_det_shares_minors_through_a_caller_memo():
