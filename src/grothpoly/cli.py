@@ -241,11 +241,13 @@ def _parse_flag_list(text, length, fill):
 
 def _parse_flags(args, length, n):
     """The flags (r, s) of --flags-r and --flags-s, length of each: r
-    defaults to 1 and s to n, checked by shapes.read_flags and read as a
-    mark set's flags are, an infinite upper flag as n."""
+    defaults to 1 and s to n (to 1 at n = 0, where every upper flag reads
+    the same, so that no default flag is refused), checked by
+    shapes.read_flags and read as a mark set's flags are, an infinite upper
+    flag as n."""
     return read_flags(_parse_flag_list(args.flags_r, length, 1),
-                      _parse_flag_list(args.flags_s, length, n), length, n,
-                      marked=True)
+                      _parse_flag_list(args.flags_s, length, max(n, 1)),
+                      length, n, marked=True)
 
 
 def _nonnegative(text):
@@ -423,9 +425,8 @@ def cmd_enumerate(args):
     n = args.n
     # sum, not size: g takes a dented outer shape
     deg = args.deg if args.deg is not None else sum(outer) - sum(inner) + 2
+    _require_rows(n, outer)
     _warn_degree(deg, outer, inner)
-    if n == 0 and args.flags_s is None:
-        _require_rows(n, outer)  # the default upper flag n must be positive
     # a column-flagged tableau bounds cell (i, j) by the flags of column j
     k = max((*outer, *inner, 1)) if args.orientation == "col" \
         else max(len(tuple(outer)), len(partition(inner)), 1)

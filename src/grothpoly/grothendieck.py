@@ -25,8 +25,8 @@ import functools
 import warnings
 
 from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
-from .shapes import (CACHE_SIZE, FlagMemo, ShapeError, check_orientation,
-                     contains, flag_vectors, marked_shape, minimal_cell, part,
+from .shapes import (CACHE_SIZE, ShapeError, check_orientation, contains,
+                     flag_vectors, marked_shape, minimal_cell, part,
                      partition, partitions_above, partitions_between,
                      partitions_of, read_flags, size, skew, strip)
 from .symfunc import (a_prefix, alternant_quotient, b_prefix, cat, e_ominus,
@@ -46,27 +46,29 @@ def _fit(lam, n):
     return lam
 
 
-def _series_product(kind, rows, n, deg):
-    """prod over (lo, hi, Y) of f_0[X_[lo,hi] (-) Y] for f = h or e.  For
-    one letter z, e_0[X (-) -z] = prod_l (1 - z x_l) and h_0[X (-) z] =
-    prod_l 1/(1 - z x_l), with l running over [lo, min(hi, n)]."""
-    ominus = h_ominus if kind == "h" else e_ominus
-    out = _one(n, deg)
-    for lo, hi, right in rows:
-        out = out * ominus(0, x_interval(lo, hi), right, n, deg)
-    return out
+@functools.lru_cache(maxsize=CACHE_SIZE)
+def _row_factor(kind, orientation, i, lo, hi, n, deg):
+    """The row factor F_i, a product over l in [lo, min(hi, n)]: of
+    (1 - b_i x_l) for row G, 1/(1 - a_i x_l) for column G, (1 + b_1 x_l) for
+    M, where b_i becomes -b_1, and for kind "omega" 1/(1 + b_i x_l), the
+    omega image of the row G factor.  For one letter z, e_0[X (-) -z] =
+    prod_l (1 - z x_l) and h_0[X (-) z] = prod_l 1/(1 - z x_l).  Values are
+    memoized in one bounded LRU per process (CACHE_SIZE)."""
+    xs = x_interval(lo, hi)
+    if orientation == "col":
+        return h_ominus(0, xs, single(ALPHA, i, 1), n, deg)
+    if kind == "omega":
+        return h_ominus(0, xs, single(BETA, i, -1), n, deg)
+    return e_ominus(0, xs, neg(_MINUS_B1 if kind == "M"
+                               else single(BETA, i, 1)), n, deg)
 
 
 def _row_prefactor(kind, orientation, rows, n, deg):
-    """prod over rows (i, lo, hi) of the row factor F_i: prod_{l=lo}^{hi}
-    (1 - b_i x_l) for row G, prod_{l=lo}^{hi} 1/(1 - a_i x_l) for column G,
-    and prod_{l=lo}^{hi}(1 + b_1 x_l) for M, where b_i becomes -b_1."""
-    if orientation == "col":
-        return _series_product("h", [(lo, hi, single(ALPHA, i, 1))
-                                     for i, lo, hi in rows], n, deg)
-    return _series_product("e", [(lo, hi, neg(_MINUS_B1 if kind == "M"
-                                              else single(BETA, i, 1)))
-                                 for i, lo, hi in rows], n, deg)
+    """prod over rows (i, lo, hi) of the row factor F_i (_row_factor)."""
+    out = _one(n, deg)
+    for i, lo, hi in rows:
+        out = out * _row_factor(kind, orientation, i, lo, hi, n, deg)
+    return out
 
 
 # Alphabets A_{lam_i} - B_{i-1} (G side) and -A_{lam_i-1} + B_{i-1} (g side).
@@ -205,27 +207,14 @@ def hall_pairing(lam, mu, n, deg):
     return total
 
 
-def _box_truncate(p, n_x, bound):
-    """Keep monomials whose x_1..x_{n_x} degree and remaining x degree are
-    both <= bound."""
-    kept = {}
-    for mono, c in p.monomials():
-        dx = dy = 0
-        for (fam, idx), e in mono:
-            if fam == X:
-                if idx <= n_x:
-                    dx += e
-                else:
-                    dy += e
-        if dx <= bound and dy <= bound:
-            kept[mono] = c
-    return TruncPoly.from_monomials(p.n, p.deg, kept.items())
-
-
 def cauchy_check(n_x, n_y, bound):
     """prod_{i,j} 1/(1 - x_i y_j) = sum_lam G_lam(x) g_lam(y) with the
     y-alphabet realized as x_{n_x+1}..x_{n_x+n_y}, compared on all bidegrees
-    (d_x, d_y) with d_x, d_y <= bound."""
+    (d_x, d_y) with d_x, d_y <= bound.  Every kernel term has d_x = d_y, so
+    the kernel truncated at total degree 2 bound is its part in that box.
+    Every term of G_lam(x) g_lam(y) has d_x >= |lam| >= d_y, so the sum
+    runs over |lam| <= bound, and with G_lam truncated at x-degree bound
+    each of its terms lies in the box: the two sides compare directly."""
     n = n_x + n_y
     deg = 2 * bound
     ys = x_interval(n_x + 1, n)
@@ -239,11 +228,11 @@ def cauchy_check(n_x, n_y, bound):
     rhs = TruncPoly.zero(n, deg)
     for k in range(bound + 1):
         for lam in partitions_of(k, max_len=n_x):
-            gx = G_jt(lam, n_x, deg).with_n(n)
+            gx = G_jt(lam, n_x, bound).truncate(deg).with_n(n)
             rows = max(n_y, len(lam))
             gy = g_jt(lam, rows, deg).restrict_n(n_y).shift_x(n_x, n)
             rhs = rhs + gx * gy
-    return _box_truncate(lhs, n_x, bound) == _box_truncate(rhs, n_x, bound)
+    return lhs == rhs
 
 
 def schur_in_grothendieck(lam, basis, budget, n, deg):
@@ -409,7 +398,7 @@ class FlagSweep:
     Entry (i, j) depends on the flags only through (r_j, s_i), and because
     x variables beyond n vanish, only through their shapes.flag_class.
     The row prefactor of G and M is folded into the rows, det(diag(F) M) =
-    prod F_i det M, with F_i depending on (r_i, s_i), so rows are stored
+    prod F_i det M, with F_i = _row_factor(i, r_i, s_i), so rows are stored
     scaled.  Row i therefore depends on (i, s_i) and the whole capped
     lower-flag vector r, and a minor on the k rows R, which reads the
     columns 1..k, on r_1..r_k and the flags of R.  The rows and the minors
@@ -425,9 +414,9 @@ class FlagSweep:
     shapes.marked_shape, and the flags are read as g_marked_det reads them:
     uncapped, an infinite upper flag as n.
 
-    value() checks and reads each lower and each upper flag vector once per
-    process, by shapes.read_flags through the shared shapes.FlagMemo, so a
-    suite may pass raw or capped flags alike.
+    value() reads its flags by shapes.read_flags, which checks and reads
+    each vector once per process, so a suite may pass raw or capped flags
+    alike.
     """
 
     def __init__(self, kind, outer, inner, orientation, n, deg, marks=None):
@@ -444,11 +433,8 @@ class FlagSweep:
         self.marks = marks
         self.orientation = orientation
         self.n, self.deg = n, deg
-        self._flags = FlagMemo(max(len(self.lam), len(self.mu)), n,
-                               marks is not None)
         self._entries = {}
         self._scaled = {}
-        self._rowpref = {}
         self._r = ()  # the lower flags the rows and minors were built for
         self._rows = {}
         self._minors = {}
@@ -465,16 +451,9 @@ class FlagSweep:
         key = (i, j, ri, rj, si)
         scaled = self._scaled.get(key)
         if scaled is None:
-            scaled = self._scaled[key] = self._row_factor(i, ri, si) * val
+            scaled = self._scaled[key] = _row_factor(
+                self.kind, self.orientation, i, ri, si, self.n, self.deg) * val
         return scaled
-
-    def _row_factor(self, i, ri, si):
-        key = (i, ri, si)
-        val = self._rowpref.get(key)
-        if val is None:
-            val = self._rowpref[key] = _row_prefactor(
-                self.kind, self.orientation, [key], self.n, self.deg)
-        return val
 
     def _row(self, i, r, si):
         # row i for flags (r, s_i), or None when every entry is zero
@@ -487,7 +466,8 @@ class FlagSweep:
         return row
 
     def value(self, r, s):
-        r, s = self._flags(r, s)
+        r, s = read_flags(r, s, max(len(self.lam), len(self.mu)), self.n,
+                          self.marks is not None)
         if r != self._r:
             same = [a == b for a, b in zip(r, self._r)] + [False]
             p = same.index(False)  # length of the common prefix
@@ -685,10 +665,8 @@ def _G_prefactor(kind, rows, n, deg):
     """The "G_h" or "G_e" prefactor on rows rows, or for "omega" the omega
     image of the "G_h" one, prod_{i<=rows} prod_{l<=n} 1/(1 + b_i x_l).
     Values are memoized in one bounded LRU per process (CACHE_SIZE)."""
-    if kind == "omega":
-        return _series_product("h", [(1, n, single(BETA, i, -1))
-                                      for i in range(1, rows + 1)], n, deg)
-    return _row_prefactor("G", "row" if kind == "G_h" else "col",
+    return _row_prefactor("omega" if kind == "omega" else "G",
+                          "col" if kind == "G_e" else "row",
                           [(i, 1, n) for i in range(1, rows + 1)], n, deg)
 
 

@@ -12,10 +12,10 @@ import math
 
 INF = math.inf
 
-# Bound of each lru_cache memo.  Measured peaks, none evicted: 7,335 h/e values
-# at the default `verify flagged` and 13,933 (9.1 MiB, keys 5.1 MiB) at
-# --max-size 5, 2,150 coefficient determinants, 21 G prefactors, and 1,060
-# flag vectors at the default (3,022, 0.75 MiB with keys, at --max-size 5).
+# Bound of each lru_cache memo.  Measured peaks, none evicted: 7,311 h/e values
+# at the default `verify flagged` and 13,902 (about 9 MiB, keys 5 MiB) at
+# --max-size 5, 2,150 coefficient determinants, 21 G prefactors, and 502 flag
+# vectors and 374 row factors at the default (1,296 and 544 at --max-size 5).
 CACHE_SIZE = 1 << 14
 
 
@@ -153,43 +153,30 @@ def read_flags(r, s, rows, n, marked=False):
     one reading of flags for every entry point.  marked keeps them as given
     but for an infinite upper flag, read as n: the reading of the CLI and of
     a mark set, whose finite upper flags stay uncapped because its boundary
-    entries s_i turn values past n into parameter weights."""
-    r, s = flag_vectors(r, s, rows)
-    if marked:
-        return r, tuple(n if v == INF else v for v in s)
-    return flag_class(r, s, n)
+    entries s_i turn values past n into parameter weights.
 
-
-class FlagMemo:
-    """read_flags(r, s, rows, n, marked) for many calls on recurring vectors.
-    The reading acts on each vector alone, so each lower and each upper
-    vector is checked and read beside an all-ones partner, once per process
-    for each (rows, n, marked): the memo is one bounded LRU shared by every
-    sweep.  A call then checks only that the two lengths are equal.  A
-    refused pair is read again as a pair, so that read_flags names its first
-    fault, and nothing refused is stored."""
-
-    def __init__(self, rows, n, marked):
-        self.rows, self.n, self.marked = rows, n, marked
-
-    def __call__(self, r, s):
-        r, s = tuple(r), tuple(s)
-        if len(r) == len(s):
-            try:
-                return (_read_vector(r, False, self.rows, self.n, self.marked),
-                        _read_vector(s, True, self.rows, self.n, self.marked))
-            except ShapeError:
-                pass
-        return read_flags(r, s, self.rows, self.n, self.marked)  # raises
+    Both the check and the reading act on each vector alone, so each vector
+    is checked and read once per process for each (n, marked), in one
+    bounded LRU shared by every caller; a refused pair goes back to
+    flag_vectors, which names its first fault."""
+    r, s = tuple(r), tuple(s)
+    read = _read_vector(r, False, n, marked), _read_vector(s, True, n, marked)
+    if None in read or len(r) != len(s) or len(r) < rows:
+        flag_vectors(r, s, rows)  # raises
+    return read
 
 
 @functools.lru_cache(maxsize=CACHE_SIZE)
-def _read_vector(v, upper, rows, n, marked):
-    # v read as the upper or the lower flags, beside an all-ones partner
+def _read_vector(v, upper, n, marked):
+    # v checked and read as the upper or the lower flags, or None if refused
     ones = (1,) * len(v)
-    if upper:
-        return read_flags(ones, v, rows, n, marked)[1]
-    return read_flags(v, ones, rows, n, marked)[0]
+    try:
+        flag_vectors(*((ones, v) if upper else (v, ones)), 0)
+    except ShapeError:
+        return None
+    if marked:  # lower flags are finite, so this reads only upper ones
+        return tuple(n if f == INF else f for f in v)
+    return flag_class(v, v, n)[upper]
 
 
 def partitions_of(k, max_len=None):

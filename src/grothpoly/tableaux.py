@@ -45,8 +45,8 @@ import itertools
 import operator
 
 from .ring import ALPHA, BETA, X, TruncPoly, pvar
-from .shapes import (INF, FlagMemo, ShapeError, cells, check_orientation,
-                     contains, marked_shape, read_flags, skew)
+from .shapes import (INF, ShapeError, cells, check_orientation, contains,
+                     marked_shape, read_flags, skew)
 
 
 def _col_order(cell_list):
@@ -349,9 +349,6 @@ class TableauSweep:
         # with a mark set for every row the boundary can reach
         self._width = len(outer) if mark_set is not None else max(
             (c[self._axis] for c in cells(outer, inner)), default=0)
-        # read as FlagSweep reads them: every bucket value is at most n, so
-        # capping the flags changes no bucket test
-        self._flags = FlagMemo(self._width, n, mark_set is not None)
         self._buckets = {}  # s with a mark set, else None -> buckets
         self._admitted = None, {}  # (r, key), their buckets summed by max
 
@@ -392,12 +389,12 @@ class TableauSweep:
         return buckets
 
     def value(self, r, s):
-        """The flagged sum for (r, s), raw or capped alike; each lower and
-        each upper vector is checked and read once per process, by
-        shapes.read_flags through shapes.FlagMemo.  The buckets the last r
+        """The flagged sum for (r, s), raw or capped alike: shapes.read_flags
+        reads them as FlagSweep does, and every bucket value is at most n, so
+        capping the flags changes no bucket test.  The buckets the last r
         admits are kept summed by their maxima, so a call tests only those
         sums against s."""
-        r, s = self._flags(r, s)
+        r, s = read_flags(r, s, self._width, self.n, self.mark_set is not None)
         key = None
         if self.mark_set is not None:
             if any(map(operator.gt, r, s)):

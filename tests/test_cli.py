@@ -242,6 +242,20 @@ def test_enumerate_at_n_zero_names_n_not_the_default_flags():
                                 "pass a larger --n"), argv
     assert run(["compute", "G", "--shape", "1", "--n", "0"]) == \
         run(["enumerate", "G", "--shape", "1", "--n", "0"])
+    # a shape that does not fit is refused whatever flags are passed, and a
+    # default flag never causes a flag error: the empty shape has one
+    # (empty) filling and the value 1
+    for target in ("G", "g", "matsumura"):
+        assert run(["enumerate", target, "--shape", "1", "--n", "0",
+                    "--flags-s", "1"]) == \
+            run(["compute", "G", "--shape", "1", "--n", "0"])
+        assert run(["enumerate", target, "--shape", "0", "--n", "0"]) == \
+            (0, "(empty shape)\n\ntotal: 1")
+    for extra in ([], ["--flags-r", "1"], ["--flags-s", "1"],
+                  ["--orientation", "col"]):
+        for target in ("G", "g"):
+            argv = ["compute", target, "--shape", "0", "--n", "0", *extra]
+            assert run(argv) == (0, "1"), argv
 
 
 def test_enumerate_refuses_options_its_target_ignores():

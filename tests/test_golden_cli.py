@@ -170,6 +170,10 @@ GOLDEN = [
      0, 'cauchy: kernel matches the G*g sum to bidegree 2'),
     ('verify cauchy',
      0, 'cauchy: kernel matches the G*g sum to bidegree 3'),
+    # the benchmark's op; its stdout plus the final newline hashes to
+    # 6bd39f06bae123b6...
+    ('verify cauchy --budget 4',
+     0, 'cauchy: kernel matches the G*g sum to bidegree 4'),
 ]
 
 

@@ -224,12 +224,21 @@ def test_hall_pairing_two_term_cancellation():
     assert hall_pairing((2,), (1,), n, deg).is_zero()
 
 
-def test_cauchy_identity():
+def test_cauchy_identity(monkeypatch):
     assert cauchy_check(1, 1, 0)
     assert cauchy_check(1, 1, 2)
     assert cauchy_check(2, 1, 2)
     assert cauchy_check(1, 2, 2)
     assert cauchy_check(2, 2, 2)
+    # one G_lam perturbed fails the check: doubled, or by x_1^2, which
+    # times g_(1)(y) lies on the edge of the compared box at bound 2
+    jt = grothendieck.G_jt
+    for extra in (lambda n, deg: jt((1,), n, deg),
+                  lambda n, deg: xv(n, deg, 1) ** 2):
+        monkeypatch.setattr(grothendieck, "G_jt", lambda lam, n, deg: (
+            jt(lam, n, deg) + extra(n, deg) if lam == (1,)
+            else jt(lam, n, deg)))
+        assert not cauchy_check(2, 2, 2)
 
 
 def test_schur_in_grothendieck_maps():
@@ -1003,7 +1012,8 @@ def test_omega_check_compares_every_factor_family(monkeypatch, wrong):
 
 
 MEMOS = (symfunc._pleth_series, grothendieck._coeff_det,
-         grothendieck._G_prefactor, shapes._read_vector)
+         grothendieck._G_prefactor, grothendieck._row_factor,
+         shapes._read_vector)
 
 
 def test_cleared_caches_change_no_value(monkeypatch):

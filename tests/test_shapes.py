@@ -1,13 +1,15 @@
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from grothpoly import shapes
 from grothpoly.shapes import (
-    INF, ShapeError, cells, conjugate, contains, dent_index, flag_vectors,
-    minimal_cell, partition, partitions_between, partitions_of,
+    INF, ShapeError, cells, conjugate, contains, dent_index, flag_class,
+    flag_vectors, minimal_cell, partition, partitions_between, partitions_of,
     partitions_up_to, read_flags, size, skew, strip,
 )
 
@@ -103,6 +105,36 @@ def test_read_flags_caps_or_reads_an_infinite_upper_flag_as_n():
     assert read_flags([1, 4], [3, INF], 2, 2, marked=True) == ((1, 4), (3, 2))
     with pytest.raises(ShapeError, match="flag vectors shorter"):
         read_flags((1,), (2,), 2, 2)
+
+
+def test_read_flags_keeps_its_contract_cold_and_warm():
+    # the oracle reads the pair as a whole: flag_vectors checks it, and
+    # flag_class or the marked mapping reads it
+    def oracle(r, s, rows, n, marked):
+        r, s = flag_vectors(r, s, rows)
+        if marked:
+            return r, tuple(n if v == INF else v for v in s)
+        return flag_class(r, s, n)
+
+    vectors = [v for k in range(3)
+               for v in itertools.product((0, 1, 2, 3, INF), repeat=k)]
+    for r, s, rows, n, marked in itertools.product(
+            vectors, vectors, range(3), (1, 2), (False, True)):
+        try:
+            want = oracle(r, s, rows, n, marked)
+        except ShapeError as err:
+            want = err
+        shapes._read_vector.cache_clear()
+        for _ in ("cold", "warm"):
+            try:
+                got = read_flags(r, s, rows, n, marked)
+            except ShapeError as err:
+                got = err
+            if isinstance(want, ShapeError):
+                assert type(got) is ShapeError and \
+                    str(got) == str(want), (r, s, rows, n, marked)
+            else:
+                assert got == want, (r, s, rows, n, marked)
 
 
 def test_partition_enumerators():
