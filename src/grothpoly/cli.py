@@ -396,7 +396,7 @@ def cmd_coeff(args):
     return render_poly(value, args.format), 0
 
 
-def _grid_lines(outer, inner, cells_text):
+def _grid_lines(outer, cells_text):
     width = max((len(t) for t in cells_text.values()), default=1)
     lines = []
     for i in range(1, len(outer) + 1):
@@ -447,7 +447,7 @@ def cmd_enumerate(args):
     else:
         fillings = gen_fsvt(outer, inner, n, deg, flags)
         label = lambda st: "".join(str(v) for v in st)
-    blocks = [_grid_lines(tuple(outer), partition(inner),
+    blocks = [_grid_lines(tuple(outer),
                           {cell: label(v) for cell, v in filling.items()})
               for filling in fillings]
     out = []
@@ -693,17 +693,16 @@ def _tableau_reference(kind, orientation, lam, mu, n, deg):
 
 def _flag_classes(lam, mu, contained):
     """Yield (n, {hypothesis: [(r, s)]}) for each n in FLAGGED_NS: the
-    classes flag_class(r, s, n) of the flags satisfying the hypothesis, in
-    the raw order of their first flags.  Determinant values depend on the
-    flags only through the class, as shapes.read_flags reads them.  The
-    hypotheses do not depend on n; "weak" is the weakened col G condition
-    where the col one fails, which loosens only the condition on r.
+    classes flag_class(r, s, n) of the flags satisfying the hypothesis.
+    Determinant values depend on the flags only through the class, as
+    shapes.read_flags reads them.  The hypotheses do not depend on n;
+    "weak" is the weakened col G condition where the col one fails, which
+    loosens only the condition on r.
 
-    Each hypothesis holds on a product of lower and upper vectors (_split).
-    Capping only lowers entries and keeps row_monotone and col_monotone, so
-    a row or col class is its own first raw flags: an admitted pair that
-    flag_class fixes.  A capped weak r may meet the col condition, so the
-    weak classes are mapped from the raw lower vectors."""
+    Each hypothesis holds on a product of lower and upper vectors (_split),
+    and flag_class caps each vector alone, so the classes of a product are
+    the product of the vectors' classes: the capped lower vectors, then the
+    capped upper ones, each in the raw order of their first vectors."""
     space = _flag_space(max(len(lam), len(mu), 1))
     factors = {"row": _split(space, functools.partial(row_monotone, lam, mu))}
     if contained:
@@ -715,12 +714,9 @@ def _flag_classes(lam, mu, contained):
     for n in FLAGGED_NS:
         classes = {"row": [], "col": [], "weak": []}
         for hypothesis, (lower, upper) in factors.items():
-            if hypothesis == "weak":
-                lower = dict.fromkeys(flag_class(r, r, n)[0] for r in lower)
-            else:
-                lower = [r for r in lower if flag_class(r, r, n)[0] == r]
-            upper = [s for s in upper if flag_class(s, s, n)[1] == s]
-            classes[hypothesis] = list(itertools.product(lower, upper))
+            classes[hypothesis] = list(itertools.product(
+                dict.fromkeys(flag_class(r, r, n)[0] for r in lower),
+                dict.fromkeys(flag_class(s, s, n)[1] for s in upper)))
         yield n, classes
 
 
@@ -737,11 +733,11 @@ def verify_flagged(max_size=4):
     FlagSweep for the determinants and one TableauSweep, an unflagged
     enumeration filtered by the flags, for the tableaux.  Each class of
     flags with equal determinant values (the flags as shapes.read_flags
-    reads them) is checked once, and its capped flags are its first raw
-    flags.  The classes are found once per (lam, mu, n) and hypothesis,
-    from the lower and the upper vectors the hypothesis admits
-    (_flag_classes), and shared by the jobs.  A sample of them is
-    re-evaluated through the plain determinant functions as a cross-check.
+    reads them) is checked once, at its capped flags.  The classes are
+    found once per (lam, mu, n) and hypothesis, from the lower and the
+    upper vectors the hypothesis admits (_flag_classes), and shared by the
+    jobs.  A sample of them is re-evaluated through the plain determinant
+    functions as a cross-check.
     The weakened lower-flag condition for column-flagged G (one extra unit
     of slack) is evaluated and reported, never asserted.  The boundary-marked
     duals evaluate a FlagSweep with the mark set against a TableauSweep with

@@ -26,8 +26,8 @@ import warnings
 
 from .ring import ALPHA, BETA, X, InternalCheckError, TruncPoly, det
 from .shapes import (CACHE_SIZE, ShapeError, check_orientation, contains,
-                     flag_vectors, marked_shape, minimal_cell, part,
-                     partition, partitions_above, partitions_between,
+                     flag_class, flag_vectors, marked_shape, minimal_cell,
+                     part, partition, partitions_above, partitions_between,
                      partitions_of, read_flags, size, skew, strip)
 from .symfunc import (a_prefix, alternant_quotient, b_prefix, cat, e_ominus,
                       e_pleth, h_ominus, h_pleth, neg, schur_branching,
@@ -352,13 +352,13 @@ def _flagged_det(kind, outer, inner, r, s, orientation, n, deg):
     check_orientation(orientation)
     lam, mu = partition(outer), partition(inner)
     r, s = flag_vectors(r, s, max(len(lam), len(mu)))
-    if kind == "g":
-        ok = row_monotone(lam, mu, r, s)
-    elif orientation == "row":
-        ok = contains(mu, lam) and row_monotone(lam, mu, r, s)
-    else:
-        ok = contains(mu, lam) and col_monotone(lam, mu, r, s)
-    _warn_hypotheses(ok, f"{orientation} {kind}", stacklevel=4)
+    # the hypothesis reads the flags as n variables do; the value takes the
+    # raw flags, the reference the flag sweeps are tested against
+    monotone = col_monotone if (kind, orientation) == ("G", "col") \
+        else row_monotone
+    _warn_hypotheses((kind == "g" or contains(mu, lam))
+                     and monotone(lam, mu, *flag_class(r, s, n)),
+                     f"{orientation} {kind}", stacklevel=4)
     return _flag_value(kind, orientation, lam, mu, r, s, n, deg)
 
 
@@ -490,20 +490,15 @@ class FlagSweep:
 def valid_mark_sets(outer):
     """Mark sets compatible with the boundary recursion for a dented shape:
     {1..p} and {1..p} minus the dent row k, for every p >= k whose part still
-    equals the dent part."""
+    equals the dent part.  None repeats: each {1..p} holds k."""
     lam = tuple(outer)
     k, lamk = minimal_cell(lam)
     out = []
     for p in range(k, len(lam) + 1):
         if lamk == 0 or part(lam, p) != lamk:
             break
-        for cand in (frozenset(range(1, p + 1)),
-                     frozenset(range(1, p + 1)) - {k}):
-            if cand not in out:
-                out.append(cand)
-    if not out:
-        out.append(frozenset())
-    return out
+        out += [frozenset(range(1, p + 1)), frozenset(range(1, p + 1)) - {k}]
+    return out or [frozenset()]
 
 
 def g_marked_det(outer, inner, r, s, mark_set, n, deg):

@@ -84,25 +84,26 @@ def dent_index(seq):
     """The k making seq a dented partition, or None.
 
     Dented: lam1+1 = ... = lam_{k-1}+1 = lam_k >= lam_{k+1} >= ... >= lam_n
-    with nonnegative entries.  An ordinary partition has k = 1.
+    with nonnegative entries.  So k is the first row that rises above the
+    row before it, and no later row rises; an ordinary partition, the empty
+    one included, has k = 1.
     """
     seq = tuple(seq)
-    if any(p < 0 for p in seq):
+    rises = [i for i in range(2, len(seq) + 1) if seq[i - 1] > seq[i - 2]]
+    k = rises[0] if rises else 1
+    if len(rises) > 1 or min(seq, default=0) < 0 or \
+       seq[:k - 1] != (part(seq, k) - 1,) * (k - 1):
         return None
-    n = len(seq)
-    for k in range(1, n + 1):
-        if all(seq[i] + 1 == seq[k - 1] for i in range(k - 1)) and \
-           all(seq[i] >= seq[i + 1] for i in range(k - 1, n - 1)):
-            return k
-    return None
+    return k
 
 
 def minimal_cell(seq):
-    """(k, lam_k) for a dented partition; (1, lam_1) when already ordinary."""
+    """(k, lam_k) for a dented partition; (1, lam_1) when already ordinary,
+    so (1, 0) for the empty shape."""
     k = dent_index(seq)
     if k is None:
         raise ShapeError(f"not a dented partition: {tuple(seq)}")
-    return k, tuple(seq)[k - 1]
+    return k, part(tuple(seq), k)
 
 
 def check_orientation(orientation):

@@ -258,6 +258,26 @@ def test_enumerate_at_n_zero_names_n_not_the_default_flags():
             assert run(argv) == (0, "1"), argv
 
 
+def test_the_empty_shape_takes_the_empty_mark_set():
+    # the empty shape is an ordinary partition, so --mark-set 0 (no marks)
+    # changes nothing and a mark on row 1 is out of range
+    empty = ["--shape", "0", "--n", "2"]
+    assert run(["compute", "g", *empty, "--mark-set", "0"]) == (0, "1") == \
+        run(["compute", "g", *empty])
+    assert run(["enumerate", "g", *empty, "--mark-set", "0"]) == \
+        (0, "(empty shape)\n\ntotal: 1")
+    for verb in ("compute", "enumerate"):
+        assert run([verb, "g", *empty, "--mark-set", "1"]) == \
+            (2, "error: mark set out of range: [1]")
+
+
+def test_flags_past_n_meet_the_hypothesis_as_read(recwarn):
+    # --flags-s 3,2 reads (2, 2) at n = 2, which is row monotone
+    assert run(["compute", "G", "--shape", "1,1", "--n", "2",
+                "--flags-s", "3,2"]) == (0, "x1*x2")
+    assert not recwarn.list
+
+
 def test_enumerate_refuses_options_its_target_ignores():
     for argv, option in (
             (["enumerate", "matsumura", "--shape", "2", "--n", "2",
@@ -413,27 +433,31 @@ def brute_force_flag_classes(lam, mu, contained):
         yield n, classes
 
 
-def test_flag_classes_match_the_brute_force_oracle():
+def test_flag_classes_match_the_brute_force_oracle(monkeypatch):
     # the same classes in the same order, for every n and hypothesis.  Under
-    # row and col each class is its own first raw flags, which lets
-    # _flag_classes yield the classes alone; (3, 2) is the weak lower flag
-    # of (1, 1) at n = 1 whose class is (2, 2), so a first raw flag differs
-    # from its class there
-    weak_raw = 0
-    for lam in partitions_up_to(4):
-        for mu in partitions_up_to(4):
-            contained = contains(mu, lam)
-            want = list(brute_force_flag_classes(lam, mu, contained))
-            assert list(cli._flag_classes(lam, mu, contained)) == [
-                (n, {hypothesis: [(R, S) for _, _, R, S in found]
-                     for hypothesis, found in classes.items()})
-                for n, classes in want], (lam, mu)
-            for _, classes in want:
-                for hypothesis in ("row", "col"):
-                    assert all((r, s) == (R, S) for r, s, R, S
-                               in classes[hypothesis]), (lam, mu, hypothesis)
-                weak_raw += sum(r != R for r, _, R, _ in classes["weak"])
-    assert weak_raw
+    # row and col each class is its own first raw flags; (3, 2) is the weak
+    # lower flag of (1, 1) at n = 1 whose class is (2, 2), so a first raw
+    # flag differs from its class there.  FLAG_MAX = 4 also caps the upper
+    # flags at n = 3 and reaches the lower flag n + 1 there; it runs on
+    # shapes up to 3 cells to bound the time
+    for flag_max, max_size in ((3, 4), (4, 3)):
+        monkeypatch.setattr(cli, "FLAG_MAX", flag_max)
+        weak_raw = 0
+        for lam in partitions_up_to(max_size):
+            for mu in partitions_up_to(max_size):
+                contained = contains(mu, lam)
+                want = list(brute_force_flag_classes(lam, mu, contained))
+                assert list(cli._flag_classes(lam, mu, contained)) == [
+                    (n, {hypothesis: [(R, S) for _, _, R, S in found]
+                         for hypothesis, found in classes.items()})
+                    for n, classes in want], (flag_max, lam, mu)
+                for _, classes in want:
+                    for hypothesis in ("row", "col"):
+                        assert all((r, s) == (R, S) for r, s, R, S
+                                   in classes[hypothesis]), \
+                            (flag_max, lam, mu, hypothesis)
+                    weak_raw += sum(r != R for r, _, R, _ in classes["weak"])
+        assert weak_raw, flag_max
 
 
 def test_marked_row_filter_matches_the_raw_pair_filter():

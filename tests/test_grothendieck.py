@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grothpoly
-from grothpoly import grothendieck, shapes, symfunc
+from grothpoly import cli, grothendieck, shapes, symfunc
 from grothpoly.cli import render_poly
 from grothpoly.grothendieck import (_SKEW_COEFF, C_coeff, FlagSweep,
                                     G_bialternant, G_flagged_det, G_jt,
@@ -745,6 +745,69 @@ def test_marked_determinant_reduces_and_vanishes():
         g_marked_det((1, 3), (), (1, 1), (2, 2), frozenset(), n, deg)
     with pytest.raises(ShapeError):
         g_marked_det((1, 2), (), (1, 1), (2, 2), frozenset({3}), n, deg)
+
+
+def test_the_empty_marked_shape_is_ordinary():
+    # dent row k = 1, as for every ordinary partition, so the empty shape
+    # takes the empty mark set, and its determinant is the empty one
+    assert shapes.dent_index(()) == 1
+    assert shapes.minimal_cell(()) == (1, 0)
+    assert valid_mark_sets(()) == [frozenset()]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert g_marked_det((), (), (), (), (), 2, 2) == \
+            TruncPoly.const(2, 2, 1)
+
+
+def test_valid_mark_sets_are_distinct_marked_shapes():
+    # oracle: the same sets collected with a duplicate check
+    def with_duplicate_check(lam):
+        k, lamk = shapes.minimal_cell(lam)
+        out = []
+        for p in range(k, len(lam) + 1):
+            if lamk == 0 or shapes.part(lam, p) != lamk:
+                break
+            for cand in (frozenset(range(1, p + 1)),
+                         frozenset(range(1, p + 1)) - {k}):
+                if cand not in out:
+                    out.append(cand)
+        return out or [frozenset()]
+
+    several = 0
+    for lam in cli._dented_shapes(6, 3):
+        got = valid_mark_sets(lam)
+        assert len(set(got)) == len(got), lam
+        assert got == with_duplicate_check(lam), lam
+        for marks in got:
+            assert shapes.marked_shape(lam, (), marks) == (lam, (), marks)
+        several += len(got) > 2
+    assert several
+
+
+def test_flag_hypotheses_read_the_flags_as_n_variables_do():
+    # at n = 2 the upper flags (3, 2) read (2, 2) and the lower flags (5, 3)
+    # read (3, 3): each pair has the value of its reading, and, as that
+    # reading meets the row condition, no warning
+    n, deg = 2, 2
+    for r, s, read in (((1, 1), (3, 2), ((1, 1), (2, 2))),
+                       ((5, 3), (2, 2), ((3, 3), (2, 2)))):
+        for flagged_det in (G_flagged_det, g_flagged_det):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = flagged_det((1, 1), (), r, s, "row", n, deg)
+                assert got == flagged_det((1, 1), (), *read, "row", n, deg)
+    assert G_flagged_det((1, 1), (), (1, 1), (3, 2), "row", n, deg) == \
+        xv(n, deg, 1) * xv(n, deg, 2)
+
+
+def test_col_G_warns_on_the_column_condition():
+    # on (1, 1) the upper flags (2, 1) meet col_monotone, not row_monotone
+    n, deg = 2, 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        G_flagged_det((1, 1), (), (1, 1), (2, 1), "col", n, deg)
+    with pytest.warns(UserWarning, match="row G"):
+        G_flagged_det((1, 1), (), (1, 1), (2, 1), "row", n, deg)
 
 
 def test_flagged_rejects_bad_input():

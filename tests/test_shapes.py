@@ -49,21 +49,29 @@ def test_minimal_cell():
 
 
 def test_dent_index_scan_matches_definition():
-    # oracle: test every k directly
+    # oracle: test every k directly; k = 1 also for the empty shape, which
+    # is ordinary
     def dented_at(seq, k):
         n = len(seq)
         head = all(seq[i] + 1 == seq[k - 1] for i in range(k - 1))
         tail = all(seq[i] >= seq[i + 1] for i in range(k - 1, n - 1))
         return head and tail
 
-    rng = random.Random(3)
-    for _ in range(200):
-        seq = tuple(rng.randrange(0, 4) for _ in range(rng.randrange(1, 5)))
-        ks = [k for k in range(1, len(seq) + 1) if dented_at(seq, k)]
+    seqs = [seq for length in range(5)
+            for seq in itertools.product(range(4), repeat=length)]
+    assert len(seqs) == 341
+    for seq in seqs:
+        ks = [k for k in range(1, max(len(seq), 1) + 1) if dented_at(seq, k)]
         if ks:
             assert dent_index(seq) == ks[0]
         else:
             assert dent_index(seq) is None
+
+
+def test_dent_index_refuses_negative_entries():
+    # each is dented but for its negative entry
+    for seq in ((-1,), (1, -1), (-1, 0), (0, 1, -1)):
+        assert dent_index(seq) is None, seq
 
 
 def test_skew_validation():
