@@ -538,18 +538,15 @@ def matsumura_det(lam, mu, r, s, n, deg):
 # unprimed ones take (lam, nu).
 
 _SKEW_COEFF = {
-    "C": ("h", lambda lam, i, j: cat(a_prefix(part(lam, j)),
-                                     neg(b_prefix(j - 1)))),
+    "C": ("h", lambda lam, i, j: _g_right(part(lam, j), j)),
     "C'": ("h", lambda mu, i, j: cat(neg(a_prefix(part(mu, i))),
                                      b_prefix(i))),
     "D": ("e", lambda lam, i, j: cat(a_prefix(j - 1),
                                      neg(b_prefix(part(lam, j))))),
     "D'": ("e", lambda mu, i, j: cat(neg(a_prefix(i)),
                                      b_prefix(part(mu, i)))),
-    "c": ("h", lambda lam, i, j: cat(neg(a_prefix(part(lam, i) - 1)),
-                                     b_prefix(i - 1))),
-    "c'": ("h", lambda mu, i, j: cat(a_prefix(part(mu, j)),
-                                     neg(b_prefix(j - 1)))),
+    "c": ("h", lambda lam, i, j: _dual_shift(part(lam, i), i)),
+    "c'": ("h", lambda mu, i, j: _g_right(part(mu, j), j)),
     "d": ("e", lambda lam, i, j: cat(neg(a_prefix(i - 1)),
                                      b_prefix(part(lam, i) - 1))),
     "d'": ("e", lambda mu, i, j: cat(a_prefix(j - 1),

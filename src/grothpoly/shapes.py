@@ -170,10 +170,7 @@ def read_flags(r, s, rows, n, marked=False):
 @functools.lru_cache(maxsize=CACHE_SIZE)
 def _read_vector(v, upper, n, marked):
     # v checked and read as the upper or the lower flags, or None if refused
-    ones = (1,) * len(v)
-    try:
-        flag_vectors(*((ones, v) if upper else (v, ones)), 0)
-    except ShapeError:
+    if min(v, default=1) < 1 or not upper and INF in v:
         return None
     if marked:  # lower flags are finite, so this reads only upper ones
         return tuple(n if f == INF else f for f in v)

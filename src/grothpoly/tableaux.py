@@ -17,7 +17,8 @@ fillings map a cell to a tuple of (value, marked) pairs.  enum_* functions
 return exact TruncPoly sums of weights; gen_* generators yield the fillings
 themselves; TableauSweep gives the flagged sums of one shape for many flag
 vectors from one unflagged enumeration, or with a mark set from one
-enumeration per upper flag vector.
+enumeration per upper flag vector.  The public gen_*, enum_* and TableauSweep
+check their arguments; the private walks behind them take checked ones.
 
 One depth-first walk, _fill, places the cells of the multiset-valued,
 set-valued and plane-partition families.  It reads each cell's flag range
@@ -152,8 +153,6 @@ def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
     """Yield (weight, filling) for every filling of the underlying multisets,
     filling mapping each cell to its multiset.  Marks are summed out cell by
     cell: a markable element contributes alpha_col - beta_row."""
-    check_orientation(orientation)
-    outer, inner = skew(outer, inner)
     # a cell's factor depends only on (i, j, ms): build each one once
     factors = {}
 
@@ -178,6 +177,8 @@ def _mmsvt_fillings(outer, inner, n, deg, flags, orientation):
 def enum_mmsvt(outer, inner, n, deg, flags=None, orientation="row"):
     """Exact generating function of flagged marked multiset fillings; only
     the underlying multisets are enumerated, since marks are summed out."""
+    check_orientation(orientation)
+    outer, inner = skew(outer, inner)
     total = TruncPoly.zero(n, deg)
     for weight, _ in _mmsvt_fillings(outer, inner, n, deg, flags,
                                      orientation):
@@ -237,7 +238,7 @@ def gen_rpp(outer, inner, n, flags=None, orientation="row", mark_set=None):
 
 
 def _rpp_fillings(outer, inner, n, flags, orientation, mark_set):
-    """gen_rpp on arguments _mrpp_validate has already checked."""
+    """gen_rpp on arguments checked as gen_rpp or TableauSweep checks them."""
     if mark_set is None:
         bounds = _cell_bounds(outer, inner, flags, orientation, n)
     elif any(map(operator.gt, *flags)):
@@ -367,8 +368,8 @@ class TableauSweep:
             return
         flags = None if s is None else ((1,) * len(s), s)
         boundary = _boundary(outer, self.mark_set, flags)
-        for values in gen_rpp(outer, inner, n, flags, self.orientation,
-                              self.mark_set):
+        for values in _rpp_fillings(outer, inner, n, flags, self.orientation,
+                                    self.mark_set):
             weight = _mrpp_summed_weight(values, "left", boundary, n, deg)
             # a marked enumeration has applied s already: its last entries
             # read 0, so that row minima alone split the buckets
@@ -446,9 +447,7 @@ _RULE_GROUPS = {
 
 
 def _rule_weight(rule, n, deg, t, c):
-    group = _RULE_GROUPS.get(rule)
-    if group is None:
-        raise ShapeError(f"unknown weight rule {rule!r}")
+    group = _RULE_GROUPS[rule]
     if group == 0:
         return pvar(n, deg, ALPHA, t) - pvar(n, deg, BETA, t - c)
     if group == 1:

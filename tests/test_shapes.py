@@ -145,6 +145,28 @@ def test_read_flags_keeps_its_contract_cold_and_warm():
                 assert got == want, (r, s, rows, n, marked)
 
 
+def test_read_vector_refuses_what_flag_vectors_refuses():
+    # the oracle is the old test: flag_vectors with an all-ones partner
+    def refused(v, upper):
+        ones = (1,) * len(v)
+        try:
+            flag_vectors(*((ones, v) if upper else (v, ones)), 0)
+        except ShapeError:
+            return True
+        return False
+
+    shapes._read_vector.cache_clear()
+    vectors = [v for k in range(4)
+               for v in itertools.product((0, 1, 2, INF), repeat=k)]
+    for v, upper, n, marked in itertools.product(
+            vectors, (False, True), (1, 2), (False, True)):
+        assert (shapes._read_vector(v, upper, n, marked) is None) \
+            == refused(v, upper), (v, upper, n, marked)
+    # a pair with two faults names the first one flag_vectors checks
+    with pytest.raises(ShapeError, match="flags must be positive"):
+        read_flags((INF,), (0,), 1, 2)
+
+
 def test_partition_enumerators():
     assert len(partitions_of(5)) == 7
     assert len(partitions_up_to(4)) == 1 + 1 + 2 + 3 + 5

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grothpoly import shapes, symfunc
+from grothpoly import shapes, symfunc, tableaux
 from grothpoly.grothendieck import valid_mark_sets
 from grothpoly.ring import ALPHA, BETA, TruncPoly, X, pvar
 from grothpoly.shapes import ShapeError
@@ -673,6 +673,26 @@ def test_tableau_sweep_takes_raw_flags_after_their_classes():
         for r, s in pairs:
             assert sweep.value(r, s) == enum(lam, mu, n, deg, flags=(r, s)), \
                 (family, r, s)
+
+
+def test_marked_tableau_sweep_checks_its_shape_once(monkeypatch):
+    # the constructor checks the marked shape; the enumeration of each upper
+    # flag vector walks the checked one
+    calls = []
+    validate = tableaux._mrpp_validate
+
+    def counted(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(tableaux, "_mrpp_validate", counted)
+    n, deg = 2, 4
+    lam, mu, marks = (1, 2), (), {1}
+    sweep = TableauSweep("mrpp", lam, mu, n, deg, mark_set=marks)
+    for s in [(1, 1), (2, 1), (1, 2), (2, 2), (3, 2)]:
+        sweep.value((1, 1), s)
+    assert len(sweep._buckets) == 5
+    assert len(calls) == 1
 
 
 def test_marked_tableaux_read_an_infinite_upper_flag_as_n():
